@@ -8,6 +8,7 @@ from .bandwidth import (
     BandwidthReport,
     beta_closed_form_d_eq_k,
     beta_formula,
+    beta_layered_naive_e1,
     beta_oracle,
     beta_steiner_e2,
 )
@@ -63,56 +64,8 @@ from .tradeoff import (
 
 __version__ = "0.1.0"
 
+# every class and function imported above from the package's own modules
 __all__ = [
-    "BandwidthReport",
-    "beta_closed_form_d_eq_k",
-    "beta_formula",
-    "beta_oracle",
-    "beta_steiner_e2",
-    "BlockDesign",
-    "DesignStats",
-    "bundled_design",
-    "bundled_design_names",
-    "complete_design",
-    "design_stats",
-    "load_design",
-    "parse_design",
-    "serialize_design",
-    "verify_steiner",
-    "IntegrityError",
-    "ValidationError",
-    "BinaryExtensionField",
-    "extension_field",
-    "BinaryField",
-    "binary_field",
-    "LayeredCode",
-    "NodeContents",
-    "SystemParams",
-    "build_code",
-    "node_contents_from_text",
-    "node_contents_to_text",
-    "MdsCodec",
-    "mds_codec",
-    "PrecodedCode",
-    "build_precoded",
-    "linearized_eval",
-    "linearized_precode",
-    "rank_oracle",
-    "rho",
-    "BoundParams",
-    "Region",
-    "TradeoffPoint",
-    "achievable_point_c1",
-    "achievable_points_c1",
-    "achievable_points_general",
-    "corner_points",
-    "functional_bound_check",
-    "hull_oracle",
-    "k_threshold",
-    "mbcr_point",
-    "msmr_point",
-    "p_max",
-    "p_star",
-    "slope_c1",
-    "__version__",
-]
+    name for name, obj in list(globals().items())
+    if getattr(obj, "__module__", "").startswith(__name__ + ".")
+] + ["__version__"]

@@ -124,6 +124,19 @@ def beta_closed_form_d_eq_k(k: int, e: int, r: int) -> int:
     return comb(k + e - 2, r - 2)
 
 
+def beta_layered_naive_e1(n: int, m: int, r: int, d: int) -> Fraction:
+    """Mean per-helper layered_naive bandwidth for one failure, t=r design.
+
+    The failed node's C(n-1, r-1) blocks are each decoded from r-m whole
+    symbols, spread over d >= n-m helpers (so every block can decode).
+    """
+    if not (1 <= m < r <= n and n - m <= d < n):
+        raise ValidationError(
+            f"need 1 <= m < r <= n and n-m <= d < n, got n={n} m={m} r={r} d={d}"
+        )
+    return Fraction(comb(n - 1, r - 1) * (r - m), d)
+
+
 def beta_steiner_e2(n: int, r: int, t: int) -> tuple[int, int, int]:
     """(F, alpha, beta) for a Steiner S(t,r,n) layered code with m=2 at d=n-2.
 

@@ -37,19 +37,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .bandwidth import beta_formula, beta_oracle
+from .bandwidth import beta_formula, beta_layered_naive_e1
 from .designs import (
     BlockDesign,
-    bundled_design_names,
     complete_design,
     design_stats,
     load_design,
-    parse_design,
     serialize_design,
     verify_steiner,
 )
 from .errors import IntegrityError, ValidationError
-from .extfield import extension_field
 from .gf import binary_field
 from .layered import (
     LayeredCode,
@@ -212,7 +209,7 @@ def _load_code_meta(dirpath: Path) -> dict:
         raise ValidationError(f"cannot read {code_path}: {ex}") from None
     except json.JSONDecodeError as ex:
         raise ValidationError(f"{code_path} is not valid JSON: {ex}") from None
-    if meta.get("format") != "regencodes-node-dir":
+    if not isinstance(meta, dict) or meta.get("format") != "regencodes-node-dir":
         raise ValidationError(f"{code_path} is not a regencodes node directory descriptor")
     return meta
 
@@ -245,6 +242,10 @@ def _code_from_meta(meta: dict):
             return code
     except KeyError as ex:
         raise ValidationError(f"code.json is missing {ex}") from None
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as ex:
+        raise ValidationError(f"malformed code.json: {ex}") from None
     raise ValidationError(f"unknown construction {construction!r} in code.json")
 
 
@@ -489,7 +490,7 @@ def _cmd_compare(args) -> int:
         denom = rho(n, k, m, r)
         alpha_bar = Fraction(comb(n - 1, r - 1), denom)
         msmr = beta_formula(n, 1, m, r, d) / denom
-        naive = Fraction(comb(n - 1, r - 1) * (r - m), d * denom)
+        naive = beta_layered_naive_e1(n, m, r, d) / denom
         points.append(TradeoffPoint(alpha_bar, msmr, f"msmr(r={r})", r=r, m=m))
         points.append(TradeoffPoint(alpha_bar, naive, f"layered-naive(r={r})", r=r, m=m))
     rows = csv_rows(points)

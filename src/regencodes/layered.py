@@ -9,7 +9,8 @@ exactly from any d >= k helpers, group by group.
 
 Node contents serialize to a small text format: a header line
 `node alpha [precoded=1 kappa=K]`, then one `block_index hex_symbol` line
-per stored symbol.
+per stored symbol, in ascending block order. Every entry point checks the
+block indices against the design and rejects lines out of that order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
-from .errors import IntegrityError, ValidationError
+from .errors import IntegrityError, SymbolMismatch, ValidationError
 from .gf import binary_field
 from .mds import MdsCodec, mds_codec
 
@@ -55,7 +56,7 @@ class SystemParams:
 @dataclass(frozen=True)
 class NodeContents:
     node: int
-    symbols: tuple[tuple[int, int], ...]  # (1-based block index, symbol)
+    symbols: tuple[tuple[int, int], ...]  # (1-based block index, symbol), ascending
 
     @property
     def alpha(self) -> int:
@@ -101,10 +102,7 @@ class LayeredCode:
             self.codec.encode(data[b * km : (b + 1) * km]) for b in range(self.block_count)
         ]
         return [
-            NodeContents(
-                node=x,
-                symbols=tuple((b + 1, codewords[b][pos]) for b, pos in self._slots[x]),
-            )
+            self._node(x, [codewords[b][pos] for b, pos in self._slots[x]])
             for x in range(1, self.params.n + 1)
         ]
 
@@ -115,19 +113,11 @@ class LayeredCode:
             raise ValidationError(
                 f"need at least k={self.params.k} distinct nodes, got {len(by_node)}"
             )
-        per_block: list[dict[int, int]] = [{} for _ in range(self.block_count)]
-        for x, nc in by_node.items():
-            for (b, pos), (blk_idx, sym) in zip(self._slots[x], nc.symbols):
-                if blk_idx != b + 1:
-                    raise ValidationError(
-                        f"node {x} lists block {blk_idx} where block {b + 1} belongs"
-                    )
-                per_block[b][pos] = sym
+        per_block = self._gather(by_node)
         data: list[int] = []
         km = self.codec.dimension
         for b in range(self.block_count):
-            cw = self.codec.decode(per_block[b])
-            data.extend(cw[:km])
+            data.extend(self._decode(b, per_block[b])[:km])
         return data
 
     # -- repair ----------------------------------------------------------------
@@ -164,27 +154,24 @@ class LayeredCode:
             raise ValidationError(f"helper contents missing for nodes {missing}")
 
         km = self.codec.dimension
-        hset = set(helpers_t)
         msmr = {h: Fraction(0) for h in helpers_t}
         naive = {h: Fraction(0) for h in helpers_t}
         lnaive = {h: Fraction(0) for h in helpers_t}
         rebuilt: dict[int, dict[int, int]] = {x: {} for x in failed_t}  # node -> block -> symbol
+        per_block = self._gather({h: by_node[h] for h in helpers_t})
 
         for b, block in enumerate(self.design.blocks):
             lost = [x for x in block if x in rebuilt]
             s = len(lost)
             if s == 0:
                 continue
-            provided: dict[int, int] = {}
-            for pos, x in enumerate(block):
-                if x in hset:
-                    provided[pos] = self._symbol_at(by_node[x], b)
+            provided = per_block[b]
             h_cnt = len(provided)
             if h_cnt < km:
                 raise IntegrityError(
                     f"block {block} holds {h_cnt} helper symbols, fewer than r-m={km}"
                 )
-            cw = self.codec.decode(provided)
+            cw = self._decode(b, provided)
             for x in lost:
                 rebuilt[x][b] = cw[block.index(x)]
             share = Fraction(s, h_cnt - km + s)
@@ -196,12 +183,7 @@ class LayeredCode:
                     naive[x] += 1
                     lnaive[x] += s
 
-        out = []
-        for x in failed_t:
-            syms = tuple((b + 1, rebuilt[x][b]) for b, _ in self._slots[x])
-            if len(syms) != self.alpha:
-                raise IntegrityError(f"repaired node {x} has {len(syms)} symbols, not {self.alpha}")
-            out.append(NodeContents(node=x, symbols=syms))
+        out = [self._node(x, [rebuilt[x][b] for b, _ in self._slots[x]]) for x in failed_t]
         report = BandwidthReport(
             failed=failed_t, helpers=helpers_t, msmr=msmr, naive=naive, layered_naive=lnaive
         )
@@ -247,50 +229,65 @@ class LayeredCode:
             raise IntegrityError("extended codec does not match the rebuilt layout")
 
         # messages sit on each block's first r-m members, unchanged
-        tail_syms: list[int] = []
-        for b, block in enumerate(self.design.blocks):
-            message = [self._symbol_at(by_node[x], b) for x in block[:km]]
-            tail_syms.append(new_codec.encode(message)[p.r])
+        tail_syms = [
+            new_codec.encode([provided[pos] for pos in range(km)])[p.r]
+            for provided in self._gather(by_node)
+        ]
         last_cw = new_code.codec.encode(list(new_data))
-
-        new_state: list[NodeContents] = []
-        last_idx = new_design.block_count  # 1-based index of the appended block
-        for x in range(1, p.n + 1):
-            syms = list(by_node[x].symbols)
-            syms.append((last_idx, last_cw[x - 1]))
-            new_state.append(NodeContents(node=x, symbols=tuple(syms)))
-        new_state.append(
-            NodeContents(
-                node=new_node,
-                symbols=tuple((b + 1, tail_syms[b]) for b in range(self.block_count)),
-            )
-        )
+        new_state = [
+            new_code._node(x, by_node[x] + (last_cw[x - 1],)) for x in range(1, p.n + 1)
+        ]
+        new_state.append(new_code._node(new_node, tail_syms))
         return new_code, new_state
 
     # -- helpers -----------------------------------------------------------------
 
-    def _index_contents(self, contents: Iterable[NodeContents]) -> dict[int, NodeContents]:
-        by_node: dict[int, NodeContents] = {}
+    def _index_contents(self, contents: Iterable[NodeContents]) -> dict[int, tuple[int, ...]]:
+        """Check each node against the design; node -> its symbols in slot order."""
+        by_node: dict[int, tuple[int, ...]] = {}
         for nc in contents:
-            if not 1 <= nc.node <= self.params.n:
-                raise ValidationError(f"node id {nc.node} out of range 1..{self.params.n}")
-            if nc.node in by_node:
-                raise ValidationError(f"node {nc.node} appears twice")
+            x = nc.node
+            if not 1 <= x <= self.params.n:
+                raise ValidationError(f"node id {x} out of range 1..{self.params.n}")
+            if x in by_node:
+                raise ValidationError(f"node {x} appears twice")
             if nc.alpha != self.alpha:
                 raise ValidationError(
-                    f"node {nc.node} carries {nc.alpha} symbols, expected alpha={self.alpha}"
+                    f"node {x} carries {nc.alpha} symbols, expected alpha={self.alpha}"
                 )
-            for _, sym in nc.symbols:
+            for (b, _), (blk_idx, sym) in zip(self._slots[x], nc.symbols):
+                if blk_idx != b + 1:
+                    raise ValidationError(
+                        f"node {x} lists block {blk_idx} where block {b + 1} belongs"
+                    )
                 if not self.field.contains(sym):
-                    raise ValidationError(f"node {nc.node} holds a non-field symbol {sym!r}")
-            by_node[nc.node] = nc
+                    raise ValidationError(f"node {x} holds a non-field symbol {sym!r}")
+            by_node[x] = tuple(sym for _, sym in nc.symbols)
         return by_node
 
-    def _symbol_at(self, nc: NodeContents, b: int) -> int:
-        for blk_idx, sym in nc.symbols:
-            if blk_idx == b + 1:
-                return sym
-        raise ValidationError(f"node {nc.node} has no symbol for block {b + 1}")
+    def _gather(self, by_node: Mapping[int, Sequence[int]]) -> list[dict[int, int]]:
+        """Per-block {position: symbol} maps from slot-order symbol tuples."""
+        per_block: list[dict[int, int]] = [{} for _ in range(self.block_count)]
+        # ascending nodes fill each block in position order, so a decode
+        # mismatch is reported the same whatever order the nodes came in
+        for x, syms in sorted(by_node.items()):
+            for (b, pos), sym in zip(self._slots[x], syms):
+                per_block[b][pos] = sym
+        return per_block
+
+    def _decode(self, b: int, provided: Mapping[int, int]) -> list[int]:
+        """Decode block b; a mismatch is reported with where it showed."""
+        try:
+            return self.codec.decode(provided)
+        except SymbolMismatch as ex:
+            x = self.design.blocks[b][ex.position]
+            raise IntegrityError(
+                f"block {b + 1}: mismatch seen at position {ex.position} (node {x})"
+            ) from ex
+
+    def _node(self, x: int, syms: Sequence[int]) -> NodeContents:
+        labelled = tuple((b + 1, sym) for (b, _), sym in zip(self._slots[x], syms))
+        return NodeContents(node=x, symbols=labelled)
 
 
 def build_code(

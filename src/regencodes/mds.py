@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError, ValidationError
+from .errors import SymbolMismatch, ValidationError
 
 
 def _lagrange_weight(field, xs: Sequence[int], i: int, x: int) -> int:
@@ -74,7 +74,8 @@ class MdsCodec:
 
         Interpolates through the lowest `dimension` provided positions, then
         checks every provided symbol against the result; a mismatch means the
-        inputs are not a codeword restriction and raises IntegrityError.
+        inputs are not a codeword restriction and raises SymbolMismatch, an
+        IntegrityError that carries the position.
         """
         f = self.field
         for pos, sym in available.items():
@@ -100,7 +101,7 @@ class MdsCodec:
             cw.append(acc)
         for pos, sym in available.items():
             if cw[pos] != sym:
-                raise IntegrityError(f"inconsistent symbol at position {pos}")
+                raise SymbolMismatch(pos)
         return cw
 
     def extended(self, new_points: Sequence[int]) -> "MdsCodec":

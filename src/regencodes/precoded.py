@@ -173,12 +173,8 @@ class PrecodedCode:
         f = self.field
         km = self.r - self.m
         slots: list[tuple[int, int]] = []  # (evaluation point, stored symbol)
-        for x, nc in sorted(by_node.items()):
-            for (b, pos), (blk_idx, sym) in zip(self.inner._slots[x], nc.symbols):
-                if blk_idx != b + 1:
-                    raise ValidationError(
-                        f"node {x} lists block {blk_idx} where block {b + 1} belongs"
-                    )
+        for x, syms in sorted(by_node.items()):
+            for (b, pos), sym in zip(self.inner._slots[x], syms):
                 nu = f.zero
                 for i in range(km):
                     coeff = self.gen_cols[pos][i]

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .bandwidth import beta_formula, beta_oracle
 from .designs import bundled_design, complete_design
 from .errors import IntegrityError
-from .extfield import extension_field
 from .gf import binary_field
 from .layered import SystemParams, build_code
 from .mds import mds_codec

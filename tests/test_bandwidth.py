@@ -15,6 +15,7 @@ from regencodes import ValidationError, bundled_design
 from regencodes.bandwidth import (
     beta_closed_form_d_eq_k,
     beta_formula,
+    beta_layered_naive_e1,
     beta_oracle,
     beta_steiner_e2,
 )
@@ -135,6 +136,21 @@ def test_closed_form_at_d_equals_k():
                 got = beta_closed_form_d_eq_k(k, e, r)
                 assert got == comb(k + e - 2, r - 2)
                 assert got == beta_formula(k + e, e, e, r, k)
+
+
+def test_layered_naive_e1_matches_oracle():
+    # one failure, d >= n-m helpers: the mean per helper times d is the total
+    for n in range(3, 8):
+        for m in range(1, n):
+            for r in range(m + 1, n + 1):
+                design = complete_design(n, r)
+                for d in range(n - m, n):
+                    rep = beta_oracle(design, m, [1], range(2, d + 2))
+                    assert beta_layered_naive_e1(n, m, r, d) * d == rep.layered_naive_total
+    with pytest.raises(ValidationError):
+        beta_layered_naive_e1(6, 2, 4, 3)  # d < n-m: some block cannot decode
+    with pytest.raises(ValidationError):
+        beta_layered_naive_e1(6, 4, 4, 5)  # r <= m
 
 
 def test_steiner_two_failure_values():

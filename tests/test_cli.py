@@ -179,6 +179,35 @@ def test_foreign_code_json_is_rejected(tmp_path, capsys):
     (out_dir / "code.json").write_text(json.dumps({"format": "something-else"}))
     code, _ = run(capsys, "reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2")
     assert code == 2
+    # malformed descriptors: not an object, a non-integer parameter, a block
+    # that is not a list
+    layered = {
+        "format": "regencodes-node-dir", "construction": "layered",
+        "params": {"n": 4, "k": 3, "d": 3, "e": 1, "m": 1, "r": 3, "t": 3},
+        "field": {"w": 8}, "design": {"n": 4, "r": 3, "t": 3, "blocks": [5, 6]},
+    }
+    for meta in ([1, 2], {**layered, "params": {"n": "eight"}}, layered):
+        (out_dir / "code.json").write_text(json.dumps(meta))
+        code, _ = run(capsys, "reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2")
+        assert code == 2
+
+
+def test_out_of_order_node_lines_exit_2(tmp_path, capsys):
+    # labels intact, two lines swapped: every entry point rejects the node
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    path = out_dir / "node_001.txt"
+    head, first, second, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([head, second, first, *rest]) + "\n")
+    code, _ = run(capsys, "repair", "--node-dir", str(out_dir),
+                  "--failed", "4", "--helpers", "1,2,3")
+    assert code == 2
+    code, _ = run(capsys, "reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3")
+    assert code == 2
+    new_data = tmp_path / "new.bin"
+    new_data.write_bytes(bytes([9, 10]))
+    code, _ = run(capsys, "extend", "--node-dir", str(out_dir),
+                  "--new-data", str(new_data), "--out-dir", str(tmp_path / "ext"))
+    assert code == 2
 
 
 def test_out_dir_env_prefixes_relative_outputs(tmp_path, capsys, monkeypatch):

@@ -90,6 +90,10 @@ def test_tampered_symbol_is_detected(example_code, example_state):
     bad = [flip_symbol(state[0])] + list(state[1:])
     with pytest.raises(IntegrityError):
         example_code.reconstruct(bad)
+    # node 1 is flipped in block 1 = (1, 2, 4, 8); positions 0 and 1 pin the
+    # codeword, so the mismatch first shows at position 2, node 4's symbol
+    with pytest.raises(IntegrityError, match=r"^block 1: mismatch seen at position 2 \(node 4\)$"):
+        example_code.reconstruct(bad)
 
 
 def test_encode_validates_input(example_code):
@@ -232,6 +236,21 @@ def test_extend_guards():
     other = build_code(SystemParams(n=5, k=3, d=3, e=2, m=2, r=3, t=3))
     with pytest.raises(ValidationError):
         other.extend(other.encode([0] * 10), new_data=[0])  # r != k+e-1
+
+
+def test_out_of_order_lines_are_rejected_everywhere():
+    # labels intact, two lines swapped: repair, reconstruct and extend agree
+    code = optimal_point_code(3, 1)
+    state = code.encode(list(range(8)))
+    symbols = list(state[0].symbols)
+    symbols[0], symbols[1] = symbols[1], symbols[0]
+    bad = [NodeContents(node=1, symbols=tuple(symbols))] + list(state[1:])
+    with pytest.raises(ValidationError, match="node 1 lists block"):
+        code.repair(bad, failed=[4], helpers=[1, 2, 3])
+    with pytest.raises(ValidationError, match="node 1 lists block"):
+        code.reconstruct(bad)
+    with pytest.raises(ValidationError, match="node 1 lists block"):
+        code.extend(bad, new_data=[1, 2])
 
 
 # -- node text format -------------------------------------------------------------

@@ -146,6 +146,16 @@ def test_tampered_symbol_is_rejected(small_code, small_state):
         small_code.reconstruct([bad] + list(state[1:]))
 
 
+def test_out_of_order_lines_are_rejected(small_code, small_state):
+    # the inner code's index checks block labels for the precoded path too
+    _, state = small_state
+    nc = state[0]
+    swapped = (nc.symbols[1], nc.symbols[0]) + nc.symbols[2:]
+    bad = NodeContents(node=nc.node, symbols=swapped)
+    with pytest.raises(ValidationError, match="lists block"):
+        small_code.reconstruct([bad] + list(state[1:]))
+
+
 def test_encode_validates(small_code):
     with pytest.raises(ValidationError):
         small_code.encode([0] * (small_code.data_len - 1))
