@@ -273,9 +273,28 @@ class BinaryExtensionField:
         return _powmod(a, e, self.modulus, self.degree)
 
     def inv(self, a: int) -> int:
+        """a^-1 by the extended Euclidean algorithm in GF(2)[x].
+
+        Keeps a*g1 == u and a*g2 == v (mod modulus) while cancelling the
+        leading term of the longer of u, v; stops when u reaches 1. An
+        operand outside the field could be a multiple of the modulus, and u
+        would never reach 1, so it is refused.
+        """
         if a == 0:
             raise ValidationError("zero has no inverse")
-        return _powmod(a, self._top - 2, self.modulus, self.degree)
+        if not self.contains(a):
+            raise ValidationError(f"{a!r} is not a field element")
+        u, v = a, self.modulus
+        g1, g2 = 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v = v, u
+                g1, g2 = g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def contains(self, a: object) -> bool:
         return isinstance(a, int) and 0 <= a < self._top

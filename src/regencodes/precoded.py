@@ -7,7 +7,9 @@ q = 2^w, with kappa = F_c = (r-m) C(n,r) the inner code's data size; the
 inner code stores f evaluated at a basis of GF(q^kappa) over GF(q). Every
 stored symbol is then itself an evaluation of f at a known point (the
 symbol's generator column mapped through the basis), so any symbol set
-whose columns have full rank over GF(q) pins f down.
+whose columns have full rank over GF(q) pins f down. Reconstruction
+recovers f by Newton interpolation of the linearized polynomial, in O(F^2)
+field operations and one inverse (linearized_interpolate).
 
 F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
 recomputes subset ranks by eliminating an explicit generator matrix and
@@ -135,6 +137,54 @@ def linearized_precode(
     return [linearized_eval(field, data, pt) for pt in points]
 
 
+def linearized_interpolate(
+    field: BinaryExtensionField, pairs: Sequence[tuple[int, int]], size: int
+) -> list[int]:
+    """Coefficients of the f of q-degree < size through size of the pairs.
+
+    pairs are (point, value). A point is taken when it is independent over
+    the subfield of the points taken before it, the same greedy choice a
+    SubfieldSpan makes; the rest are skipped, values unread. Raises
+    IntegrityError when fewer than size points are taken. Fraction-free
+    Newton interpolation: ann vanishes exactly on the subfield span of the
+    points taken so far, g / s interpolates their values, and the only
+    inverse is the final 1 / s.
+    """
+    if size == 0:
+        return []
+    mul, frob = field.mul, field.frobenius
+    ann = [field.one]  # the polynomial x
+    g: list[int] = []
+    s = field.one
+    taken = 0
+    for nu, y in pairs:
+        pows = [nu]  # nu^(q^i) for i < len(ann)
+        for _ in range(len(ann) - 1):
+            pows.append(frob(pows[-1]))
+        delta = field.zero
+        for c, p in zip(ann, pows):
+            delta ^= mul(c, p)
+        if delta == field.zero:
+            continue  # nu lies in the span: ann(nu) = 0
+        # g <- delta g + e ann keeps g = s' y at the old points and fixes nu
+        e = mul(s, y)
+        for c, p in zip(g, pows):
+            e ^= mul(c, p)
+        g = [mul(delta, c) ^ mul(e, a) for c, a in zip(g, ann)] + [mul(e, ann[-1])]
+        s = mul(delta, s)
+        taken += 1
+        if taken == size:
+            scale = field.inv(s)
+            return [mul(scale, c) for c in g]
+        # ann <- delta ann^q + delta^q ann vanishes at nu too
+        dq = frob(delta)
+        grown = [mul(dq, c) for c in ann] + [field.zero]
+        for i, c in enumerate(ann):
+            grown[i + 1] ^= mul(delta, frob(c))
+        ann = grown
+    raise IntegrityError(f"only {taken} independent columns among {len(pairs)}; need {size}")
+
+
 @dataclass(frozen=True)
 class PrecodedCode:
     n: int
@@ -163,16 +213,17 @@ class PrecodedCode:
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents.
 
-        Walks the provided symbols in node order, keeps the first F whose
-        evaluation points are independent over the subfield, solves their
-        Moore system, then checks f against every other provided symbol.
+        Walks the provided symbols in node order, then slot order, and
+        interpolates f through the first F whose evaluation points are
+        independent over the subfield; then checks f against every provided
+        symbol.
         """
         by_node = self.inner._index_contents(contents)
         if len(by_node) < self.k:
             raise ValidationError(f"need at least k={self.k} distinct nodes, got {len(by_node)}")
         f = self.field
         km = self.r - self.m
-        slots: list[tuple[int, int]] = []  # (evaluation point, stored symbol)
+        pairs: list[tuple[int, int]] = []  # (evaluation point, stored symbol)
         for x, syms in sorted(by_node.items()):
             for (b, pos), sym in zip(self.inner._slots[x], syms):
                 nu = f.zero
@@ -180,16 +231,9 @@ class PrecodedCode:
                     coeff = self.gen_cols[pos][i]
                     if coeff:
                         nu = f.add(nu, f.mul(f.embed(coeff), f.theta[b * km + i]))
-                slots.append((nu, sym))
-        span = f.span()
-        chosen = [i for i, (nu, _) in enumerate(slots) if span.insert(nu)]
-        if len(chosen) < self.data_len:
-            raise IntegrityError(
-                f"only {len(chosen)} independent columns among {len(slots)}; "
-                f"need {self.data_len}"
-            )
-        data = self._solve_moore([slots[i] for i in chosen[: self.data_len]])
-        for nu, sym in slots:
+                pairs.append((nu, sym))
+        data = linearized_interpolate(f, pairs, self.data_len)
+        for nu, sym in pairs:
             if linearized_eval(f, data, nu) != sym:
                 raise IntegrityError("stored symbols are inconsistent with the recovered data")
         return data
@@ -202,31 +246,6 @@ class PrecodedCode:
     ):
         """Group-local repair, exactly the inner layered code's."""
         return self.inner.repair(state, failed, helpers)
-
-    def _solve_moore(self, rows: list[tuple[int, int]]) -> list[int]:
-        f = self.field
-        size = len(rows)
-        aug = []
-        for nu, sym in rows:
-            row = []
-            p = nu
-            for _ in range(size):
-                row.append(p)
-                p = f.frobenius(p)
-            row.append(sym)
-            aug.append(row)
-        for col in range(size):
-            piv = next((i for i in range(col, size) if aug[i][col] != 0), None)
-            if piv is None:
-                raise IntegrityError("Moore system is singular for independent points")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = f.inv(aug[col][col])
-            aug[col] = [f.mul(inv, v) for v in aug[col]]
-            for i in range(size):
-                if i != col and aug[i][col] != 0:
-                    factor = aug[i][col]
-                    aug[i] = [f.add(v, f.mul(factor, w)) for v, w in zip(aug[i], aug[col])]
-        return [aug[i][size] for i in range(size)]
 
 
 def build_precoded(

@@ -115,6 +115,12 @@ def _suite_precoded(rng: random.Random) -> None:
     state = code.encode(data)
     for sub in [(1, 2, 3), (2, 4, 5), (1, 3, 5)]:
         assert code.reconstruct([state[x - 1] for x in sub]) == data
+    # the F=36 code over GF((2^2)^40), reconstructed from one random 4-subset
+    code = build_precoded(6, 4, 5, 1, 1, 3)
+    data = [rng.randrange(1 << code.field.degree) for _ in range(code.data_len)]
+    state = code.encode(data)
+    sub = sorted(rng.sample(range(1, 7), 4))
+    assert code.reconstruct([state[x - 1] for x in sub]) == data, sub
 
 
 def _suite_extend(rng: random.Random) -> None:

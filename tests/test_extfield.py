@@ -103,6 +103,21 @@ def test_arithmetic(rng):
     assert f.pow(0, 9) == f.zero
 
 
+@pytest.mark.parametrize("w,kappa", [(2, 5), (4, 20), (3, 70)])
+def test_inverse_matches_fermat(w, kappa, rng):
+    f = extension_field(w, kappa)
+    top = 1 << (f.degree - 1)
+    elems = [f.one, top, top | 1, top | rng.randrange(top)]
+    elems += [f.embed(a) for a in range(1, f.subfield.order)]
+    elems += [rng.randrange(1, 1 << f.degree) for _ in range(8)]
+    for a in elems:
+        assert f.inv(a) == f.pow(a, (1 << f.degree) - 2)
+    with pytest.raises(ValidationError):
+        f.inv(0)
+    with pytest.raises(ValidationError):
+        f.inv(f.modulus)  # not a field element, and a multiple of the modulus
+
+
 def test_theta_is_an_independent_basis():
     f = extension_field(2, 6)
     assert len(f.theta) == 6

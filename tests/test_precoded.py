@@ -12,6 +12,7 @@ from regencodes.extfield import extension_field
 from regencodes.precoded import (
     build_precoded,
     linearized_eval,
+    linearized_interpolate,
     linearized_precode,
     rank_oracle,
     rho,
@@ -100,6 +101,65 @@ def test_precode_on_the_basis_is_invertible(rng):
     assert linearized_precode(f, other, f.theta) != evals
 
 
+def _independent_points(f, rng, count):
+    # random subfield combinations of theta, kept while independent
+    span = f.span()
+    points = []
+    while len(points) < count:
+        z = 0
+        for t in f.theta:
+            z = f.add(z, f.mul(f.embed(rng.randrange(f.subfield.order)), t))
+        if span.insert(z):
+            points.append(z)
+    return points
+
+
+def _with_dependent_points(f, rng, points):
+    # 0 first, then after each point but the last (where interpolation
+    # stops) a subfield multiple of it other than itself and a sum of two
+    # earlier points
+    out = [f.zero]
+    for i, p in enumerate(points):
+        out.append(p)
+        if i + 1 == len(points):
+            break
+        out.append(f.mul(f.embed(rng.randrange(2, f.subfield.order)), p))
+        if i:
+            out.append(f.add(p, points[rng.randrange(i)]))
+    return out
+
+
+@pytest.mark.parametrize("w,kappa", [(2, 5), (3, 4)])
+def test_linearized_interpolate_inverts_eval(w, kappa, rng):
+    f = extension_field(w, kappa)
+    for size in range(1, kappa + 1):
+        for _ in range(3):
+            coeffs = [rng.randrange(1 << f.degree) for _ in range(size)]
+            independent = _independent_points(f, rng, size)
+            pairs = []
+            for z in _with_dependent_points(f, rng, independent):
+                y = linearized_eval(f, coeffs, z)
+                # a dependent point carries a wrong value: it must be skipped
+                pairs.append((z, y if z in independent else y ^ 1))
+            assert len(pairs) > size or size == 1
+            assert linearized_interpolate(f, pairs, size) == coeffs
+
+
+@pytest.mark.parametrize("w,kappa", [(2, 5), (3, 4)])
+def test_linearized_interpolate_needs_enough_independent_points(w, kappa, rng):
+    f = extension_field(w, kappa)
+    for size in range(1, kappa + 1):
+        coeffs = [rng.randrange(1 << f.degree) for _ in range(size)]
+        points = _with_dependent_points(f, rng, _independent_points(f, rng, size - 1))
+        pairs = [(z, linearized_eval(f, coeffs, z)) for z in points]
+        with pytest.raises(IntegrityError) as err:
+            linearized_interpolate(f, pairs, size)
+        assert str(err.value) == (
+            f"only {size - 1} independent columns among {len(pairs)}; need {size}"
+        )
+    assert linearized_interpolate(f, [], 0) == []
+
+
 # -- full codec ---------------------------------------------------------------------
 
 
@@ -179,6 +239,28 @@ def test_deeper_group_code_round_trips():
     data = [(i * 2654435761) % (1 << code.field.degree) for i in range(36)]
     state = code.encode(data)
     assert code.reconstruct([state[0], state[2], state[3], state[5]]) == data
+
+
+def test_wide_precoded_code_round_trips():
+    # F=66 over GF((2^2)^70), degree 140
+    code = build_precoded(n=7, k=4, d=5, e=1, m=2, r=4)
+    assert (code.data_len, code.field.degree) == (66, 140)
+    data = [(i * 2654435761 + 97) % (1 << code.field.degree) for i in range(66)]
+    state = code.encode(data)
+    subset = [state[1], state[2], state[4], state[6]]
+    assert code.reconstruct(subset) == data
+    # a block meeting the subset in more than r - m = 2 nodes holds
+    # redundant symbols, so a flip in one of them must show
+    held = {nc.node for nc in subset}
+    nc = subset[0]
+    i = next(
+        i for i, (b, _) in enumerate(nc.symbols)
+        if len(held & set(code.inner.design.blocks[b - 1])) > 2
+    )
+    b, s = nc.symbols[i]
+    bad = NodeContents(node=nc.node, symbols=nc.symbols[:i] + ((b, s ^ 1),) + nc.symbols[i + 1:])
+    with pytest.raises(IntegrityError, match="inconsistent with the recovered data"):
+        code.reconstruct([bad] + subset[1:])
 
 
 def test_m_equals_n_minus_k_round_trips():
