@@ -351,7 +351,7 @@ def _cmd_encode(args) -> int:
             raise ValidationError("layered encode needs --r or --design FILE")
         params = SystemParams(n=args.n, k=args.n - args.m, d=args.d,
                               e=args.e, m=args.m, r=r, t=t)
-        field = binary_field(args.field_width or 8)
+        field = binary_field(8 if args.field_width is None else args.field_width)
         code = build_code(params, design, field)
         meta = _layered_meta(code)
         kappa = None

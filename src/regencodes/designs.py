@@ -17,6 +17,10 @@ from pathlib import Path
 
 from .errors import ValidationError
 
+# complete designs are materialized block by block, and a precoded code's
+# extension degree grows with the block count; larger requests are refused
+MAX_BLOCKS = 100_000
+
 
 @dataclass(frozen=True)
 class BlockDesign:
@@ -55,9 +59,25 @@ class DesignStats:
     lambda3: int  # blocks through a triple (0 when t < 3)
 
 
+def check_block_count(n: int, r: int) -> None:
+    """Refuse a complete design of more than MAX_BLOCKS blocks before building it.
+
+    Builds C(n, r) one factor at a time and stops past the limit, so a huge
+    n costs no more than a small one.
+    """
+    count = 1
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)  # C(n, i + 1), exact
+        if count > MAX_BLOCKS:
+            raise ValidationError(
+                f"complete design C({n},{r}) has more than {MAX_BLOCKS} blocks"
+            )
+
+
 def complete_design(n: int, r: int) -> BlockDesign:
     if not 1 <= r <= n:
         raise ValidationError(f"need 1 <= r <= n, got n={n} r={r}")
+    check_block_count(n, r)
     blocks = tuple(itertools.combinations(range(1, n + 1), r))
     return BlockDesign(n=n, r=r, t=r, blocks=blocks)
 

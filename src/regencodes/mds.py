@@ -4,14 +4,14 @@ A codec of length L and dimension K fixes L distinct evaluation points in a
 field of characteristic 2. The message is the value list of a degree-<K
 polynomial at the first K points; the codeword is its evaluation at all L
 points, so the message is a literal prefix of the codeword and any K
-positions determine the rest.
+positions determine the rest. The Lagrange weights from K positions to the
+codeword are built once per position set and kept on the codec (generator).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field as dataclass_field
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SymbolMismatch, ValidationError
 
@@ -34,6 +34,9 @@ class MdsCodec:
     dimension: int
     points: tuple[int, ...]
 
+    # sorted positions -> generator rows, filled by generator()
+    _generators: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not 1 <= self.dimension <= self.length:
             raise ValidationError(
@@ -44,14 +47,36 @@ class MdsCodec:
         if len(set(self.points)) != self.length:
             raise ValidationError("evaluation points must be distinct")
 
-    @cached_property
-    def _parity(self) -> list[list[int]]:
-        # _parity[i][j]: contribution of message[i] to parity position j
-        msg_pts = self.points[: self.dimension]
-        return [
-            [_lagrange_weight(self.field, msg_pts, i, x) for x in self.points[self.dimension:]]
-            for i in range(self.dimension)
-        ]
+    def generator(self, positions: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Generator rows through `dimension` ascending positions, one per position.
+
+        Every codeword c has c[pos] = sum_i rows[pos][i] c[positions[i]], so
+        the row of a chosen position is its unit vector. Built on the first
+        request for a position set and kept for the life of the codec.
+        """
+        key = tuple(positions)
+        rows = self._generators.get(key)
+        if rows is None:
+            if len(key) != self.dimension or not all(
+                0 <= a < b for a, b in zip(key, key[1:] + (self.length,))
+            ):
+                raise ValidationError(
+                    f"need {self.dimension} ascending positions below {self.length}, got {key}"
+                )
+            base = [self.points[p] for p in key]
+            rows = tuple(
+                tuple(_lagrange_weight(self.field, base, i, x) for i in range(self.dimension))
+                for x in self.points
+            )
+            self._generators[key] = rows
+        return rows
+
+    def _combine(self, values: Sequence[int], row: Sequence[int]) -> int:
+        f = self.field
+        acc = f.zero
+        for v, w in zip(values, row):
+            acc = f.add(acc, f.mul(v, w))
+        return acc
 
     def encode(self, message: Sequence[int]) -> list[int]:
         """Message -> full codeword (message prefix + parity)."""
@@ -61,13 +86,8 @@ class MdsCodec:
         for s in message:
             if not f.contains(s):
                 raise ValidationError(f"symbol {s!r} is not a field element")
-        cw = list(message)
-        for j in range(self.length - self.dimension):
-            acc = f.zero
-            for i in range(self.dimension):
-                acc = f.add(acc, f.mul(message[i], self._parity[i][j]))
-            cw.append(acc)
-        return cw
+        parity = self.generator(range(self.dimension))[self.dimension:]
+        return list(message) + [self._combine(message, row) for row in parity]
 
     def decode(self, available: Mapping[int, int]) -> list[int]:
         """Recover the full codeword from >= dimension positions.
@@ -88,17 +108,11 @@ class MdsCodec:
                 f"need at least {self.dimension} positions to decode, got {len(available)}"
             )
         chosen = sorted(available)[: self.dimension]
-        chosen_set = set(chosen)
-        base = [self.points[p] for p in chosen]
-        cw: list[int] = []
-        for pos in range(self.length):
-            if pos in chosen_set:
-                cw.append(available[pos])
-                continue
-            acc = f.zero
-            for i, p in enumerate(chosen):
-                acc = f.add(acc, f.mul(available[p], _lagrange_weight(f, base, i, self.points[pos])))
-            cw.append(acc)
+        values = [available[p] for p in chosen]
+        cw = [
+            available[pos] if pos in chosen else self._combine(values, row)
+            for pos, row in enumerate(self.generator(chosen))
+        ]
         for pos, sym in available.items():
             if cw[pos] != sym:
                 raise SymbolMismatch(pos)

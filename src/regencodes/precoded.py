@@ -5,11 +5,11 @@ degree n - m. To hit smaller k, the F data symbols become the coefficients
 of a q-linearized polynomial f(x) = sum v_i x^(q^(i-1)) over GF(q^kappa),
 q = 2^w, with kappa = F_c = (r-m) C(n,r) the inner code's data size; the
 inner code stores f evaluated at a basis of GF(q^kappa) over GF(q). Every
-stored symbol is then itself an evaluation of f at a known point (the
-symbol's generator column mapped through the basis), so any symbol set
-whose columns have full rank over GF(q) pins f down. Reconstruction
-recovers f by Newton interpolation of the linearized polynomial, in O(F^2)
-field operations and one inverse (linearized_interpolate).
+stored symbol is then itself an evaluation of f at a known point (the symbol
+the inner code stores for data theta), so any symbol set whose columns have
+full rank over GF(q) pins f down. Reconstruction recovers f by Newton
+interpolation of the linearized polynomial, in O(F^2) field operations and
+one inverse (linearized_interpolate).
 
 F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
 recomputes subset ranks by eliminating an explicit generator matrix and
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .designs import complete_design
+from .designs import check_block_count, complete_design
 from .errors import IntegrityError, ValidationError
 from .extfield import BinaryExtensionField, extension_field
 from .gf import binary_field
@@ -53,18 +53,6 @@ def _check_shape(n: int, k: int, m: int, r: int) -> None:
         raise ValidationError(f"need m < r <= n, got m={m} r={r} n={n}")
 
 
-def _subfield_generator_columns(field, r: int, km: int) -> tuple[tuple[int, ...], ...]:
-    # column pos of the (r, km) systematic generator, in subfield coordinates
-    codec = mds_codec(field, r, km)
-    cols = []
-    for pos in range(r):
-        if pos < km:
-            cols.append(tuple(field.one if i == pos else field.zero for i in range(km)))
-        else:
-            cols.append(tuple(codec._parity[i][pos - km] for i in range(km)))
-    return tuple(cols)
-
-
 def rank_oracle(
     n: int, k: int, m: int, r: int, nodes: Iterable[int], w: Optional[int] = None
 ) -> int:
@@ -82,7 +70,7 @@ def rank_oracle(
         w = max(2, (r - 1).bit_length())
     field = binary_field(w)
     km = r - m
-    gen_cols = _subfield_generator_columns(field, r, km)
+    gen_rows = mds_codec(field, r, km).generator(range(km))
     design = complete_design(n, r)
     node_set = set(nodes)
     # sparse elimination; columns of distinct blocks occupy disjoint rows
@@ -93,7 +81,7 @@ def rank_oracle(
         for pos, x in enumerate(block):
             if x not in node_set:
                 continue
-            vec = {base + i: v for i, v in enumerate(gen_cols[pos]) if v != field.zero}
+            vec = {base + i: v for i, v in enumerate(gen_rows[pos]) if v != field.zero}
             while vec:
                 lead = min(vec)
                 if lead not in pivots:
@@ -195,7 +183,6 @@ class PrecodedCode:
     r: int
     field: BinaryExtensionField
     inner: LayeredCode
-    gen_cols: tuple[tuple[int, ...], ...]  # generator columns, subfield coords
     data_len: int   # F = rho(n, k, m, r)
     inner_len: int  # F_c = (r-m) C(n,r) = kappa
 
@@ -222,16 +209,14 @@ class PrecodedCode:
         if len(by_node) < self.k:
             raise ValidationError(f"need at least k={self.k} distinct nodes, got {len(by_node)}")
         f = self.field
-        km = self.r - self.m
-        pairs: list[tuple[int, int]] = []  # (evaluation point, stored symbol)
-        for x, syms in sorted(by_node.items()):
-            for (b, pos), sym in zip(self.inner._slots[x], syms):
-                nu = f.zero
-                for i in range(km):
-                    coeff = self.gen_cols[pos][i]
-                    if coeff:
-                        nu = f.add(nu, f.mul(f.embed(coeff), f.theta[b * km + i]))
-                pairs.append((nu, sym))
+        # the inner code combines with subfield weights, over which f is
+        # linear, so each slot holds f at what it stores for data theta
+        stored_theta = self.inner.encode(f.theta)
+        pairs = [  # (evaluation point, stored symbol)
+            (nu, sym)
+            for x, syms in sorted(by_node.items())
+            for (_, nu), sym in zip(stored_theta[x - 1].symbols, syms)
+        ]
         data = linearized_interpolate(f, pairs, self.data_len)
         for nu, sym in pairs:
             if linearized_eval(f, data, nu) != sym:
@@ -262,6 +247,7 @@ def build_precoded(
         raise ValidationError("m = n-1 collapses the inner code to one node; unsupported")
     if w is None:
         w = max(2, (r - 1).bit_length())
+    check_block_count(n, r)
     kappa = (r - m) * comb(n, r)
     field = extension_field(w, kappa)
     inner_params = SystemParams(
@@ -270,16 +256,14 @@ def build_precoded(
     inner = build_code(inner_params, field=field)
     if inner.data_len != kappa:
         raise IntegrityError("inner code size disagrees with kappa")
-    gen_cols = _subfield_generator_columns(binary_field(w), r, r - m)
     # the extension codec must be the embedded image of the subfield codec,
-    # or stored symbols would not be evaluations at the gen_cols points
-    for j in range(m):
-        for i in range(r - m):
-            if inner.codec._parity[i][j] != field.embed(gen_cols[r - m + j][i]):
-                raise IntegrityError("extension codec is not the embedded subfield codec")
+    # or inner.encode(theta) would not give the evaluation points
+    subfield_rows = mds_codec(binary_field(w), r, r - m).generator(range(r - m))
+    embedded = tuple(tuple(map(field.embed, row)) for row in subfield_rows)
+    if inner.codec.generator(range(r - m)) != embedded:
+        raise IntegrityError("extension codec is not the embedded subfield codec")
     return PrecodedCode(
         n=n, k=k, d=d, e=e, m=m, r=r,
         field=field, inner=inner,
-        gen_cols=gen_cols,
         data_len=rho(n, k, m, r), inner_len=kappa,
     )

@@ -51,12 +51,21 @@ def _suite_gf(rng: random.Random) -> None:
 
 
 def _suite_mds(rng: random.Random) -> None:
-    codec = mds_codec(binary_field(8), 6, 3)
+    f = binary_field(8)
+    codec = mds_codec(f, 6, 3)
     msg = [rng.randrange(256) for _ in range(3)]
     cw = codec.encode(msg)
     assert cw[:3] == msg
     for positions in itertools.combinations(range(6), 3):
         assert codec.decode({p: cw[p] for p in positions}) == cw
+        # the generator rows through the subset carry it to the codeword
+        rebuilt = []
+        for row in codec.generator(positions):
+            acc = f.zero
+            for p, w in zip(positions, row):
+                acc = f.add(acc, f.mul(cw[p], w))
+            rebuilt.append(acc)
+        assert rebuilt == cw, positions
 
 
 def _suite_layered(rng: random.Random) -> None:

@@ -148,6 +148,11 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         ["region", "--k", "3", "--e", "3"],
         ["points", "--n", "10", "--k", "7", "--d", "6", "--e", "1"],
         ["compare", "--n", "7", "--k", "7", "--d", "7"],
+        # no GF(2^0); must not fall back to the default width
+        ["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+         "--field-width", "0", "--data", str(data), "--out-dir", str(tmp_path / "x")],
+        # C(40, 20) blocks, refused before any is built
+        ["design", "--n", "40", "--r", "20"],
     ]
     for argv in bad:
         code, _ = run(capsys, *argv)

@@ -31,6 +31,11 @@ def test_complete_design_validates():
         complete_design(3, 4)
     with pytest.raises(ValidationError):
         complete_design(3, 0)
+    # refused by arithmetic before any block is built, however large n is
+    for n, r in [(40, 20), (10**9, 5 * 10**8), (100_001, 1)]:
+        with pytest.raises(ValidationError, match=f"C\\({n},{r}\\) has more than 100000"):
+            complete_design(n, r)
+    assert complete_design(100_000, 1).block_count == 100_000
 
 
 def test_bundled_steiner_3_4_8():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from regencodes import IntegrityError, ValidationError, binary_field
+from regencodes.extfield import extension_field
 from regencodes.mds import MdsCodec, mds_codec
 
 
@@ -107,3 +108,50 @@ def test_constructor_validation():
 def test_identity_when_no_parity():
     c = mds_codec(binary_field(8), 4, 4)
     assert c.encode([9, 8, 7, 6]) == [9, 8, 7, 6]
+
+
+def _check_generator(codec, bits, rng):
+    f = codec.field
+    k = codec.dimension
+    cw = codec.encode([rng.randrange(1 << bits) for _ in range(k)])
+    for positions in itertools.combinations(range(codec.length), k):
+        rows = codec.generator(positions)
+        assert len(rows) == codec.length
+        for i, p in enumerate(positions):
+            assert rows[p] == tuple(f.one if j == i else f.zero for j in range(k))
+        values = [cw[p] for p in positions]
+        rebuilt = []
+        for row in rows:
+            acc = f.zero
+            for v, w in zip(values, row):
+                acc = f.add(acc, f.mul(v, w))
+            rebuilt.append(acc)
+        assert rebuilt == cw, positions
+        assert codec.generator(list(positions)) is rows  # built once per set
+
+
+def test_generator_through_every_subset(codec, rng):
+    _check_generator(codec, 8, rng)
+    # the kept rows are not part of the codec's value
+    assert codec == mds_codec(binary_field(8), 7, 4)
+    assert hash(codec) == hash(mds_codec(binary_field(8), 7, 4))
+
+
+def test_generator_over_extension_field(rng):
+    # an (r, r-m) = (5, 3) group code over GF((2^3)^6), as in precoded codes
+    field = extension_field(3, 6)
+    _check_generator(mds_codec(field, 5, 3), field.degree, rng)
+
+
+def test_generator_validates_positions(codec):
+    bad = [
+        (1, 0, 2, 3),  # not sorted
+        (0, 0, 1, 2),  # repeated
+        (0, 1, 2),  # too few
+        (0, 1, 2, 3, 4),  # too many
+        (0, 1, 2, 7),  # past the end
+        (-1, 0, 1, 2),  # negative
+    ]
+    for positions in bad:
+        with pytest.raises(ValidationError):
+            codec.generator(positions)

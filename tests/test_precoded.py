@@ -8,6 +8,7 @@ import pytest
 
 from regencodes import IntegrityError, NodeContents, ValidationError
 from regencodes.bandwidth import beta_formula
+from regencodes import precoded
 from regencodes.extfield import extension_field
 from regencodes.precoded import (
     build_precoded,
@@ -274,7 +275,7 @@ def test_m_equals_n_minus_k_round_trips():
         assert code.reconstruct(subset) == data
 
 
-def test_build_validation():
+def test_build_validation(monkeypatch):
     with pytest.raises(ValidationError):
         build_precoded(n=5, k=3, d=4, e=2, m=1, r=2)  # e > m
     with pytest.raises(ValidationError):
@@ -285,3 +286,11 @@ def test_build_validation():
         build_precoded(n=5, k=4, d=4, e=1, m=4, r=5)  # m > n-k
     with pytest.raises(ValidationError):
         build_precoded(n=3, k=1, d=1, e=1, m=2, r=3)  # inner code of one node
+
+    # C(40, 20) blocks: refused before a field of that degree is attempted
+    def no_field(w, kappa):
+        raise AssertionError(f"extension field of degree {w * kappa} attempted")
+
+    monkeypatch.setattr(precoded, "extension_field", no_field)
+    with pytest.raises(ValidationError, match="more than 100000 blocks"):
+        build_precoded(n=40, k=30, d=31, e=1, m=10, r=20)
