@@ -10,6 +10,23 @@ same field: moduli, embedding table and basis are reproducible.
 The embedding is a field homomorphism from the table-driven GF(2^w) in
 gf.py: it maps the table field's generator to a root (the smallest, for
 determinism) of the same primitive polynomial inside the big field.
+
+Arithmetic is table-driven (Plank, Greenan and Miller, "Screaming Fast
+Galois Field Arithmetic", FAST 2013, without SIMD); each field builds two
+tables from its modulus alone, once, in the constructor:
+
+- a reduction table of 16 entries, red[t] = (t << D) ^ ((t << D) mod
+  modulus) for degree D. mul(a, b) makes the 16 unreduced multiples of a
+  (each below 2^(D+3)) and walks b four bits at a time from the top:
+  p = (p << 4) ^ multiple[nibble], then p ^= red[p >> D] clears the bits
+  above D. One call is about D/4 table steps instead of D bit steps.
+- Frobenius tables. z -> z^q is GF(2)-linear, so the images of the D unit
+  monomials x^i (w squarings each) fix it; they are summed into ceil(D/8)
+  tables of up to 256 entries, one per byte of the operand, and
+  frobenius(a) is the XOR of ceil(D/8) lookups.
+
+The tables take about 4 D^2 bytes and the modulus search grows faster
+still, so a degree above MAX_EXTENSION_DEGREE is refused up front.
 """
 
 from __future__ import annotations
@@ -18,6 +35,10 @@ from functools import lru_cache
 
 from .errors import IntegrityError, ValidationError
 from .gf import BinaryField, binary_field
+
+# at D = 1024 the modulus search takes about 13 s and the Frobenius tables
+# about 5 MB; D = 2048 takes minutes (2 cores, Python 3.11)
+MAX_EXTENSION_DEGREE = 1024
 
 # squaring spreads bits: byte b -> 16-bit word with b's bits at even offsets
 _SPREAD = [0] * 256
@@ -43,19 +64,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _mulmod(a: int, b: int, modulus: int, degree: int) -> int:
-    res = 0
-    top = 1 << degree
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= modulus
-    return res
-
-
 def _sqrmod(a: int, modulus: int) -> int:
     out = 0
     k = 0
@@ -64,16 +72,6 @@ def _sqrmod(a: int, modulus: int) -> int:
         a >>= 8
         k += 16
     return _polyrem(out, modulus)
-
-
-def _powmod(a: int, e: int, modulus: int, degree: int) -> int:
-    res = 1
-    while e:
-        if e & 1:
-            res = _mulmod(res, a, modulus, degree)
-        a = _mulmod(a, a, modulus, degree)
-        e >>= 1
-    return res
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -111,6 +109,10 @@ def find_modulus(degree: int) -> int:
     """
     if degree < 2:
         raise ValidationError(f"modulus degree must be >= 2, got {degree}")
+    if degree > MAX_EXTENSION_DEGREE:
+        raise ValidationError(
+            f"extension degree {degree} exceeds the limit of {MAX_EXTENSION_DEGREE}"
+        )
     top = 1 << degree
     for low in range(3, top, 2):
         h = top | low
@@ -167,26 +169,47 @@ class BinaryExtensionField:
             raise ValidationError("GF(2) needs no extension machinery; use BinaryField")
         self.modulus = find_modulus(self.degree)
         self._top = 1 << self.degree
-        self._beta_pows = self._embed_subfield()
+        # every multiply, construction included, goes through _red
+        self._red = tuple(
+            (t << self.degree) ^ _polyrem(t << self.degree, self.modulus) for t in range(16)
+        )
+        images = self._frobenius_images()
+        self._frob = self._frobenius_tables(images)
+        self._beta_pows = self._embed_subfield(images)
         self._emb = self._embedding_table()
         self.theta = self._subfield_basis()
 
     # -- construction internals ---------------------------------------------
 
-    def _embed_subfield(self) -> list[int]:
+    def _frobenius_images(self) -> list[int]:
+        # (x^i)^q for each unit monomial, by w reference squarings
+        images = []
+        for i in range(self.degree):
+            z = 1 << i
+            for _ in range(self.subfield.w):
+                z = _sqrmod(z, self.modulus)
+            images.append(z)
+        return images
+
+    @staticmethod
+    def _frobenius_tables(images: list[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
+        # (table, shift) per byte of an operand; table[v] is the image of
+        # the byte v << shift, built from the image of v's lowest set bit
+        tables = []
+        for shift in range(0, len(images), 8):
+            size = 1 << min(8, len(images) - shift)
+            tab = [0] * size
+            for v in range(1, size):
+                tab[v] = tab[v & (v - 1)] ^ images[shift + (v & -v).bit_length() - 1]
+            tables.append((tuple(tab), shift))
+        return tuple(tables)
+
+    def _embed_subfield(self, images: list[int]) -> list[int]:
         w = self.subfield.w
         if w == 1:
             return [1]
         # fixed space of z -> z^(2^w): solve (Frob^w + id) z = 0
-        xq = 2
-        for _ in range(w):
-            xq = _sqrmod(xq, self.modulus)
-        images = []
-        p = 1
-        for i in range(self.degree):
-            images.append(p ^ (1 << i))
-            p = _mulmod(p, xq, self.modulus, self.degree)
-        kern = _kernel(images)
+        kern = _kernel([img ^ (1 << i) for i, img in enumerate(images)])
         if len(kern) != w:
             raise IntegrityError(f"subfield of size 2^{w} has rank {len(kern)}")
         elems = sorted(
@@ -198,7 +221,7 @@ class BinaryExtensionField:
             raise IntegrityError("subfield generator polynomial has no root in its own copy")
         pows = [1]
         for _ in range(w - 1):
-            pows.append(_mulmod(pows[-1], beta, self.modulus, self.degree))
+            pows.append(self.mul(pows[-1], beta))
         return pows
 
     @staticmethod
@@ -219,7 +242,7 @@ class BinaryExtensionField:
             if g & 1:
                 acc ^= p
             g >>= 1
-            p = _mulmod(p, z, self.modulus, self.degree)
+            p = self.mul(p, z)
         return acc
 
     def _subfield_basis(self) -> tuple[int, ...]:
@@ -231,7 +254,7 @@ class BinaryExtensionField:
                 break
             if self._try_insert(z, pivots):
                 theta.append(z)
-            z = _mulmod(z, 2, self.modulus, self.degree)
+            z = self.mul(z, 2)
         if len(theta) != self.kappa:
             raise IntegrityError("powers of x did not yield a subfield basis")
         return tuple(theta)
@@ -241,7 +264,7 @@ class BinaryExtensionField:
         # directions over GF(2); then the subfield span grows by w dims
         trial = dict(pivots)
         for bp in self._beta_pows:
-            row, lead = _reduce_row(_mulmod(bp, z, self.modulus, self.degree), trial)
+            row, lead = _reduce_row(self.mul(bp, z), trial)
             if row == 0:
                 return False
             trial[lead] = row
@@ -258,19 +281,38 @@ class BinaryExtensionField:
     sub = add
 
     def mul(self, a: int, b: int) -> int:
-        return _mulmod(a, b, self.modulus, self.degree)
+        """a * b by a 4-bit window over b and the reduction table."""
+        a2, a4, a8 = a << 1, a << 2, a << 3
+        a3, a12 = a2 ^ a, a8 ^ a4
+        multiples = (
+            0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3,
+        )
+        red, d = self._red, self.degree
+        p = 0
+        for s in range((b.bit_length() - 1) & -4, -1, -4):
+            p = (p << 4) ^ multiples[b >> s & 15]
+            p ^= red[p >> d]
+        return p
 
     def sqr(self, a: int) -> int:
         return _sqrmod(a, self.modulus)
 
     def frobenius(self, a: int) -> int:
-        """a -> a^q, the subfield-fixing field automorphism."""
-        for _ in range(self.subfield.w):
-            a = _sqrmod(a, self.modulus)
-        return a
+        """a -> a^q, the subfield-fixing field automorphism, by table lookups."""
+        out = 0
+        for tab, shift in self._frob:
+            out ^= tab[a >> shift & 0xFF]
+        return out
 
     def pow(self, a: int, e: int) -> int:
-        return _powmod(a, e, self.modulus, self.degree)
+        res = 1
+        while e:
+            if e & 1:
+                res = self.mul(res, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return res
 
     def inv(self, a: int) -> int:
         """a^-1 by the extended Euclidean algorithm in GF(2)[x].

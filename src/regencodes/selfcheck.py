@@ -15,6 +15,7 @@ from fractions import Fraction
 from .bandwidth import beta_formula, beta_oracle
 from .designs import bundled_design, complete_design
 from .errors import IntegrityError
+from .extfield import extension_field
 from .gf import binary_field
 from .layered import SystemParams, build_code
 from .mds import mds_codec
@@ -48,6 +49,22 @@ def _suite_gf(rng: random.Random) -> None:
         assert f8.mul(a, b) == _clmul_reference(a, b, f8.poly, 8)
     for a in range(1, 256):
         assert f8.mul(a, f8.inv(a)) == 1
+    # the extension field's windowed multiply and Frobenius tables against
+    # bit-serial products; frobenius is w reference squarings
+    ext = extension_field(2, 40)
+    top = 1 << ext.degree
+    for _ in range(200):
+        a, b = rng.randrange(top), rng.randrange(top)
+        assert ext.mul(a, b) == _clmul_reference(a, b, ext.modulus, ext.degree), (a, b)
+    # every byte of these operands runs through all 256 values, so each
+    # Frobenius table entry is read
+    offsets = [rng.randrange(256) for _ in range(0, ext.degree, 8)]
+    for v in range(256):
+        a = sum((v ^ off) << (8 * j) for j, off in enumerate(offsets)) & (top - 1)
+        want = a
+        for _ in range(ext.subfield.w):
+            want = _clmul_reference(want, want, ext.modulus, ext.degree)
+        assert ext.frobenius(a) == want, a
 
 
 def _suite_mds(rng: random.Random) -> None:

@@ -153,6 +153,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
          "--field-width", "0", "--data", str(data), "--out-dir", str(tmp_path / "x")],
         # C(40, 20) blocks, refused before any is built
         ["design", "--n", "40", "--r", "20"],
+        # extension degree 3 * 4 * C(9, 5) = 1512, refused before the field search
+        ["encode", "--construction", "precoded", "--n", "9", "--k", "6", "--m", "1",
+         "--e", "1", "--d", "7", "--r", "5", "--data", str(data), "--out-dir", str(tmp_path / "x")],
     ]
     for argv in bad:
         code, _ = run(capsys, *argv)

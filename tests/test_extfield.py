@@ -4,6 +4,7 @@ import pytest
 
 from regencodes import ValidationError, binary_field
 from regencodes.extfield import (
+    MAX_EXTENSION_DEGREE,
     BinaryExtensionField,
     _is_irreducible,
     extension_field,
@@ -19,6 +20,22 @@ def gf2_polymul(a, b):
         a <<= 1
         b >>= 1
     return out
+
+
+def reference_mul(f, a, b):
+    # bit-serial carry-less product, then long division by the modulus;
+    # shares no table with the field's windowed multiply
+    prod = gf2_polymul(a, b)
+    for i in range(prod.bit_length() - 1, f.degree - 1, -1):
+        if prod >> i & 1:
+            prod ^= f.modulus << (i - f.degree)
+    return prod
+
+
+def reference_frobenius(f, a):
+    for _ in range(f.subfield.w):
+        a = reference_mul(f, a, a)
+    return a
 
 
 def irreducible_by_trial_division(h, degree):
@@ -103,6 +120,40 @@ def test_arithmetic(rng):
     assert f.pow(0, 9) == f.zero
 
 
+@pytest.mark.parametrize("w,kappa", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 2), (8, 1)])
+def test_small_field_kernels_match_reference_on_every_element(w, kappa):
+    # degree <= 8: the 4-bit window is as wide as, or wider than, the field
+    f = extension_field(w, kappa)
+    elems = range(1 << f.degree)
+    for a in elems:
+        for b in elems:
+            assert f.mul(a, b) == reference_mul(f, a, b), (a, b)
+        assert f.frobenius(a) == reference_frobenius(f, a), a
+
+
+@pytest.mark.parametrize("w,kappa", [(2, 40), (2, 70), (3, 70)])
+def test_wide_field_kernels_match_reference(w, kappa, rng):
+    f = extension_field(w, kappa)
+    top = 1 << f.degree
+    edges = [0, 1, top >> 1, top - 1]
+    elems = edges + [rng.randrange(top) for _ in range(60)]
+    pairs = [(a, b) for a in elems for b in edges] + [(b, a) for a in elems for b in edges]
+    pairs += [(rng.randrange(top), rng.randrange(top)) for _ in range(200)]
+    for a, b in pairs:
+        assert f.mul(a, b) == reference_mul(f, a, b), (a, b)
+    # each byte of these runs through all 256 values: every table entry is read
+    offsets = [rng.randrange(256) for _ in range(0, f.degree, 8)]
+    elems += [
+        sum((v ^ off) << (8 * j) for j, off in enumerate(offsets)) & (top - 1)
+        for v in range(256)
+    ]
+    for a in elems:
+        assert f.frobenius(a) == reference_frobenius(f, a), a
+    for _ in range(100):
+        a, b = rng.randrange(top), rng.randrange(top)
+        assert f.frobenius(a ^ b) == f.frobenius(a) ^ f.frobenius(b)
+
+
 @pytest.mark.parametrize("w,kappa", [(2, 5), (4, 20), (3, 70)])
 def test_inverse_matches_fermat(w, kappa, rng):
     f = extension_field(w, kappa)
@@ -167,6 +218,15 @@ def test_constructor_validation():
         BinaryExtensionField(binary_field(12), 2)  # subfield too wide
     with pytest.raises(ValidationError):
         extension_field(2, 0)
+
+
+def test_extension_degree_is_bounded():
+    assert MAX_EXTENSION_DEGREE == 1024
+    # refused before any search: at degree 1024 the search alone takes seconds
+    with pytest.raises(ValidationError, match="exceeds the limit of 1024"):
+        find_modulus(1025)
+    with pytest.raises(ValidationError, match="extension degree 1028"):
+        extension_field(4, 257)
 
 
 def test_wide_field_builds_quickly():
