@@ -32,9 +32,10 @@ still, so a degree above MAX_EXTENSION_DEGREE is refused up front.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import IntegrityError, ValidationError
-from .gf import BinaryField, binary_field
+from .gf import BinaryField, binary_field, lincomb_loop
 
 # at D = 1024 the modulus search takes about 13 s and the Frobenius tables
 # about 5 MB; D = 2048 takes minutes (2 cores, Python 3.11)
@@ -340,6 +341,15 @@ class BinaryExtensionField:
 
     def contains(self, a: object) -> bool:
         return isinstance(a, int) and 0 <= a < self._top
+
+    @staticmethod
+    def column(symbols: Iterable[int]) -> tuple:
+        """The column holding these symbols, a tuple (see gf.py)."""
+        return tuple(symbols)
+
+    def lincomb(self, weights: Sequence[int], columns: Sequence) -> tuple:
+        """The column sum_i weights[i] * columns[i], one mul per element."""
+        return lincomb_loop(self.mul, weights, columns)
 
     def embed(self, a: int) -> int:
         """Image of a subfield element; a ring homomorphism from gf.py tables."""

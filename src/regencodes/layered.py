@@ -7,6 +7,15 @@ symbol per member. Any k = n-m nodes reconstruct everything (each block
 keeps >= r-m symbols), and up to m simultaneous failures are repaired
 exactly from any d >= k helpers, group by group.
 
+Blocks are coded in batches. Every block decoded from the same positions
+uses the same generator rows, so encode is one MdsCodec.decode_many call
+over all blocks, and reconstruct and repair make one call per set of
+chosen positions (the lowest r-m given), with a column of symbols per
+position. Every given symbol is then checked against its block's decoded
+codeword. If any disagrees, the blocks are decoded again one at a time, in
+block order, and the first failure raises "block B: mismatch seen at
+position P (node X)", the same error a block-by-block decode meets first.
+
 Node contents serialize to a small text format: a header line
 `node alpha [precoded=1 kappa=K]`, then one `block_index hex_symbol` line
 per stored symbol, in ascending block order. Every entry point checks the
@@ -15,13 +24,14 @@ block indices against the design and rejects lines out of that order.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
-from .errors import IntegrityError, SymbolMismatch, ValidationError
+from .errors import IntegrityError, ValidationError
 from .gf import binary_field
 from .mds import MdsCodec, mds_codec
 
@@ -97,12 +107,16 @@ class LayeredCode:
         """Data -> contents of all n nodes, ordered by node id."""
         if len(data) != self.data_len:
             raise ValidationError(f"data must have {self.data_len} symbols, got {len(data)}")
+        for s in data:
+            if not self.field.contains(s):
+                raise ValidationError(f"symbol {s!r} is not a field element")
         km = self.codec.dimension
-        codewords = [
-            self.codec.encode(data[b * km : (b + 1) * km]) for b in range(self.block_count)
-        ]
+        # every block's message sits at positions 0..r-m-1: one batch
+        cols = self.codec.decode_many(
+            range(km), [self.field.column(data[i::km]) for i in range(km)]
+        )
         return [
-            self._node(x, [codewords[b][pos] for b, pos in self._slots[x]])
+            self._node(x, [cols[pos][b] for b, pos in self._slots[x]])
             for x in range(1, self.params.n + 1)
         ]
 
@@ -113,11 +127,12 @@ class LayeredCode:
             raise ValidationError(
                 f"need at least k={self.params.k} distinct nodes, got {len(by_node)}"
             )
-        per_block = self._gather(by_node)
-        data: list[int] = []
         km = self.codec.dimension
-        for b in range(self.block_count):
-            data.extend(self._decode(b, per_block[b])[:km])
+        data = [0] * self.data_len
+        for blocks, cols in self._decode(self._block_major(by_node), range(self.block_count)):
+            for i in range(km):
+                for b, sym in zip(blocks, cols[i]):
+                    data[b * km + i] = sym
         return data
 
     # -- repair ----------------------------------------------------------------
@@ -154,38 +169,51 @@ class LayeredCode:
             raise ValidationError(f"helper contents missing for nodes {missing}")
 
         km = self.codec.dimension
-        msmr = {h: Fraction(0) for h in helpers_t}
-        naive = {h: Fraction(0) for h in helpers_t}
-        lnaive = {h: Fraction(0) for h in helpers_t}
-        rebuilt: dict[int, dict[int, int]] = {x: {} for x in failed_t}  # node -> block -> symbol
-        per_block = self._gather({h: by_node[h] for h in helpers_t})
-
+        failed_set, helper_set = set(failed_t), set(helpers_t)
+        # the helper of every symbol held in an affected block, by the block's
+        # (lost, helper) counts, and of every symbol the naive decode reads,
+        # by lost count: counted once at the end, then priced as Fractions
+        held_by: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+        read_by: defaultdict[int, list[int]] = defaultdict(list)
+        affected = []
         for b, block in enumerate(self.design.blocks):
-            lost = [x for x in block if x in rebuilt]
-            s = len(lost)
+            s = len(failed_set.intersection(block))
             if s == 0:
                 continue
-            provided = per_block[b]
-            h_cnt = len(provided)
-            if h_cnt < km:
+            held = [x for x in block if x in helper_set]
+            if len(held) < km:
                 raise IntegrityError(
-                    f"block {block} holds {h_cnt} helper symbols, fewer than r-m={km}"
+                    f"block {block} holds {len(held)} helper symbols, fewer than r-m={km}"
                 )
-            cw = self._decode(b, provided)
-            for x in lost:
-                rebuilt[x][b] = cw[block.index(x)]
-            share = Fraction(s, h_cnt - km + s)
-            readers = set(sorted(provided)[:km])
-            for pos, x in enumerate(block):
-                if pos in provided:
-                    msmr[x] += share
-                if pos in readers:
-                    naive[x] += 1
-                    lnaive[x] += s
+            held_by[s, len(held)] += held
+            read_by[s] += held[:km]
+            affected.append(b)
 
+        rebuilt: dict[int, dict[int, int]] = {x: {} for x in failed_t}  # node -> block -> symbol
+        given = self._block_major({h: by_node[h] for h in helpers_t})
+        for blocks, cols in self._decode(given, affected):
+            for i, b in enumerate(blocks):
+                for pos, x in enumerate(self.design.blocks[b]):
+                    if x in rebuilt:
+                        rebuilt[x][b] = cols[pos][i]
+
+        msmr = dict.fromkeys(helpers_t, Fraction(0))
+        for (s, h_cnt), held in held_by.items():
+            for x, count in Counter(held).items():
+                msmr[x] += Fraction(count * s, h_cnt - km + s)
+        naive = dict.fromkeys(helpers_t, Fraction(0))
+        lnaive = dict.fromkeys(helpers_t, Fraction(0))
+        for s, read in read_by.items():
+            for x, count in Counter(read).items():
+                naive[x] += count
+                lnaive[x] += count * s
         out = [self._node(x, [rebuilt[x][b] for b, _ in self._slots[x]]) for x in failed_t]
         report = BandwidthReport(
-            failed=failed_t, helpers=helpers_t, msmr=msmr, naive=naive, layered_naive=lnaive
+            failed=failed_t,
+            helpers=helpers_t,
+            msmr=msmr,
+            naive=naive,
+            layered_naive=lnaive,
         )
         return out, report
 
@@ -229,10 +257,10 @@ class LayeredCode:
             raise IntegrityError("extended codec does not match the rebuilt layout")
 
         # messages sit on each block's first r-m members, unchanged
-        tail_syms = [
-            new_codec.encode([provided[pos] for pos in range(km)])[p.r]
-            for provided in self._gather(by_node)
-        ]
+        given = self._block_major(by_node)
+        tail_syms = new_codec.decode_many(
+            range(km), [self.field.column(given[pos :: p.r]) for pos in range(km)]
+        )[p.r]
         last_cw = new_code.codec.encode(list(new_data))
         new_state = [
             new_code._node(x, by_node[x] + (last_cw[x - 1],)) for x in range(1, p.n + 1)
@@ -265,25 +293,55 @@ class LayeredCode:
             by_node[x] = tuple(sym for _, sym in nc.symbols)
         return by_node
 
-    def _gather(self, by_node: Mapping[int, Sequence[int]]) -> list[dict[int, int]]:
-        """Per-block {position: symbol} maps from slot-order symbol tuples."""
-        per_block: list[dict[int, int]] = [{} for _ in range(self.block_count)]
-        # ascending nodes fill each block in position order, so a decode
-        # mismatch is reported the same whatever order the nodes came in
-        for x, syms in sorted(by_node.items()):
+    def _block_major(self, by_node: Mapping[int, Sequence[int]]) -> list:
+        """Entry b*r + pos holds the symbol at position pos of block b, or None."""
+        r = self.params.r
+        given: list = [None] * (self.block_count * r)
+        for x, syms in by_node.items():
             for (b, pos), sym in zip(self._slots[x], syms):
-                per_block[b][pos] = sym
-        return per_block
+                given[b * r + pos] = sym
+        return given
 
-    def _decode(self, b: int, provided: Mapping[int, int]) -> list[int]:
-        """Decode block b; a mismatch is reported with where it showed."""
+    def _decode(self, given: Sequence, blocks: Iterable[int]) -> list[tuple[list[int], list]]:
+        """Decode the blocks, in ascending order, from _block_major's list.
+
+        Blocks whose lowest r-m given positions agree share one generator,
+        so each such group is one decode_many call; returns (blocks, columns)
+        per group. Every given symbol is checked. On a mismatch the blocks
+        are decoded again one at a time, in block order, so the error raised
+        names the first block a block-by-block decode fails on.
+        """
+        r, km = self.params.r, self.codec.dimension
+        todo = []
+        groups: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+        for b in blocks:
+            present = [pos for pos, v in enumerate(given[b * r : (b + 1) * r]) if v is not None]
+            todo.append((b, present))
+            groups.setdefault(tuple(present[:km]), []).append((b, present))
         try:
-            return self.codec.decode(provided)
-        except SymbolMismatch as ex:
-            x = self.design.blocks[b][ex.position]
-            raise IntegrityError(
-                f"block {b + 1}: mismatch seen at position {ex.position} (node {x})"
-            ) from ex
+            return [self._decode_group(given, chosen, members)
+                    for chosen, members in groups.items()]
+        except IntegrityError:
+            for b, present in todo:
+                self._decode_group(given, tuple(present[:km]), [(b, present)])
+            raise
+
+    def _decode_group(
+        self, given: Sequence, chosen: tuple[int, ...], members: Sequence[tuple[int, list[int]]]
+    ) -> tuple[list[int], list]:
+        r, km = self.params.r, len(chosen)
+        blocks = [b for b, _ in members]
+        cols = self.codec.decode_many(
+            chosen, [self.field.column([given[b * r + pos] for b in blocks]) for pos in chosen]
+        )
+        for i, (b, present) in enumerate(members):
+            for pos in present[km:]:
+                if cols[pos][i] != given[b * r + pos]:
+                    x = self.design.blocks[b][pos]
+                    raise IntegrityError(
+                        f"block {b + 1}: mismatch seen at position {pos} (node {x})"
+                    )
+        return blocks, cols
 
     def _node(self, x: int, syms: Sequence[int]) -> NodeContents:
         labelled = tuple((b + 1, sym) for (b, _), sym in zip(self._slots[x], syms))

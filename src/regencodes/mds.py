@@ -4,8 +4,17 @@ A codec of length L and dimension K fixes L distinct evaluation points in a
 field of characteristic 2. The message is the value list of a degree-<K
 polynomial at the first K points; the codeword is its evaluation at all L
 points, so the message is a literal prefix of the codeword and any K
-positions determine the rest. The Lagrange weights from K positions to the
-codeword are built once per position set and kept on the codec (generator).
+positions determine the rest.
+
+The generator rows through K positions hold Lagrange weights in barycentric
+form: one weight w_i = 1 / prod_{j != i} (x_i - x_j) per chosen point, and
+row(x)_i = l(x) w_i / (x - x_i) with l(x) = prod_j (x - x_j), so a position
+set costs K + (L-K) K inverses. The rows are built once per position set
+and kept on the codec (generator).
+
+All coding runs on columns (gf.py): decode_many applies one set of rows to
+a whole batch of codewords, one column per position, and the per-symbol
+encode and decode are its batch of one codeword.
 """
 
 from __future__ import annotations
@@ -14,17 +23,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SymbolMismatch, ValidationError
-
-
-def _lagrange_weight(field, xs: Sequence[int], i: int, x: int) -> int:
-    # weight of the value at xs[i] when interpolating through xs and
-    # evaluating at x; in characteristic 2, subtraction is add()
-    w = field.one
-    for j, xj in enumerate(xs):
-        if j == i:
-            continue
-        w = field.mul(w, field.mul(field.add(x, xj), field.inv(field.add(xs[i], xj))))
-    return w
 
 
 @dataclass(frozen=True)
@@ -63,34 +61,71 @@ class MdsCodec:
                 raise ValidationError(
                     f"need {self.dimension} ascending positions below {self.length}, got {key}"
                 )
-            base = [self.points[p] for p in key]
-            rows = tuple(
-                tuple(_lagrange_weight(self.field, base, i, x) for i in range(self.dimension))
-                for x in self.points
-            )
+            rows = self._barycentric_rows(key)
             self._generators[key] = rows
         return rows
 
-    def _combine(self, values: Sequence[int], row: Sequence[int]) -> int:
+    def _barycentric_rows(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        # in characteristic 2, subtraction is add()
         f = self.field
-        acc = f.zero
-        for v, w in zip(values, row):
-            acc = f.add(acc, f.mul(v, w))
-        return acc
+        base = [self.points[p] for p in key]
+        weights = []
+        for xi in base:
+            d = f.one
+            for xj in base:
+                if xj != xi:
+                    d = f.mul(d, f.add(xi, xj))
+            weights.append(f.inv(d))
+        rows = []
+        for pos, x in enumerate(self.points):
+            if pos in key:
+                rows.append(tuple(f.one if p == pos else f.zero for p in key))
+                continue
+            ell = f.one
+            for xj in base:
+                ell = f.mul(ell, f.add(x, xj))
+            rows.append(tuple(
+                f.mul(f.mul(ell, w), f.inv(f.add(x, xi))) for xi, w in zip(base, weights)
+            ))
+        return tuple(rows)
+
+    def decode_many(self, chosen: Iterable[int], columns: Sequence) -> list:
+        """All `length` columns of a batch of codewords from `dimension` of them.
+
+        chosen holds `dimension` ascending positions, and columns[i] is the
+        field's column (gf.py) of position chosen[i] across the batch. The
+        chosen columns come back as given; every other one is their
+        combination by the generator rows through chosen. The caller checks
+        that the columns hold field elements and compares any further
+        symbols it has with the result.
+        """
+        chosen = tuple(chosen)
+        rows = self.generator(chosen)
+        if len(columns) != self.dimension or len({len(c) for c in columns}) != 1:
+            raise ValidationError(
+                f"need {self.dimension} columns of one length, "
+                f"got lengths {[len(c) for c in columns]}"
+            )
+        given = dict(zip(chosen, columns))
+        lincomb = self.field.lincomb
+        return [
+            given[pos] if pos in given else lincomb(row, columns)
+            for pos, row in enumerate(rows)
+        ]
 
     def encode(self, message: Sequence[int]) -> list[int]:
-        """Message -> full codeword (message prefix + parity)."""
+        """Message -> full codeword (message prefix + parity); a batch of one."""
         f = self.field
         if len(message) != self.dimension:
             raise ValidationError(f"message must have {self.dimension} symbols, got {len(message)}")
         for s in message:
             if not f.contains(s):
                 raise ValidationError(f"symbol {s!r} is not a field element")
-        parity = self.generator(range(self.dimension))[self.dimension:]
-        return list(message) + [self._combine(message, row) for row in parity]
+        cols = self.decode_many(range(self.dimension), [f.column((s,)) for s in message])
+        return [col[0] for col in cols]
 
     def decode(self, available: Mapping[int, int]) -> list[int]:
-        """Recover the full codeword from >= dimension positions.
+        """Recover the full codeword from >= dimension positions; a batch of one.
 
         Interpolates through the lowest `dimension` provided positions, then
         checks every provided symbol against the result; a mismatch means the
@@ -108,11 +143,8 @@ class MdsCodec:
                 f"need at least {self.dimension} positions to decode, got {len(available)}"
             )
         chosen = sorted(available)[: self.dimension]
-        values = [available[p] for p in chosen]
-        cw = [
-            available[pos] if pos in chosen else self._combine(values, row)
-            for pos, row in enumerate(self.generator(chosen))
-        ]
+        cols = self.decode_many(chosen, [f.column((available[p],)) for p in chosen])
+        cw = [col[0] for col in cols]
         for pos, sym in available.items():
             if cw[pos] != sym:
                 raise SymbolMismatch(pos)

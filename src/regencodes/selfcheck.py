@@ -49,6 +49,12 @@ def _suite_gf(rng: random.Random) -> None:
         assert f8.mul(a, b) == _clmul_reference(a, b, f8.poly, 8)
     for a in range(1, 256):
         assert f8.mul(a, f8.inv(a)) == 1
+    # the column kernel by one weight c is the column through its table
+    # T_c, so this reads every table entry
+    for f in (f4, f8):
+        every = f.column(range(f.order))
+        for c in range(f.order):
+            assert f.lincomb([c], [every]) == f.column(f.mul(c, v) for v in every), c
     # the extension field's windowed multiply and Frobenius tables against
     # bit-serial products; frobenius is w reference squarings
     ext = extension_field(2, 40)
@@ -83,6 +89,14 @@ def _suite_mds(rng: random.Random) -> None:
                 acc = f.add(acc, f.mul(cw[p], w))
             rebuilt.append(acc)
         assert rebuilt == cw, positions
+    # decode_many on a seeded batch equals the one-block decode of each codeword
+    for field in (f, binary_field(4)):
+        codec = mds_codec(field, 6, 3)
+        batch = [codec.encode([rng.randrange(field.order) for _ in range(3)]) for _ in range(24)]
+        for chosen in itertools.combinations(range(6), 3):
+            cols = codec.decode_many(chosen, [field.column(cw[p] for cw in batch) for p in chosen])
+            for i, cw in enumerate(batch):
+                assert [col[i] for col in cols] == codec.decode({p: cw[p] for p in chosen}), chosen
 
 
 def _suite_layered(rng: random.Random) -> None:

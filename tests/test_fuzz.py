@@ -1,9 +1,10 @@
-"""Seeded fuzzing of a precoded node directory through the CLI.
+"""Seeded fuzzing of a precoded and a layered node directory through the CLI.
 
 Every mutated node file or code.json must end in one of the documented exit
 codes (0 ok, 2 invalid input, 3 integrity failure), never in an uncaught
 exception: an out-of-field operand reaching the extension-field kernels
-would raise IndexError from their tables, or compute garbage. Each mutation
+would raise IndexError from their tables, or compute garbage, and one
+reaching the GF(2^8) column kernel would not fit its bytes. Each mutation
 returns the node file it touched (None for code.json) and the exit codes
 allowed when a command reads that file; a command that does not read it
 must succeed.
@@ -16,7 +17,6 @@ import pytest
 
 from regencodes.cli import main
 
-N = 5
 HEX = "0123456789abcdef"
 WRONG_TYPES = ["x", "", None, [], [3], {}, {"n": 5}, 2.5, True, -1]
 ANY = {0, 2, 3}
@@ -69,7 +69,7 @@ def garble_header(files, rng):
     i = rng.randrange(len(head))
     head[i] = rng.choice([
         "", "x", "-1", "0", "999", "precoded=0", "kappa=", "kappa=x",
-        "kappa=11", str(int(head[0]) % N + 1), head[i] + "0",
+        "kappa=11", str(int(head[0]) % node_count(files) + 1), head[i] + "0",
     ])
     if rng.random() < 0.2:
         del head[rng.randrange(len(head))]
@@ -111,8 +111,24 @@ MUTATIONS = [
 ]
 
 
+def move_block_member(files, rng):
+    blocks = files["code.json"]["design"]["blocks"]
+    block = rng.choice(blocks)
+    i = rng.randrange(len(block))
+    block[i] = rng.choice([x for x in range(1, node_count(files) + 1) if x != block[i]])
+    return f"code.json design block {block}", None, REFUSED
+
+
+PRECODED_MUTATIONS = MUTATIONS
+LAYERED_MUTATIONS = [m for m in MUTATIONS if m is not wrong_modulus] + [move_block_member]
+
+
+def node_count(files):
+    return len(files) - 1
+
+
 def pick_node(files, rng):
-    name = f"node_{rng.randrange(1, N + 1):03d}.txt"
+    name = f"node_{rng.randrange(1, node_count(files) + 1):03d}.txt"
     return name, files[name]
 
 
@@ -136,36 +152,54 @@ def run_cli(capsys, argv, desc, allowed):
     return code
 
 
-def test_fuzzed_precoded_node_dir_exits_cleanly(tmp_path, capsys):
-    data = tmp_path / "data.bin"
-    data.write_bytes(b"".join((v * 40503 % (1 << 20)).to_bytes(3, "big") for v in range(9)))
+def fuzz_node_dir(tmp_path, capsys, encode_argv, data, mutations, n, max_failed):
+    (tmp_path / "data.bin").write_bytes(data)
     node_dir = tmp_path / "nodes"
-    assert main([
-        "encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
-        "--e", "1", "--m", "1", "--r", "2", "--data", str(data), "--out-dir", str(node_dir),
-    ]) == 0
+    assert main([*encode_argv, "--data", str(tmp_path / "data.bin"),
+                 "--out-dir", str(node_dir)]) == 0
     capsys.readouterr()
     pristine = {"code.json": json.loads((node_dir / "code.json").read_text())}
-    for x in range(1, N + 1):
+    for x in range(1, n + 1):
         name = f"node_{x:03d}.txt"
         pristine[name] = (node_dir / name).read_text().splitlines()
+    k = pristine["code.json"]["params"]["k"]
 
     rng = random.Random(20181)
     seen = set()
-    for _ in range(200):
+    for i in range(200):
         files = json.loads(json.dumps(pristine))
-        desc, touched, allowed = rng.choice(MUTATIONS)(files, rng)
+        desc, touched, allowed = rng.choice(mutations)(files, rng)
         write_dir(node_dir, files)
-        nodes = sorted(rng.sample(range(1, N + 1), rng.choice([3, 4, 5])))
-        failed = rng.randrange(1, N + 1)
-        helpers = [x for x in range(1, N + 1) if x != failed]
+        nodes = sorted(rng.sample(range(1, n + 1), rng.choice(range(k, n + 1))))
+        failed = sorted(rng.sample(range(1, n + 1), 1 + i % max_failed))
+        helpers = [x for x in range(1, n + 1) if x not in failed]
         for argv, read in [
             (["reconstruct", "--node-dir", str(node_dir), "--nodes", ",".join(map(str, nodes)),
               "--out", str(tmp_path / "back.bin")], nodes),
-            (["repair", "--node-dir", str(node_dir), "--failed", str(failed),
+            (["repair", "--node-dir", str(node_dir), "--failed", ",".join(map(str, failed)),
               "--helpers", ",".join(map(str, helpers))], helpers),
         ]:
             reads_it = touched is None or touched in {f"node_{x:03d}.txt" for x in read}
             seen.add(run_cli(capsys, argv, desc, allowed if reads_it else {0}))
     # the mutations reach every outcome: untouched reads, refusals, mismatches
     assert seen == {0, 2, 3}
+
+
+def test_fuzzed_precoded_node_dir_exits_cleanly(tmp_path, capsys):
+    fuzz_node_dir(
+        tmp_path, capsys,
+        ["encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
+         "--e", "1", "--m", "1", "--r", "2"],
+        b"".join((v * 40503 % (1 << 20)).to_bytes(3, "big") for v in range(9)),
+        PRECODED_MUTATIONS, n=5, max_failed=1,
+    )
+
+
+def test_fuzzed_layered_node_dir_exits_cleanly(tmp_path, capsys):
+    # the complete design of 4-sets over 6 nodes, (4, 2) groups over GF(2^8)
+    fuzz_node_dir(
+        tmp_path, capsys,
+        ["encode", "--n", "6", "--m", "2", "--e", "2", "--d", "4", "--r", "4"],
+        bytes(v * 97 % 256 for v in range(30)),
+        LAYERED_MUTATIONS, n=6, max_failed=2,
+    )

@@ -287,3 +287,57 @@ def test_node_text_parse_errors():
         node_contents_from_text("1 1\n0 aa\n")  # block index must be >= 1
     with pytest.raises(ValidationError):
         node_contents_from_text("1 1 precoded=0 kappa=4\n1 aa\n")
+
+
+def _first_mismatch_pair(code, given_nodes, blocks):
+    """Two blocks b1 < b2 whose decodes use different position sets, the set
+    of b2 first seen before b1's, each with a given position past the r-m
+    lowest; returns ((b1, pos1), (b2, pos2)) with those positions."""
+    km = code.codec.dimension
+    first_seen = {}
+    picks = []
+    for b in blocks:
+        present = [pos for pos, x in enumerate(code.design.blocks[b]) if x in given_nodes]
+        key = tuple(present[:km])
+        first_seen.setdefault(key, b)
+        if len(present) > km:
+            picks.append((b, key, present[km]))
+    for b1, key1, pos1 in picks:
+        for b2, key2, pos2 in picks:
+            if b1 < b2 and key1 != key2 and first_seen[key2] < first_seen[key1]:
+                return (b1, pos1), (b2, pos2)
+    return None
+
+
+def _flip_at(code, state, b, pos):
+    x = code.design.blocks[b][pos]
+    which = [blk for blk, _ in code._slots[x]].index(b)
+    return [flip_symbol(nc, which) if nc.node == x else nc for nc in state]
+
+
+def test_first_mismatch_in_block_order_across_groups(example_code, example_state):
+    # a batch decode meets the later block's group first; the error must
+    # still name the earlier block, as a block-by-block decode does
+    code = example_code
+    _, state = example_state
+    for given in itertools.combinations(range(1, 9), 7):
+        pair = _first_mismatch_pair(code, set(given), range(code.block_count))
+        if pair:
+            break
+    (b1, pos1), (b2, pos2) = pair
+    bad = _flip_at(code, _flip_at(code, state, b2, pos2), b1, pos1)
+    want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {code.design.blocks[b1][pos1]}\)$"
+    with pytest.raises(IntegrityError, match=want):
+        code.reconstruct([nc for nc in bad if nc.node in given])
+
+    for failed in range(1, 9):
+        helpers = [x for x in range(1, 9) if x != failed]
+        affected = [b for b, blk in enumerate(code.design.blocks) if failed in blk]
+        pair = _first_mismatch_pair(code, set(helpers), affected)
+        if pair:
+            break
+    (b1, pos1), (b2, pos2) = pair
+    bad = _flip_at(code, _flip_at(code, state, b2, pos2), b1, pos1)
+    want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {code.design.blocks[b1][pos1]}\)$"
+    with pytest.raises(IntegrityError, match=want):
+        code.repair(bad, failed=[failed], helpers=helpers)

@@ -155,3 +155,79 @@ def test_generator_validates_positions(codec):
     for positions in bad:
         with pytest.raises(ValidationError):
             codec.generator(positions)
+
+
+def _lagrange_rows(field, points, positions):
+    # product form: row(x)_i = prod_{j != i} (x - x_j) / (x_i - x_j)
+    base = [points[p] for p in positions]
+    rows = []
+    for x in points:
+        row = []
+        for i, xi in enumerate(base):
+            w = field.one
+            for j, xj in enumerate(base):
+                if j != i:
+                    w = field.mul(w, field.mul(field.add(x, xj), field.inv(field.add(xi, xj))))
+            row.append(w)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("field, length, dimension", [
+    (binary_field(8), 9, 5),
+    (binary_field(4), 7, 3),
+    (extension_field(3, 6), 5, 3),
+])
+def test_barycentric_rows_equal_product_lagrange(field, length, dimension):
+    codec = mds_codec(field, length, dimension)
+    for positions in itertools.combinations(range(length), dimension):
+        assert codec.generator(positions) == _lagrange_rows(field, codec.points, positions)
+
+
+@pytest.mark.parametrize("field, bits, length, dimension", [
+    (binary_field(4), 4, 6, 3),
+    (binary_field(8), 8, 6, 3),
+    (binary_field(16), 16, 6, 3),
+    (extension_field(2, 6), 12, 4, 2),  # GF(4) has only four points
+], ids=["gf16", "gf256", "gf65536", "gf4^6"])
+def test_decode_many_matches_one_block_decode(field, bits, length, dimension, rng):
+    codec = mds_codec(field, length, dimension)
+    batch = [codec.encode([rng.randrange(1 << bits) for _ in range(dimension)])
+             for _ in range(40)]
+    for chosen in itertools.combinations(range(length), dimension):
+        cols = codec.decode_many(chosen, [field.column(cw[p] for cw in batch) for p in chosen])
+        assert len(cols) == length
+        for pos, col in enumerate(cols):
+            assert col == field.column(cw[pos] for cw in batch), (chosen, pos)
+        for cw in batch:
+            assert codec.decode({p: cw[p] for p in chosen}) == cw
+
+
+@pytest.mark.parametrize("w", [8, 3])
+def test_column_tables_equal_mul(w):
+    # lincomb with one weight c is exactly the column through T_c
+    f = binary_field(w)
+    every = f.column(range(f.order))
+    for c in range(f.order):
+        assert f.lincomb([c], [every]) == bytes(f.mul(c, v) for v in range(f.order)), c
+    # one 256-byte table per element: 64 KiB at w = 8
+    assert len(f._mul_tables) == f.order
+    assert {len(t) for t in f._mul_tables} == {256}
+
+
+def test_decode_many_edge_batches(codec, rng):
+    f = codec.field
+    cw = codec.encode([rng.randrange(256) for _ in range(4)])
+    one = codec.decode_many((1, 3, 5, 6), [f.column([cw[p]]) for p in (1, 3, 5, 6)])
+    assert [col[0] for col in one] == cw
+    # no parity rows: the columns come back as given
+    plain = mds_codec(f, 4, 4)
+    cols = [bytes([p, 9, 200]) for p in range(4)]
+    assert plain.decode_many(range(4), cols) == cols
+    assert plain.decode_many(range(4), [b""] * 4) == [b""] * 4
+    with pytest.raises(ValidationError):
+        codec.decode_many((0, 1, 2, 3), [b"\x01"] * 3)  # too few columns
+    with pytest.raises(ValidationError):
+        codec.decode_many((0, 1, 2, 3), [b"\x01", b"\x02", b"\x03", b"\x04\x05"])
+    with pytest.raises(ValidationError):
+        codec.decode_many((0, 1, 3, 2), [b"\x01"] * 4)  # not ascending
