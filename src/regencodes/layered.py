@@ -170,9 +170,9 @@ class LayeredCode:
 
         km = self.codec.dimension
         failed_set, helper_set = set(failed_t), set(helpers_t)
-        # the helper of every symbol held in an affected block, by the block's
-        # (lost, helper) counts, and of every symbol the naive decode reads,
-        # by lost count: counted once at the end, then priced as Fractions
+        # integer tallies, priced as Fractions once at the end: held_by[s, h]
+        # lists the helper of each symbol in the affected blocks that lost s
+        # symbols and keep h, read_by[s] each helper the naive decode reads
         held_by: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
         read_by: defaultdict[int, list[int]] = defaultdict(list)
         affected = []

@@ -119,7 +119,6 @@ def move_block_member(files, rng):
     return f"code.json design block {block}", None, REFUSED
 
 
-PRECODED_MUTATIONS = MUTATIONS
 LAYERED_MUTATIONS = [m for m in MUTATIONS if m is not wrong_modulus] + [move_block_member]
 
 
@@ -191,7 +190,7 @@ def test_fuzzed_precoded_node_dir_exits_cleanly(tmp_path, capsys):
         ["encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
          "--e", "1", "--m", "1", "--r", "2"],
         b"".join((v * 40503 % (1 << 20)).to_bytes(3, "big") for v in range(9)),
-        PRECODED_MUTATIONS, n=5, max_failed=1,
+        MUTATIONS, n=5, max_failed=1,
     )
 
 

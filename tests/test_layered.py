@@ -326,7 +326,8 @@ def test_first_mismatch_in_block_order_across_groups(example_code, example_state
             break
     (b1, pos1), (b2, pos2) = pair
     bad = _flip_at(code, _flip_at(code, state, b2, pos2), b1, pos1)
-    want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {code.design.blocks[b1][pos1]}\)$"
+    x1 = code.design.blocks[b1][pos1]
+    want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {x1}\)$"
     with pytest.raises(IntegrityError, match=want):
         code.reconstruct([nc for nc in bad if nc.node in given])
 
@@ -338,6 +339,7 @@ def test_first_mismatch_in_block_order_across_groups(example_code, example_state
             break
     (b1, pos1), (b2, pos2) = pair
     bad = _flip_at(code, _flip_at(code, state, b2, pos2), b1, pos1)
-    want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {code.design.blocks[b1][pos1]}\)$"
+    x1 = code.design.blocks[b1][pos1]
+    want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {x1}\)$"
     with pytest.raises(IntegrityError, match=want):
         code.repair(bad, failed=[failed], helpers=helpers)
