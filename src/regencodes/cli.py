@@ -188,17 +188,25 @@ def _emit_csv(rows: list[list[str]], out: Optional[str], command: str,
 # -- node directories ----------------------------------------------------------
 
 
-def _save_node_dir(dirpath: Path, meta: dict, state: list[NodeContents],
-                   hex_width: int, kappa: Optional[int]) -> list[str]:
+def _node_kappa(code) -> Optional[int]:
+    """The kappa node-file headers carry: the field's for a precoded code, else none."""
+    return code.field.kappa if isinstance(code, PrecodedCode) else None
+
+
+def _write_nodes(dirpath: Path, code, state: list[NodeContents]) -> list[str]:
     written = []
-    code_path = dirpath / "code.json"
-    _atomic_write(code_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    written.append(str(code_path))
+    kappa = _node_kappa(code)
     for nc in state:
         path = _node_path(dirpath, nc.node)
-        _atomic_write(path, node_contents_to_text(nc, hex_width, kappa=kappa))
+        _atomic_write(path, node_contents_to_text(nc, code.field.hex_width, kappa=kappa))
         written.append(str(path))
     return written
+
+
+def _save_node_dir(dirpath: Path, meta: dict, code, state: list[NodeContents]) -> list[str]:
+    code_path = dirpath / "code.json"
+    _atomic_write(code_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return [str(code_path)] + _write_nodes(dirpath, code, state)
 
 
 def _load_code_meta(dirpath: Path) -> dict:
@@ -249,7 +257,8 @@ def _code_from_meta(meta: dict):
     raise ValidationError(f"unknown construction {construction!r} in code.json")
 
 
-def _load_nodes(dirpath: Path, nodes: Sequence[int], expect_kappa: Optional[int]) -> list[NodeContents]:
+def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]:
+    expect_kappa = _node_kappa(code)
     out = []
     for x in nodes:
         path = _node_path(dirpath, x)
@@ -269,9 +278,8 @@ def _load_nodes(dirpath: Path, nodes: Sequence[int], expect_kappa: Optional[int]
 
 
 def _field_bits(code) -> int:
-    if isinstance(code, PrecodedCode):
-        return code.field.degree
-    return code.field.w
+    # a precoded code's symbols are extension-field elements
+    return code.field.w if _node_kappa(code) is None else code.field.degree
 
 
 def _layered_meta(code: LayeredCode) -> dict:
@@ -354,7 +362,6 @@ def _cmd_encode(args) -> int:
         field = binary_field(8 if args.field_width is None else args.field_width)
         code = build_code(params, design, field)
         meta = _layered_meta(code)
-        kappa = None
     else:
         for name in ("n", "k", "m", "e", "d", "r"):
             if getattr(args, name) is None and not (name == "m" and args.k is not None):
@@ -363,13 +370,11 @@ def _cmd_encode(args) -> int:
         code = build_precoded(n=args.n, k=args.k, d=args.d, e=args.e,
                               m=m, r=args.r, w=args.field_width)
         meta = _precoded_meta(code)
-        kappa = code.field.kappa
 
     bits = _field_bits(code)
     data = _read_data_file(Path(args.data), code.data_len, bits)
     state = code.encode(data)
-    hexw = code.field.hex_width
-    written = _save_node_dir(out_dir, meta, state, hexw, kappa)
+    written = _save_node_dir(out_dir, meta, code, state)
     params_json = dict(meta["params"])
     params_json["construction"] = args.construction
     manifest = _write_manifest(out_dir, "encode", params_json,
@@ -392,14 +397,9 @@ def _cmd_repair(args) -> int:
     code = _code_from_meta(meta)
     failed = _int_list(args.failed, "--failed")
     helpers = _int_list(args.helpers, "--helpers")
-    kappa = code.field.kappa if isinstance(code, PrecodedCode) else None
-    state = _load_nodes(dirpath, sorted(set(helpers)), kappa)
+    state = _load_nodes(dirpath, sorted(set(helpers)), code)
     repaired, report = code.repair(state, failed, helpers)
-    written = []
-    for nc in repaired:
-        path = _node_path(dirpath, nc.node)
-        _atomic_write(path, node_contents_to_text(nc, code.field.hex_width, kappa=kappa))
-        written.append(str(path))
+    written = _write_nodes(dirpath, code, repaired)
     payload = report.to_json_dict()
     payload["written"] = written
     _print_json(payload)
@@ -417,8 +417,7 @@ def _cmd_reconstruct(args) -> int:
     meta = _load_code_meta(dirpath)
     code = _code_from_meta(meta)
     nodes = _int_list(args.nodes, "--nodes")
-    kappa = code.field.kappa if isinstance(code, PrecodedCode) else None
-    state = _load_nodes(dirpath, sorted(set(nodes)), kappa)
+    state = _load_nodes(dirpath, sorted(set(nodes)), code)
     data = code.reconstruct(state)
     bits = _field_bits(code)
     blob = _data_to_bytes(data, bits)
@@ -440,13 +439,12 @@ def _cmd_extend(args) -> int:
     if meta.get("construction") != "layered":
         raise ValidationError("only layered node directories can be extended")
     code = _code_from_meta(meta)
-    state = _load_nodes(dirpath, range(1, code.params.n + 1), None)
+    state = _load_nodes(dirpath, range(1, code.params.n + 1), code)
     new_data = _read_data_file(Path(args.new_data), code.codec.dimension, code.field.w)
     new_code, new_state = code.extend(state, new_data)
-    written = _save_node_dir(out_dir, _layered_meta(new_code), new_state,
-                             new_code.field.hex_width, None)
-    manifest = _write_manifest(out_dir, "extend",
-                               _layered_meta(new_code)["params"],
+    new_meta = _layered_meta(new_code)
+    written = _save_node_dir(out_dir, new_meta, new_code, new_state)
+    manifest = _write_manifest(out_dir, "extend", new_meta["params"],
                                inputs=[str(dirpath), args.new_data], outputs=written)
     _print_json({
         "out_dir": str(out_dir),

@@ -2,10 +2,16 @@
 
 Elements are ints: bit i is the coefficient of x^i in GF(2)[x]/(modulus).
 The modulus is the first irreducible polynomial of the right degree in a
-fixed enumeration, the subfield copy is located as the fixed space of the
-w-fold Frobenius, and a basis of the big field over the subfield is taken
-greedily from powers of x, so equal parameters always rebuild the exact
-same field: moduli, embedding table and basis are reproducible.
+fixed enumeration and the subfield copy is located as the fixed space of the
+w-fold Frobenius, so equal parameters always rebuild the exact same field:
+moduli and embedding table are reproducible.
+
+The basis theta of the big field over the subfield is the power basis
+1, x, ..., x^(kappa-1). The modulus is irreducible of degree D = w*kappa,
+so x generates GF(2^D) over GF(2), and so also over GF(q), q = 2^w. The
+degree of x over GF(q) is then D/w = kappa: no nonzero polynomial over
+GF(q) of degree below kappa vanishes at x, and the kappa powers are
+independent over the subfield.
 
 The embedding is a field homomorphism from the table-driven GF(2^w) in
 gf.py: it maps the table field's generator to a root (the smallest, for
@@ -143,15 +149,6 @@ def _kernel(images: list[int]) -> list[int]:
     return kernel
 
 
-def _reduce_row(row: int, pivots: dict[int, int]) -> tuple[int, int]:
-    while row:
-        lead = row.bit_length() - 1
-        if lead not in pivots:
-            return row, lead
-        row ^= pivots[lead]
-    return 0, -1
-
-
 class BinaryExtensionField:
     """GF(q^kappa) for q = 2^w, with q <= 256."""
 
@@ -178,7 +175,8 @@ class BinaryExtensionField:
         self._frob = self._frobenius_tables(images)
         self._beta_pows = self._embed_subfield(images)
         self._emb = self._embedding_table()
-        self.theta = self._subfield_basis()
+        # x has degree kappa over the subfield (module docstring)
+        self.theta = tuple(1 << i for i in range(kappa))
 
     # -- construction internals ---------------------------------------------
 
@@ -246,33 +244,6 @@ class BinaryExtensionField:
             p = self.mul(p, z)
         return acc
 
-    def _subfield_basis(self) -> tuple[int, ...]:
-        theta: list[int] = []
-        pivots: dict[int, int] = {}
-        z = 1
-        for _ in range(self.degree):
-            if len(theta) == self.kappa:
-                break
-            if self._try_insert(z, pivots):
-                theta.append(z)
-            z = self.mul(z, 2)
-        if len(theta) != self.kappa:
-            raise IntegrityError("powers of x did not yield a subfield basis")
-        return tuple(theta)
-
-    def _try_insert(self, z: int, pivots: dict[int, int]) -> bool:
-        # z joins the basis only if all its subfield multiples are new
-        # directions over GF(2); then the subfield span grows by w dims
-        trial = dict(pivots)
-        for bp in self._beta_pows:
-            row, lead = _reduce_row(self.mul(bp, z), trial)
-            if row == 0:
-                return False
-            trial[lead] = row
-        pivots.clear()
-        pivots.update(trial)
-        return True
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
@@ -295,9 +266,6 @@ class BinaryExtensionField:
             p = (p << 4) ^ multiples[b >> s & 15]
             p ^= red[p >> d]
         return p
-
-    def sqr(self, a: int) -> int:
-        return _sqrmod(a, self.modulus)
 
     def frobenius(self, a: int) -> int:
         """a -> a^q, the subfield-fixing field automorphism, by table lookups."""
@@ -375,40 +343,12 @@ class BinaryExtensionField:
             )
         return self._emb[i]
 
-    def span(self) -> "SubfieldSpan":
-        """An empty, growable subfield-linear span of field elements."""
-        return SubfieldSpan(self)
-
-    def independent_over_subfield(self, elems) -> bool:
-        """True iff elems are linearly independent over the embedded subfield."""
-        sp = self.span()
-        return all(sp.insert(z) for z in elems)
-
     @property
     def hex_width(self) -> int:
         return (self.degree + 3) // 4
 
     def __repr__(self) -> str:
         return f"BinaryExtensionField(w={self.subfield.w}, kappa={self.kappa})"
-
-
-class SubfieldSpan:
-    """Incremental linear span over the embedded subfield.
-
-    insert(z) returns True and grows the span when z is independent of the
-    elements inserted so far, False (span unchanged) otherwise.
-    """
-
-    def __init__(self, field: BinaryExtensionField) -> None:
-        self._field = field
-        self._pivots: dict[int, int] = {}
-        self.dimension = 0
-
-    def insert(self, z: int) -> bool:
-        if self._field._try_insert(z, self._pivots):
-            self.dimension += 1
-            return True
-        return False
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ uses the same generator rows, so encode is one MdsCodec.decode_many call
 over all blocks, and reconstruct and repair make one call per set of
 chosen positions (the lowest r-m given), with a column of symbols per
 position. Every given symbol is then checked against its block's decoded
-codeword. If any disagrees, the blocks are decoded again one at a time, in
-block order, and the first failure raises "block B: mismatch seen at
-position P (node X)", the same error a block-by-block decode meets first.
+codeword. If any disagrees, the lowest such block raises "block B: mismatch
+seen at position P (node X)" for its first mismatching position, the same
+error a block-by-block decode meets first.
 
 Node contents serialize to a small text format: a header line
 `node alpha [precoded=1 kappa=K]`, then one `block_index hex_symbol` line
@@ -246,19 +246,16 @@ class LayeredCode:
         new_blocks = [block + (new_node,) for block in self.design.blocks]
         new_blocks.append(tuple(range(1, p.n + 1)))
         new_design = BlockDesign(n=p.n + 1, r=p.r + 1, t=p.t + 1, blocks=tuple(new_blocks))
-        if not verify_steiner(new_design):
-            raise IntegrityError("extended design is not the complete design")
         new_params = SystemParams(
             n=p.n + 1, k=p.k, d=p.d, e=p.e + 1, m=p.m + 1, r=p.r + 1, t=p.t + 1
         )
-        new_codec = self.codec.extended((self.field.element(p.r),))
         new_code = LayeredCode(new_params, new_design, self.field)
-        if new_code.codec.points != new_codec.points:
-            raise IntegrityError("extended codec does not match the rebuilt layout")
 
-        # messages sit on each block's first r-m members, unchanged
+        # messages sit on each block's first r-m members, unchanged; the new
+        # codec's points are the old ones plus field.element(r), so each old
+        # codeword is a prefix of its new one
         given = self._block_major(by_node)
-        tail_syms = new_codec.decode_many(
+        tail_syms = new_code.codec.decode_many(
             range(km), [self.field.column(given[pos :: p.r]) for pos in range(km)]
         )[p.r]
         last_cw = new_code.codec.encode(list(new_data))
@@ -307,41 +304,45 @@ class LayeredCode:
 
         Blocks whose lowest r-m given positions agree share one generator,
         so each such group is one decode_many call; returns (blocks, columns)
-        per group. Every given symbol is checked. On a mismatch the blocks
-        are decoded again one at a time, in block order, so the error raised
-        names the first block a block-by-block decode fails on.
+        per group. Every given symbol is checked. A mismatch raises for the
+        lowest block that has one, at its first mismatching position: the
+        error a block-by-block decode meets first.
         """
         r, km = self.params.r, self.codec.dimension
-        todo = []
         groups: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
         for b in blocks:
             present = [pos for pos, v in enumerate(given[b * r : (b + 1) * r]) if v is not None]
-            todo.append((b, present))
             groups.setdefault(tuple(present[:km]), []).append((b, present))
-        try:
-            return [self._decode_group(given, chosen, members)
-                    for chosen, members in groups.items()]
-        except IntegrityError:
-            for b, present in todo:
-                self._decode_group(given, tuple(present[:km]), [(b, present)])
-            raise
+        decoded = []
+        mismatches = []
+        for chosen, members in groups.items():
+            cols, mismatch = self._decode_group(given, chosen, members)
+            decoded.append(([b for b, _ in members], cols))
+            if mismatch is not None:
+                mismatches.append(mismatch)
+        if mismatches:
+            b, pos = min(mismatches)
+            x = self.design.blocks[b][pos]
+            raise IntegrityError(f"block {b + 1}: mismatch seen at position {pos} (node {x})")
+        return decoded
 
     def _decode_group(
         self, given: Sequence, chosen: tuple[int, ...], members: Sequence[tuple[int, list[int]]]
-    ) -> tuple[list[int], list]:
+    ) -> tuple[list, Optional[tuple[int, int]]]:
+        """One decode_many over the members' blocks.
+
+        Returns the columns and the first (block, position), in member
+        order, whose given symbol disagrees with them, or None.
+        """
         r, km = self.params.r, len(chosen)
-        blocks = [b for b, _ in members]
         cols = self.codec.decode_many(
-            chosen, [self.field.column([given[b * r + pos] for b in blocks]) for pos in chosen]
+            chosen, [self.field.column([given[b * r + pos] for b, _ in members]) for pos in chosen]
         )
         for i, (b, present) in enumerate(members):
             for pos in present[km:]:
                 if cols[pos][i] != given[b * r + pos]:
-                    x = self.design.blocks[b][pos]
-                    raise IntegrityError(
-                        f"block {b + 1}: mismatch seen at position {pos} (node {x})"
-                    )
-        return blocks, cols
+                    return cols, (b, pos)
+        return cols, None
 
     def _node(self, x: int, syms: Sequence[int]) -> NodeContents:
         labelled = tuple((b + 1, sym) for (b, _), sym in zip(self._slots[x], syms))

@@ -150,15 +150,6 @@ class MdsCodec:
                 raise SymbolMismatch(pos)
         return cw
 
-    def extended(self, new_points: Sequence[int]) -> "MdsCodec":
-        """Same polynomial space, extra evaluation points appended."""
-        return MdsCodec(
-            self.field,
-            self.length + len(new_points),
-            self.dimension,
-            self.points + tuple(new_points),
-        )
-
 
 def mds_codec(field, length: int, dimension: int) -> MdsCodec:
     """Codec over the field's canonical points 0..length-1."""

@@ -109,20 +109,14 @@ def linearized_eval(field: BinaryExtensionField, coeffs: Sequence[int], point: i
     return acc
 
 
-def linearized_precode(
-    field: BinaryExtensionField, data: Sequence[int], points: Sequence[int]
-) -> list[int]:
-    """Evaluate the data's linearized polynomial at subfield-independent points."""
-    if len(data) > len(points):
-        raise ValidationError(f"{len(data)} coefficients but only {len(points)} points")
-    if len(points) > field.kappa:
-        raise ValidationError(f"at most kappa={field.kappa} independent points exist")
+def linearized_precode(field: BinaryExtensionField, data: Sequence[int]) -> list[int]:
+    """Evaluate the data's linearized polynomial at the field's basis theta."""
+    if len(data) > field.kappa:
+        raise ValidationError(f"{len(data)} coefficients but only kappa={field.kappa} points")
     for v in data:
         if not field.contains(v):
             raise ValidationError(f"{v!r} is not a field element")
-    if not field.independent_over_subfield(points):
-        raise ValidationError("evaluation points are dependent over the subfield")
-    return [linearized_eval(field, data, pt) for pt in points]
+    return [linearized_eval(field, data, pt) for pt in field.theta]
 
 
 def linearized_interpolate(
@@ -131,9 +125,9 @@ def linearized_interpolate(
     """Coefficients of the f of q-degree < size through size of the pairs.
 
     pairs are (point, value). A point is taken when it is independent over
-    the subfield of the points taken before it, the same greedy choice a
-    SubfieldSpan makes; the rest are skipped, values unread. Raises
-    IntegrityError when fewer than size points are taken. Fraction-free
+    the subfield of the points taken before it; the rest are skipped,
+    values unread. Raises IntegrityError when fewer than size points are
+    taken. Fraction-free
     Newton interpolation: ann vanishes exactly on the subfield span of the
     points taken so far, g / s interpolates their values, and the only
     inverse is the final 1 / s.
@@ -183,8 +177,7 @@ class PrecodedCode:
     r: int
     field: BinaryExtensionField
     inner: LayeredCode
-    data_len: int   # F = rho(n, k, m, r)
-    inner_len: int  # F_c = (r-m) C(n,r) = kappa
+    data_len: int  # F = rho(n, k, m, r)
 
     @property
     def alpha(self) -> int:
@@ -194,7 +187,7 @@ class PrecodedCode:
         """Data -> all n nodes; symbols are extension-field elements."""
         if len(data) != self.data_len:
             raise ValidationError(f"data must have {self.data_len} symbols, got {len(data)}")
-        evals = linearized_precode(self.field, data, self.field.theta)
+        evals = linearized_precode(self.field, data)
         return self.inner.encode(evals)
 
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
@@ -265,5 +258,5 @@ def build_precoded(
     return PrecodedCode(
         n=n, k=k, d=d, e=e, m=m, r=r,
         field=field, inner=inner,
-        data_len=rho(n, k, m, r), inner_len=kappa,
+        data_len=rho(n, k, m, r),
     )

@@ -78,21 +78,23 @@ def test_encode_validates_message(codec):
 
 
 def test_extended_codec_keeps_old_positions(codec, rng):
+    # LayeredCode.extend relies on this: the canonical codec one position
+    # longer has the old codewords as prefixes
     f = binary_field(8)
-    bigger = codec.extended((f.element(7),))
-    assert bigger.length == 8
+    bigger = mds_codec(f, 8, 4)
+    assert bigger.points[:7] == codec.points
     msg = [rng.randrange(256) for _ in range(4)]
     assert bigger.encode(msg)[:7] == codec.encode(msg)
     # the new position joins decoding like any other
     cw = bigger.encode(msg)
     assert bigger.decode({p: cw[p] for p in (0, 5, 6, 7)}) == cw
-
-
-def test_extended_rejects_reused_point():
-    f = binary_field(8)
-    c = mds_codec(f, 5, 3)
-    with pytest.raises(ValidationError):
-        c.extended((c.points[0],))
+    ext = extension_field(3, 2)
+    for length, dimension in ((3, 2), (4, 1), (7, 7)):
+        short = mds_codec(ext, length, dimension)
+        longer = mds_codec(ext, length + 1, dimension)
+        for _ in range(5):
+            msg = [rng.randrange(1 << ext.degree) for _ in range(dimension)]
+            assert longer.encode(msg)[:length] == short.encode(msg)
 
 
 def test_constructor_validation():
