@@ -3,13 +3,14 @@
 A design is usable by the layered construction when every t-subset of the
 point set lies in exactly one block (verify_steiner). complete_design gives
 the degenerate t = r case, all r-subsets in lexicographic order; smaller t
-comes from files or the bundled designs.
+comes from files or the bundled designs. verify_steiner refuses a design
+with more than MAX_BLOCKS t-subsets before it expands any block, so a short
+file cannot make it allocate without bound.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from math import comb
@@ -17,8 +18,9 @@ from pathlib import Path
 
 from .errors import ValidationError
 
-# complete designs are materialized block by block, and a precoded code's
-# extension degree grows with the block count; larger requests are refused
+# complete designs are materialized block by block, verify_steiner expands
+# C(n, t) t-subsets, and a precoded code's extension degree grows with the
+# block count; larger requests are refused
 MAX_BLOCKS = 100_000
 
 
@@ -59,8 +61,8 @@ class DesignStats:
     lambda3: int  # blocks through a triple (0 when t < 3)
 
 
-def check_block_count(n: int, r: int) -> None:
-    """Refuse a complete design of more than MAX_BLOCKS blocks before building it.
+def _comb_within_limit(n: int, r: int) -> bool:
+    """C(n, r) <= MAX_BLOCKS, for 0 <= r <= n.
 
     Builds C(n, r) one factor at a time and stops past the limit, so a huge
     n costs no more than a small one.
@@ -69,9 +71,14 @@ def check_block_count(n: int, r: int) -> None:
     for i in range(min(r, n - r)):
         count = count * (n - i) // (i + 1)  # C(n, i + 1), exact
         if count > MAX_BLOCKS:
-            raise ValidationError(
-                f"complete design C({n},{r}) has more than {MAX_BLOCKS} blocks"
-            )
+            return False
+    return True
+
+
+def check_block_count(n: int, r: int) -> None:
+    """Refuse a complete design of more than MAX_BLOCKS blocks before building it."""
+    if not _comb_within_limit(n, r):
+        raise ValidationError(f"complete design C({n},{r}) has more than {MAX_BLOCKS} blocks")
 
 
 def complete_design(n: int, r: int) -> BlockDesign:
@@ -83,13 +90,23 @@ def complete_design(n: int, r: int) -> BlockDesign:
 
 
 def verify_steiner(design: BlockDesign) -> bool:
-    """True iff every t-subset of 1..n lies in exactly one block."""
-    seen: Counter[tuple[int, ...]] = Counter()
-    for b in design.blocks:
-        seen.update(itertools.combinations(b, design.t))
-    if len(seen) != comb(design.n, design.t):
+    """True iff every t-subset of 1..n lies in exactly one block.
+
+    Before any block is expanded, C(n, t) > MAX_BLOCKS raises and a block
+    count other than C(n, t) / C(r, t) gives False.
+    """
+    n, r, t = design.n, design.r, design.t
+    if not _comb_within_limit(n, t):
+        raise ValidationError(
+            f"design has C({n},{t}) {t}-subsets to cover, more than {MAX_BLOCKS}"
+        )
+    if design.block_count * comb(r, t) != comb(n, t):
         return False
-    return all(c == 1 for c in seen.values())
+    # C(n, t) subsets in all: every one is covered once iff none repeats
+    seen: set[tuple[int, ...]] = set()
+    for b in design.blocks:
+        seen.update(itertools.combinations(b, t))
+    return len(seen) == comb(n, t)
 
 
 def _exact_ratio(num: int, den: int, what: str) -> int:

@@ -250,8 +250,6 @@ class BinaryExtensionField:
     def add(a: int, b: int) -> int:
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         """a * b by a 4-bit window over b and the reduction table."""
         a2, a4, a8 = a << 1, a << 2, a << 3

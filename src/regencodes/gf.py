@@ -1,7 +1,7 @@
 """Arithmetic in GF(2^w) via exp/log tables.
 
-Elements are plain ints in [0, 2^w). Addition and subtraction are XOR;
-multiplication and division go through discrete logarithms of a fixed
+Elements are plain ints in [0, 2^w). Addition (and so subtraction) is XOR;
+multiplication and inversion go through discrete logarithms of a fixed
 primitive element.
 
 Codecs work on columns: one position's symbols across a batch of codewords
@@ -88,8 +88,6 @@ class BinaryField:
     def add(a: int, b: int) -> int:
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -99,18 +97,6 @@ class BinaryField:
         if a == 0:
             raise ValidationError("zero has no inverse")
         return self._exp[self.order - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ValidationError("division by zero")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.order - 1]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     def contains(self, a: object) -> bool:
         return isinstance(a, int) and 0 <= a < self.order

@@ -7,14 +7,16 @@ symbol per member. Any k = n-m nodes reconstruct everything (each block
 keeps >= r-m symbols), and up to m simultaneous failures are repaired
 exactly from any d >= k helpers, group by group.
 
-Blocks are coded in batches. Every block decoded from the same positions
-uses the same generator rows, so encode is one MdsCodec.decode_many call
-over all blocks, and reconstruct and repair make one call per set of
-chosen positions (the lowest r-m given), with a column of symbols per
-position. Every given symbol is then checked against its block's decoded
-codeword. If any disagrees, the lowest such block raises "block B: mismatch
-seen at position P (node X)" for its first mismatching position, the same
-error a block-by-block decode meets first.
+Every operation completes some blocks' codewords in one block-major list
+(entry b*r + pos holds position pos of block b, None where unknown) and
+reads its output from it. _decode fills in the listed blocks. Blocks with
+the same lowest r-m given positions share generator rows, so each such set
+is one MdsCodec.decode_many call, with a column of symbols per position.
+Every other given symbol is checked against its block's codeword; if any
+disagrees, the lowest such block raises "block B: mismatch seen at position
+P (node X)" for its first mismatching position, the same error a
+block-by-block decode meets first. Reconstruct, repair and extend decode
+through it; encode has nothing to check and is one decode_many call.
 
 Node contents serialize to a small text format: a header line
 `node alpha [precoded=1 kappa=K]`, then one `block_index hex_symbol` line
@@ -110,15 +112,16 @@ class LayeredCode:
         for s in data:
             if not self.field.contains(s):
                 raise ValidationError(f"symbol {s!r} is not a field element")
-        km = self.codec.dimension
-        # every block's message sits at positions 0..r-m-1: one batch
+        r, km = self.params.r, self.codec.dimension
+        # every block's message sits at positions 0..r-m-1: one batch, with
+        # no given symbol beyond the messages to check
         cols = self.codec.decode_many(
             range(km), [self.field.column(data[i::km]) for i in range(km)]
         )
-        return [
-            self._node(x, [cols[pos][b] for b, pos in self._slots[x]])
-            for x in range(1, self.params.n + 1)
-        ]
+        full: list = [None] * (self.block_count * r)
+        for pos, col in enumerate(cols):
+            full[pos::r] = col
+        return self._contents(full, range(1, self.params.n + 1))
 
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents."""
@@ -127,12 +130,11 @@ class LayeredCode:
             raise ValidationError(
                 f"need at least k={self.params.k} distinct nodes, got {len(by_node)}"
             )
-        km = self.codec.dimension
+        r, km = self.params.r, self.codec.dimension
+        full = self._decode(self._block_major(by_node), range(self.block_count))
         data = [0] * self.data_len
-        for blocks, cols in self._decode(self._block_major(by_node), range(self.block_count)):
-            for i in range(km):
-                for b, sym in zip(blocks, cols[i]):
-                    data[b * km + i] = sym
+        for i in range(km):
+            data[i::km] = full[i::r]
         return data
 
     # -- repair ----------------------------------------------------------------
@@ -189,13 +191,7 @@ class LayeredCode:
             read_by[s] += held[:km]
             affected.append(b)
 
-        rebuilt: dict[int, dict[int, int]] = {x: {} for x in failed_t}  # node -> block -> symbol
-        given = self._block_major({h: by_node[h] for h in helpers_t})
-        for blocks, cols in self._decode(given, affected):
-            for i, b in enumerate(blocks):
-                for pos, x in enumerate(self.design.blocks[b]):
-                    if x in rebuilt:
-                        rebuilt[x][b] = cols[pos][i]
+        full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), affected)
 
         msmr = dict.fromkeys(helpers_t, Fraction(0))
         for (s, h_cnt), held in held_by.items():
@@ -207,7 +203,6 @@ class LayeredCode:
             for x, count in Counter(read).items():
                 naive[x] += count
                 lnaive[x] += count * s
-        out = [self._node(x, [rebuilt[x][b] for b, _ in self._slots[x]]) for x in failed_t]
         report = BandwidthReport(
             failed=failed_t,
             helpers=helpers_t,
@@ -215,7 +210,7 @@ class LayeredCode:
             naive=naive,
             layered_naive=lnaive,
         )
-        return out, report
+        return self._contents(full, failed_t), report
 
     # -- extension ---------------------------------------------------------------
 
@@ -227,8 +222,10 @@ class LayeredCode:
         Appends node n+1 to every block and one new block over the old nodes;
         each old codeword gains one evaluation point (stored on the new node)
         and the new block encodes new_data. Old node contents stay literal
-        prefixes of their new contents. Requires the complete t = r = k+e-1
-        layout, i.e. n = k+e, d = k.
+        prefixes of their new contents. Every stored symbol is checked first,
+        as in reconstruct: a corrupted one raises IntegrityError and nothing
+        is returned. Requires the complete t = r = k+e-1 layout, i.e.
+        n = k+e, d = k.
         """
         p = self.params
         if not (p.n == p.k + p.e and p.d == p.k and p.t == p.r and p.r == p.k + p.e - 1):
@@ -250,20 +247,20 @@ class LayeredCode:
             n=p.n + 1, k=p.k, d=p.d, e=p.e + 1, m=p.m + 1, r=p.r + 1, t=p.t + 1
         )
         new_code = LayeredCode(new_params, new_design, self.field)
+        for s in new_data:
+            if not self.field.contains(s):
+                raise ValidationError(f"symbol {s!r} is not a field element")
 
-        # messages sit on each block's first r-m members, unchanged; the new
+        # old nodes keep their positions in the new design, and the new
         # codec's points are the old ones plus field.element(r), so each old
-        # codeword is a prefix of its new one
-        given = self._block_major(by_node)
-        tail_syms = new_code.codec.decode_many(
-            range(km), [self.field.column(given[pos :: p.r]) for pos in range(km)]
-        )[p.r]
-        last_cw = new_code.codec.encode(list(new_data))
-        new_state = [
-            new_code._node(x, by_node[x] + (last_cw[x - 1],)) for x in range(1, p.n + 1)
-        ]
-        new_state.append(new_code._node(new_node, tail_syms))
-        return new_code, new_state
+        # codeword is a prefix of its new one; the new block's message sits
+        # on its first r-m positions. One decode checks every stored symbol
+        # and codes the new block with the rest.
+        full = new_code._block_major(by_node)
+        start = self.block_count * new_params.r
+        full[start : start + km] = new_data
+        new_code._decode(full, range(new_code.block_count))
+        return new_code, new_code._contents(full, range(1, new_node + 1))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -299,54 +296,50 @@ class LayeredCode:
                 given[b * r + pos] = sym
         return given
 
-    def _decode(self, given: Sequence, blocks: Iterable[int]) -> list[tuple[list[int], list]]:
-        """Decode the blocks, in ascending order, from _block_major's list.
+    def _decode(self, full: list, blocks: Iterable[int]) -> list:
+        """Fill in every position of the listed blocks of _block_major's list.
 
-        Blocks whose lowest r-m given positions agree share one generator,
-        so each such group is one decode_many call; returns (blocks, columns)
-        per group. Every given symbol is checked. A mismatch raises for the
-        lowest block that has one, at its first mismatching position: the
-        error a block-by-block decode meets first.
+        Works in place and returns the list. Blocks whose lowest r-m given
+        positions agree share one generator, so each such group is one
+        decode_many call. Every other given symbol is checked against its
+        block's codeword. A mismatch raises for the lowest block that has
+        one, at its first mismatching position: the error a block-by-block
+        decode meets first.
         """
         r, km = self.params.r, self.codec.dimension
-        groups: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+        groups: dict[tuple[int, ...], list[int]] = {}  # chosen positions -> block starts
         for b in blocks:
-            present = [pos for pos, v in enumerate(given[b * r : (b + 1) * r]) if v is not None]
-            groups.setdefault(tuple(present[:km]), []).append((b, present))
-        decoded = []
+            present = [pos for pos, v in enumerate(full[b * r : (b + 1) * r]) if v is not None]
+            groups.setdefault(tuple(present[:km]), []).append(b * r)
         mismatches = []
-        for chosen, members in groups.items():
-            cols, mismatch = self._decode_group(given, chosen, members)
-            decoded.append(([b for b, _ in members], cols))
-            if mismatch is not None:
-                mismatches.append(mismatch)
+        for chosen, starts in groups.items():
+            cols = self.codec.decode_many(
+                chosen, [self.field.column([full[s + pos] for s in starts]) for pos in chosen]
+            )
+            for pos, col in enumerate(cols):
+                if pos in chosen:
+                    continue
+                for s, sym in zip(starts, col):
+                    given = full[s + pos]
+                    if given is None:
+                        full[s + pos] = sym
+                    elif given != sym:
+                        mismatches.append((s // r, pos))
         if mismatches:
             b, pos = min(mismatches)
             x = self.design.blocks[b][pos]
             raise IntegrityError(f"block {b + 1}: mismatch seen at position {pos} (node {x})")
-        return decoded
+        return full
 
-    def _decode_group(
-        self, given: Sequence, chosen: tuple[int, ...], members: Sequence[tuple[int, list[int]]]
-    ) -> tuple[list, Optional[tuple[int, int]]]:
-        """One decode_many over the members' blocks.
-
-        Returns the columns and the first (block, position), in member
-        order, whose given symbol disagrees with them, or None.
-        """
-        r, km = self.params.r, len(chosen)
-        cols = self.codec.decode_many(
-            chosen, [self.field.column([given[b * r + pos] for b, _ in members]) for pos in chosen]
-        )
-        for i, (b, present) in enumerate(members):
-            for pos in present[km:]:
-                if cols[pos][i] != given[b * r + pos]:
-                    return cols, (b, pos)
-        return cols, None
-
-    def _node(self, x: int, syms: Sequence[int]) -> NodeContents:
-        labelled = tuple((b + 1, sym) for (b, _), sym in zip(self._slots[x], syms))
-        return NodeContents(node=x, symbols=labelled)
+    def _contents(self, full: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:
+        """The nodes' contents, read from a completed block-major list."""
+        r = self.params.r
+        return [
+            NodeContents(
+                node=x, symbols=tuple((b + 1, full[b * r + pos]) for b, pos in self._slots[x])
+            )
+            for x in nodes
+        ]
 
 
 def build_code(

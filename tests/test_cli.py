@@ -308,6 +308,54 @@ def test_extend_chain(tmp_path, capsys):
     assert code == 0
 
 
+def test_extend_of_corrupted_dir_exits_3_and_writes_nothing(tmp_path, capsys):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    path = out_dir / "node_002.txt"
+    head, first, *rest = path.read_text().splitlines()
+    block, sym = first.split()
+    path.write_text("\n".join([head, f"{block} {int(sym, 16) ^ 1:02x}", *rest]) + "\n")
+    extra = tmp_path / "extra.bin"
+    extra.write_bytes(b"\xaa\xbb")
+    bigger = tmp_path / "bigger"
+    code, _ = run(capsys, "extend", "--node-dir", str(out_dir),
+                  "--new-data", str(extra), "--out-dir", str(bigger))
+    assert code == 3
+    written = list(bigger.glob("node_*.txt")) + list(bigger.glob("code.json"))
+    assert written == []
+
+
+def oversized_designs():
+    # n=40, r=20, t=6, 20 blocks: the block count is wrong, and C(40,6) is
+    # far above MAX_BLOCKS. n=40, r=39, t=20, two blocks: 2*C(39,20) is
+    # C(40,20), so only the bound stops a C(39,20)-subset expansion per block
+    shifted = [sorted((i + j) % 40 + 1 for j in range(20)) for i in range(20)]
+    yield 40, 20, 6, shifted
+    yield 40, 39, 20, [list(range(1, 40)), list(range(2, 41))]
+
+
+def test_oversized_designs_exit_2_before_expansion(tmp_path, capsys, monkeypatch):
+    from regencodes import designs
+
+    def refuse(*args):
+        raise AssertionError("t-subsets expanded")
+
+    monkeypatch.setattr(designs.itertools, "combinations", refuse)
+    for n, r, t, blocks in oversized_designs():
+        dpath = tmp_path / "big.design"
+        dpath.write_text("\n".join([f"{n} {r} {t}"] + [" ".join(map(str, b)) for b in blocks]))
+        code, _ = run(capsys, "design", "--load", str(dpath))
+        assert code == 2
+        node_dir = tmp_path / "nodes"
+        node_dir.mkdir(exist_ok=True)
+        (node_dir / "code.json").write_text(json.dumps({
+            "format": "regencodes-node-dir", "construction": "layered",
+            "params": {"n": n, "k": n - 1, "d": n - 1, "e": 1, "m": 1, "r": r, "t": t},
+            "field": {"w": 8}, "design": {"n": n, "r": r, "t": t, "blocks": blocks},
+        }))
+        code, _ = run(capsys, "reconstruct", "--node-dir", str(node_dir), "--nodes", "1")
+        assert code == 2
+
+
 def test_precoded_round_trip(tmp_path, capsys):
     data = tmp_path / "pdata.bin"
     data.write_bytes(b"".join(

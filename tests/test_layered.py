@@ -238,6 +238,33 @@ def test_extend_guards():
         other.extend(other.encode([0] * 10), new_data=[0])  # r != k+e-1
 
 
+def test_extend_checks_every_stored_symbol():
+    # (5,4,4,1): each block is a (4,3) codeword decoded through positions
+    # 0..2, so any one flipped symbol shows at position 3 of its block
+    code = optimal_point_code(4, 1)
+    state = code.encode(list(range(1, code.data_len + 1)))
+    for x in range(1, 6):
+        for which in range(code.alpha):
+            bad = list(state)
+            bad[x - 1] = flip_symbol(state[x - 1], which)
+            b = state[x - 1].symbols[which][0]
+            want = f"block {b}: mismatch seen at position 3 (node {code.design.blocks[b - 1][3]})"
+            with pytest.raises(IntegrityError) as caught:
+                code.extend(bad, new_data=[7, 8, 9])
+            assert str(caught.value) == want
+            with pytest.raises(IntegrityError) as caught:
+                code.reconstruct(bad)
+            assert str(caught.value) == want
+
+
+def test_extend_rejects_non_field_new_data():
+    code = optimal_point_code(4, 1)
+    state = code.encode([0] * code.data_len)
+    with pytest.raises(ValidationError) as caught:
+        code.extend(state, new_data=[1, 256, 2])
+    assert str(caught.value) == "symbol 256 is not a field element"
+
+
 def test_out_of_order_lines_are_rejected_everywhere():
     # labels intact, two lines swapped: repair, reconstruct and extend agree
     code = optimal_point_code(3, 1)
