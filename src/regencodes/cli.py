@@ -13,8 +13,16 @@
     regencodes compare --n 10 --k 7 --d 7 [--out FILE]
     regencodes verify [--seed N]
 
-Node directories are self-describing: code.json carries the construction,
-parameters, design and field, one node_XXX.txt per node carries symbols.
+Node directories are self-describing. code.json carries format_version 2,
+the construction, parameters, field and design: a complete design as
+{"n", "r", "t", "complete": true}, rebuilt on load, any other as its block
+list, one "p1 p2 ..." block line per JSON line. One node_XXX.txt per node
+holds the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and one line of the
+node's symbols as fixed-width hex in slot order; crc is zlib.crc32 of that
+payload line, so a node file changed on disk fails with exit 3 naming the
+node before any decode. Header, alpha, payload length and hex digits are
+checked first (exit 2). The old layout, code.json without format_version
+and node files of `block hex` lines, is still read; only v2 is written.
 All file writes are atomic (write to a temp name, then rename) and every
 command that writes files also writes a JSON run manifest next to them.
 Relative output paths are placed under $REGENCODES_OUT_DIR when it is set.
@@ -27,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -70,6 +79,7 @@ from .tradeoff import (
 
 DEFAULT_SEED = 12345
 OUT_DIR_ENV = "REGENCODES_OUT_DIR"
+CODE_JSON_VERSION = 2  # the code.json layout written; one without the key is the old one
 
 
 # -- small shared helpers -----------------------------------------------------
@@ -144,17 +154,20 @@ def _read_data_file(path: Path, count: int, bits: int) -> list[int]:
             f"data file {path} holds {len(blob)} bytes; need exactly "
             f"{count} symbols x {nbytes} bytes = {count * nbytes}"
         )
-    out = []
-    for i in range(count):
-        v = int.from_bytes(blob[i * nbytes : (i + 1) * nbytes], "big")
-        if v >> bits:
-            raise ValidationError(f"symbol #{i} in {path} exceeds {bits} bits")
-        out.append(v)
+    if nbytes == 1:
+        out = list(blob)
+    else:
+        out = [int.from_bytes(blob[i : i + nbytes], "big") for i in range(0, len(blob), nbytes)]
+    if max(out, default=0) >> bits:
+        i = next(i for i, v in enumerate(out) if v >> bits)
+        raise ValidationError(f"symbol #{i} in {path} exceeds {bits} bits")
     return out
 
 
 def _data_to_bytes(symbols: Sequence[int], bits: int) -> bytes:
     nbytes = _symbol_bytes(bits)
+    if nbytes == 1:
+        return bytes(symbols)
     return b"".join(int(v).to_bytes(nbytes, "big") for v in symbols)
 
 
@@ -222,18 +235,31 @@ def _load_code_meta(dirpath: Path) -> dict:
     return meta
 
 
+def _design_from_meta(dd: dict, version: int) -> BlockDesign:
+    n, r, t = int(dd["n"]), int(dd["r"]), int(dd["t"])
+    if version == CODE_JSON_VERSION and dd.get("complete") is True:
+        if t != r:
+            raise ValidationError(f"a complete design has t = r, code.json says t={t} r={r}")
+        return complete_design(n, r)  # refuses C(n, r) > MAX_BLOCKS before building
+    # v2 stores each block as a design-file line, the old layout as a list
+    blocks = [b.split() for b in dd["blocks"]] if version == CODE_JSON_VERSION else dd["blocks"]
+    return BlockDesign(n=n, r=r, t=t, blocks=tuple(tuple(int(x) for x in b) for b in blocks))
+
+
 def _code_from_meta(meta: dict):
+    # the old layout has no format_version; it differs from v2 only in the design
+    version = meta.get("format_version", 1)
+    if "format_version" in meta and version != CODE_JSON_VERSION:
+        raise ValidationError(
+            f"code.json format_version {version!r} is not supported (expected {CODE_JSON_VERSION})"
+        )
     construction = meta.get("construction")
     params = meta.get("params", {})
     fieldspec = meta.get("field", {})
     try:
         if construction == "layered":
             sp = SystemParams(**{key: int(params[key]) for key in ("n", "k", "d", "e", "m", "r", "t")})
-            dd = meta["design"]
-            design = BlockDesign(
-                n=int(dd["n"]), r=int(dd["r"]), t=int(dd["t"]),
-                blocks=tuple(tuple(int(x) for x in b) for b in dd["blocks"]),
-            )
+            design = _design_from_meta(meta["design"], version)
             field = binary_field(int(fieldspec["w"]))
             return build_code(sp, design, field)
         if construction == "precoded":
@@ -252,13 +278,14 @@ def _code_from_meta(meta: dict):
         raise ValidationError(f"code.json is missing {ex}") from None
     except ValidationError:
         raise
-    except (TypeError, ValueError) as ex:
+    except (AttributeError, TypeError, ValueError) as ex:
         raise ValidationError(f"malformed code.json: {ex}") from None
     raise ValidationError(f"unknown construction {construction!r} in code.json")
 
 
 def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]:
     expect_kappa = _node_kappa(code)
+    layered = code if expect_kappa is None else code.inner  # whose slots the files follow
     out = []
     for x in nodes:
         path = _node_path(dirpath, x)
@@ -266,7 +293,7 @@ def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]
             text = path.read_text()
         except OSError as ex:
             raise ValidationError(f"cannot read node file {path}: {ex}") from None
-        nc, kappa = node_contents_from_text(text)
+        nc, kappa = node_contents_from_text(text, layered)
         if nc.node != x:
             raise ValidationError(f"{path} names node {nc.node}, expected {x}")
         if kappa != expect_kappa:
@@ -283,23 +310,28 @@ def _field_bits(code) -> int:
 
 
 def _layered_meta(code: LayeredCode) -> dict:
-    p = code.params
+    p, design = code.params, code.design
+    stored = {"n": design.n, "r": design.r, "t": design.t}
+    lex = itertools.combinations(range(1, design.n + 1), design.r)
+    if design.t == design.r and design.blocks == tuple(lex):
+        stored["complete"] = True
+    else:
+        stored["blocks"] = [" ".join(map(str, b)) for b in design.blocks]
     return {
         "format": "regencodes-node-dir",
+        "format_version": CODE_JSON_VERSION,
         "version": __version__,
         "construction": "layered",
         "params": {"n": p.n, "k": p.k, "d": p.d, "e": p.e, "m": p.m, "r": p.r, "t": p.t},
         "field": {"w": code.field.w},
-        "design": {
-            "n": code.design.n, "r": code.design.r, "t": code.design.t,
-            "blocks": [list(b) for b in code.design.blocks],
-        },
+        "design": stored,
     }
 
 
 def _precoded_meta(code: PrecodedCode) -> dict:
     return {
         "format": "regencodes-node-dir",
+        "format_version": CODE_JSON_VERSION,
         "version": __version__,
         "construction": "precoded",
         "params": {"n": code.n, "k": code.k, "d": code.d, "e": code.e,

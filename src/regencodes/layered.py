@@ -18,14 +18,24 @@ P (node X)" for its first mismatching position, the same error a
 block-by-block decode meets first. Reconstruct, repair and extend decode
 through it; encode has nothing to check and is one decode_many call.
 
-Node contents serialize to a small text format: a header line
-`node alpha [precoded=1 kappa=K]`, then one `block_index hex_symbol` line
-per stored symbol, in ascending block order. Every entry point checks the
-block indices against the design and rejects lines out of that order.
+A node file is two lines: the header `v2 NODE ALPHA crc=XXXXXXXX
+[kappa=K]`, then the payload, the node's alpha symbols in slot order
+(ascending block order) as fixed-width lowercase hex with no separators or
+block labels. crc is zlib.crc32 of the payload line as written; it covers
+the symbols, and every header field is checked against the code instead.
+The reader refuses a malformed header, an alpha the code does not have, a
+payload of the wrong length or with a non-hex digit (ValidationError), and
+only then compares the checksum: a mismatch raises IntegrityError naming
+the node before any decode. It takes the block labels of NodeContents from
+the code's slots. The old format, a `node alpha [precoded=1 kappa=K]`
+header and one `block_index hex_symbol` line per symbol, is still read,
+never written; its labels come from the file, and every entry point checks
+them against the design and rejects lines out of slot order.
 """
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,20 +367,78 @@ def build_code(
     return LayeredCode(params, design, field)
 
 
-# -- node-content text format ----------------------------------------------------
+# -- node files -------------------------------------------------------------------
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def node_contents_to_text(nc: NodeContents, hex_width: int, kappa: Optional[int] = None) -> str:
-    head = f"{nc.node} {nc.alpha}"
+    """A node file: the v2 header, then the symbols as one fixed-width hex line."""
+    symbols = [sym for _, sym in nc.symbols]
+    if hex_width == 2:
+        payload = bytes(symbols).hex()
+    elif hex_width == 1:
+        payload = bytes(symbols).hex()[1::2]  # drop each byte's zero high digit
+    else:
+        payload = "".join(f"{sym:0{hex_width}x}" for sym in symbols)
+    head = f"v2 {nc.node} {nc.alpha} crc={zlib.crc32(payload.encode()):08x}"
     if kappa is not None:
-        head += f" precoded=1 kappa={kappa}"
-    lines = [head]
-    lines.extend(f"{b} {sym:0{hex_width}x}" for b, sym in nc.symbols)
-    return "\n".join(lines) + "\n"
+        head += f" kappa={kappa}"
+    return f"{head}\n{payload}\n"
 
 
-def node_contents_from_text(text: str) -> tuple[NodeContents, Optional[int]]:
-    """Parse a node file; returns (contents, kappa or None)."""
+def node_contents_from_text(text: str, code: LayeredCode) -> tuple[NodeContents, Optional[int]]:
+    """Parse one node file of `code`; returns (contents, kappa or None).
+
+    The header's first token picks the format: `v2`, or the old format's
+    node id. Structural faults raise ValidationError; a v2 payload that
+    fails its checksum raises IntegrityError.
+    """
+    if text.split(None, 1)[:1] != ["v2"]:
+        return _node_contents_from_v1_text(text)
+    lines = text.splitlines()
+    if len(lines) != 2:
+        raise ValidationError(f"node file must be a header and a payload line, not {len(lines)}")
+    head, payload = lines
+    tokens = head.split()
+    if not (
+        len(tokens) in (4, 5)
+        and tokens[3].startswith("crc=")
+        and (len(tokens) == 4 or tokens[4].startswith("kappa="))
+    ):
+        raise ValidationError(f"bad node header {head!r}")
+    try:
+        node, alpha = int(tokens[1]), int(tokens[2])
+        kappa = int(tokens[4][len("kappa=") :]) if len(tokens) == 5 else None
+    except ValueError:
+        raise ValidationError(f"bad node header {head!r}") from None
+    crc = tokens[3][len("crc=") :]
+    if len(crc) != 8 or not set(crc) <= _HEX_DIGITS:
+        raise ValidationError(f"node {node}: bad checksum token {tokens[3]!r}")
+    if not 1 <= node <= code.params.n:
+        raise ValidationError(f"node id {node} out of range 1..{code.params.n}")
+    if alpha != code.alpha:
+        raise ValidationError(f"node {node}: header says alpha={alpha}, the code has {code.alpha}")
+    width = code.field.hex_width
+    if len(payload) != alpha * width:
+        raise ValidationError(
+            f"node {node}: payload holds {len(payload)} hex digits, "
+            f"expected alpha x {width} = {alpha * width}"
+        )
+    if not set(payload) <= _HEX_DIGITS:
+        raise ValidationError(f"node {node}: payload holds a character other than 0-9a-f")
+    if zlib.crc32(payload.encode()) != int(crc, 16):
+        raise IntegrityError(f"node {node}: payload fails its checksum crc={crc}")
+    if width == 2:
+        symbols = bytes.fromhex(payload)
+    else:
+        symbols = [int(payload[i : i + width], 16) for i in range(0, len(payload), width)]
+    labels = [b + 1 for b, _ in code._slots[node]]
+    return NodeContents(node=node, symbols=tuple(zip(labels, symbols))), kappa
+
+
+def _node_contents_from_v1_text(text: str) -> tuple[NodeContents, Optional[int]]:
+    """Parse an old-format node file, block labels and all."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValidationError("empty node file")

@@ -4,13 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from regencodes import NodeContents, SystemParams, build_code
 from regencodes.cli import main
 from regencodes.designs import bundled_design, serialize_design
+from regencodes.layered import LayeredCode, node_contents_from_text, node_contents_to_text
 from regencodes.tradeoff import CSV_HEADER
 
 
@@ -35,6 +38,18 @@ def encode_small(tmp_path, capsys, out_name="nodes"):
     return data, out_dir, json.loads(out)
 
 
+def rewrite_flipped(out_dir, node, which=0):
+    """Flip one stored symbol and write the node back through the writer,
+    so that its checksum holds and only a decode can see the change."""
+    code = build_code(SystemParams(n=4, k=3, d=3, e=1, m=1, r=3, t=3))
+    path = out_dir / f"node_{node:03d}.txt"
+    nc, _ = node_contents_from_text(path.read_text(), code)
+    symbols = list(nc.symbols)
+    b, sym = symbols[which]
+    symbols[which] = (b, sym ^ 1)
+    path.write_text(node_contents_to_text(NodeContents(node, tuple(symbols)), hex_width=2))
+
+
 def dir_digest(dirpath, skip=("manifest.json",)):
     out = {}
     for p in sorted(Path(dirpath).iterdir()):
@@ -55,14 +70,16 @@ def test_encode_writes_a_node_directory(tmp_path, capsys):
                      "node_001.txt", "node_002.txt", "node_003.txt", "node_004.txt"}
     meta = json.loads((out_dir / "code.json").read_text())
     assert meta["format"] == "regencodes-node-dir"
+    assert meta["format_version"] == 2
     assert meta["construction"] == "layered"
     assert meta["params"] == {"n": 4, "k": 3, "d": 3, "e": 1, "m": 1, "r": 3, "t": 3}
+    assert meta["design"] == {"n": 4, "r": 3, "t": 3, "complete": True}
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "encode"
     assert len(manifest["outputs"]) == 5
-    first = (out_dir / "node_001.txt").read_text().splitlines()
-    assert first[0] == "1 3"
-    assert all(len(ln.split()) == 2 for ln in first[1:])
+    head, payload = (out_dir / "node_001.txt").read_text().splitlines()
+    assert head == f"v2 1 3 crc={zlib.crc32(payload.encode()):08x}"
+    assert payload == "010305"  # the symbols of blocks 1, 2 and 3, in slot order
 
 
 def test_encode_is_deterministic(tmp_path, capsys):
@@ -117,16 +134,40 @@ def test_reconstruct_to_stdout(tmp_path, capsysbinary):
 
 
 def test_tampered_node_file_fails_with_exit_3(tmp_path, capsys):
+    # a checksummed flip: the decode sees block 1 disagree at its third member
     _, out_dir, _ = encode_small(tmp_path, capsys)
-    path = out_dir / "node_001.txt"
-    lines = path.read_text().splitlines()
-    b, hexval = lines[1].split()
-    lines[1] = f"{b} {int(hexval, 16) ^ 1:02x}"
-    path.write_text("\n".join(lines) + "\n")
-    code, _ = run(capsys, "reconstruct", "--node-dir", str(out_dir),
-                  "--nodes", "1,2,3,4", "--out", str(tmp_path / "x.bin"))
+    rewrite_flipped(out_dir, 1)
+    code = main(["reconstruct", "--node-dir", str(out_dir),
+                 "--nodes", "1,2,3,4", "--out", str(tmp_path / "x.bin")])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "integrity error: block 1: mismatch seen at position 2 (node 3)\n")
     assert not (tmp_path / "x.bin").exists()
+
+
+def test_on_disk_flip_is_named_by_the_checksum(tmp_path, capsys, monkeypatch):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    path = out_dir / "node_002.txt"
+    head, payload = path.read_text().splitlines()
+    digit = "1" if payload[3] == "0" else "0"
+    path.write_text(f"{head}\n{payload[:3]}{digit}{payload[4:]}\n")
+
+    def refuse(*args):
+        raise AssertionError("a node that fails its checksum reached the decode")
+
+    monkeypatch.setattr(LayeredCode, "_decode", refuse)
+    extra = tmp_path / "extra.bin"
+    extra.write_bytes(b"\xaa\xbb")
+    for argv in (
+        ["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3,4"],
+        ["repair", "--node-dir", str(out_dir), "--failed", "1", "--helpers", "2,3,4"],
+        ["extend", "--node-dir", str(out_dir), "--new-data", str(extra),
+         "--out-dir", str(tmp_path / "bigger")],
+    ):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("integrity error: node 2: payload fails its checksum crc="), err
+    assert not (tmp_path / "bigger").exists()
 
 
 def test_validation_failures_exit_2(tmp_path, capsys):
@@ -198,11 +239,18 @@ def test_foreign_code_json_is_rejected(tmp_path, capsys):
         (out_dir / "code.json").write_text(json.dumps(meta))
         code, _ = run(capsys, "reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2")
         assert code == 2
+    # a format_version this reader does not know, on an otherwise valid descriptor
+    complete = {**layered, "design": {"n": 4, "r": 3, "t": 3, "complete": True}}
+    for version in (3, 1, "2", None):
+        (out_dir / "code.json").write_text(json.dumps({**complete, "format_version": version}))
+        assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2"]) == 2
+        assert "format_version" in capsys.readouterr().err
 
 
-def test_out_of_order_node_lines_exit_2(tmp_path, capsys):
-    # labels intact, two lines swapped: every entry point rejects the node
-    _, out_dir, _ = encode_small(tmp_path, capsys)
+def test_out_of_order_node_lines_exit_2(tmp_path, capsys, old_format_dir):
+    # old-format labels intact, two lines swapped: every entry point rejects
+    # the node (the v2 layout has no labels to disorder)
+    out_dir = old_format_dir
     path = out_dir / "node_001.txt"
     head, first, second, *rest = path.read_text().splitlines()
     path.write_text("\n".join([head, second, first, *rest]) + "\n")
@@ -293,11 +341,12 @@ def test_extend_chain(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["nodes"] == 5
     assert payload["data_symbols"] == 10
-    # old node files are literal prefixes of the new ones
+    # old payloads are literal prefixes of the new ones, which gain the new
+    # block's symbol
     for x in range(1, 5):
-        old = (out_dir / f"node_{x:03d}.txt").read_text().splitlines()
-        new = (bigger / f"node_{x:03d}.txt").read_text().splitlines()
-        assert new[1:4] == old[1:]
+        old = (out_dir / f"node_{x:03d}.txt").read_text().splitlines()[1]
+        new = (bigger / f"node_{x:03d}.txt").read_text().splitlines()[1]
+        assert new[: len(old)] == old and len(new) == len(old) + 2
     back = tmp_path / "ext.bin"
     code, _ = run(capsys, "reconstruct", "--node-dir", str(bigger),
                   "--nodes", "1,3,5", "--out", str(back))
@@ -310,18 +359,57 @@ def test_extend_chain(tmp_path, capsys):
 
 def test_extend_of_corrupted_dir_exits_3_and_writes_nothing(tmp_path, capsys):
     _, out_dir, _ = encode_small(tmp_path, capsys)
-    path = out_dir / "node_002.txt"
-    head, first, *rest = path.read_text().splitlines()
-    block, sym = first.split()
-    path.write_text("\n".join([head, f"{block} {int(sym, 16) ^ 1:02x}", *rest]) + "\n")
+    rewrite_flipped(out_dir, 2)
     extra = tmp_path / "extra.bin"
     extra.write_bytes(b"\xaa\xbb")
     bigger = tmp_path / "bigger"
-    code, _ = run(capsys, "extend", "--node-dir", str(out_dir),
-                  "--new-data", str(extra), "--out-dir", str(bigger))
+    code = main(["extend", "--node-dir", str(out_dir),
+                 "--new-data", str(extra), "--out-dir", str(bigger)])
     assert code == 3
+    assert capsys.readouterr().err == (
+        "integrity error: block 1: mismatch seen at position 2 (node 3)\n")
     written = list(bigger.glob("node_*.txt")) + list(bigger.glob("code.json"))
     assert written == []
+
+
+def test_old_format_dir_reads_and_is_rewritten_as_v2(tmp_path, capsys, old_format_dir):
+    # the same data and exit codes as when this layout was the written one;
+    # repair and extend write v2 files, identical to a fresh v2 directory's
+    _, fresh, _ = encode_small(tmp_path, capsys)
+    back = tmp_path / "back.bin"
+    code, _ = run(capsys, "reconstruct", "--node-dir", str(old_format_dir),
+                  "--nodes", "1,2,4", "--out", str(back))
+    assert code == 0
+    assert back.read_bytes() == DATA8
+
+    extra = tmp_path / "extra.bin"
+    extra.write_bytes(b"\xaa\xbb")
+    for src, dst in ((old_format_dir, "old_bigger"), (fresh, "fresh_bigger")):
+        code, _ = run(capsys, "extend", "--node-dir", str(src),
+                      "--new-data", str(extra), "--out-dir", str(tmp_path / dst))
+        assert code == 0
+    assert dir_digest(tmp_path / "old_bigger") == dir_digest(tmp_path / "fresh_bigger")
+
+    (old_format_dir / "node_004.txt").unlink()
+    code, out = run(capsys, "repair", "--node-dir", str(old_format_dir),
+                    "--failed", "4", "--helpers", "1,2,3")
+    assert code == 0
+    assert json.loads(out)["totals"]["naive"] == [6, 1]
+    assert (old_format_dir / "node_004.txt").read_bytes() == (fresh / "node_004.txt").read_bytes()
+    # a directory of both layouts reads as one
+    code, _ = run(capsys, "reconstruct", "--node-dir", str(old_format_dir),
+                  "--nodes", "1,2,3,4", "--out", str(back))
+    assert code == 0
+    assert back.read_bytes() == DATA8
+
+    # an old-format symbol changed on disk meets the decode, as before
+    path = old_format_dir / "node_001.txt"
+    path.write_text(path.read_text().replace("\n1 01\n", "\n1 00\n"))
+    code = main(["reconstruct", "--node-dir", str(old_format_dir),
+                 "--nodes", "1,2,3,4", "--out", str(back)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "integrity error: block 1: mismatch seen at position 2 (node 3)\n")
 
 
 def oversized_designs():
@@ -354,6 +442,17 @@ def test_oversized_designs_exit_2_before_expansion(tmp_path, capsys, monkeypatch
         }))
         code, _ = run(capsys, "reconstruct", "--node-dir", str(node_dir), "--nodes", "1")
         assert code == 2
+    # a complete design is stored as its shape; C(40, 20) blocks are refused
+    # before complete_design builds any
+    node_dir = tmp_path / "complete"
+    node_dir.mkdir()
+    (node_dir / "code.json").write_text(json.dumps({
+        "format": "regencodes-node-dir", "format_version": 2, "construction": "layered",
+        "params": {"n": 40, "k": 39, "d": 39, "e": 1, "m": 1, "r": 20, "t": 20},
+        "field": {"w": 8}, "design": {"n": 40, "r": 20, "t": 20, "complete": True},
+    }))
+    assert main(["reconstruct", "--node-dir", str(node_dir), "--nodes", "1"]) == 2
+    assert "more than 100000 blocks" in capsys.readouterr().err
 
 
 def test_precoded_round_trip(tmp_path, capsys):
@@ -375,7 +474,7 @@ def test_precoded_round_trip(tmp_path, capsys):
     assert meta["construction"] == "precoded"
     assert meta["field"]["kappa"] == 10
     head = (out_dir / "node_001.txt").read_text().splitlines()[0]
-    assert head.endswith("precoded=1 kappa=10")
+    assert head.startswith("v2 1 4 crc=") and head.endswith(" kappa=10")
     back = tmp_path / "pback.bin"
     code, _ = run(capsys, "reconstruct", "--node-dir", str(out_dir),
                   "--nodes", "2,4,5", "--out", str(back))

@@ -21,6 +21,77 @@ HEX = "0123456789abcdef"
 WRONG_TYPES = ["x", "", None, [], [3], {}, {"n": 5}, 2.5, True, -1]
 ANY = {0, 2, 3}
 REFUSED = {2}
+CHECKSUM = {3}
+
+# -- v2 node files: [header, payload] --------------------------------------------
+
+
+def flip_digit(files, rng):
+    name, lines = pick_node(files, rng)
+    payload = lines[1]
+    j = rng.randrange(len(payload))
+    lines[1] = payload[:j] + rng.choice(HEX.replace(payload[j], "")) + payload[j + 1:]
+    # the checksum names the node before any decode, redundancy or not
+    return f"flip {name} digit {j}", name, CHECKSUM
+
+
+def widen_digit(files, rng):
+    name, lines = pick_node(files, rng)
+    j = rng.randrange(len(lines[1]) + 1)
+    lines[1] = lines[1][:j] + rng.choice(HEX) * rng.randrange(1, 4) + lines[1][j:]
+    return f"widen {name} at digit {j}", name, REFUSED
+
+
+def truncate_payload(files, rng):
+    name, lines = pick_node(files, rng)
+    j = rng.randrange(len(lines[1]))
+    lines[1] = lines[1][:j]
+    return f"truncate {name} payload to {j} digits", name, REFUSED
+
+
+def drop_line(files, rng):
+    name, lines = pick_node(files, rng)
+    i = rng.randrange(len(lines))
+    del lines[i]
+    return f"drop {name} line {i + 1}", name, REFUSED
+
+
+def duplicate_line(files, rng):
+    name, lines = pick_node(files, rng)
+    i = rng.randrange(len(lines))
+    lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    return f"duplicate {name} line {i + 1}", name, REFUSED
+
+
+def garble_crc(files, rng):
+    name, lines = pick_node(files, rng)
+    head = lines[0].split()
+    crc = head[3][len("crc="):]
+    wrong = f"{int(crc, 16) ^ (1 << rng.randrange(32)):08x}"
+    head[3] = rng.choice([
+        "crc=", "crc=x", f"crc={crc[:-1]}", f"crc={crc}0", f"crc={crc.upper()}",
+        f"CRC={crc}", f"crc=0x{crc}", crc, f"crc={wrong}",
+    ])
+    lines[0] = " ".join(head)
+    # a well-formed checksum that does not match is an integrity failure
+    return f"crc of {name} -> {head[3]!r}", name, CHECKSUM if head[3] == f"crc={wrong}" else REFUSED
+
+
+def garble_header(files, rng):
+    name, lines = pick_node(files, rng)
+    head = lines[0].split()
+    i = rng.randrange(len(head))
+    head[i] = rng.choice([t for t in (
+        "", "x", "-1", "0", "999", "v1", "v3", "kappa=", "kappa=x", "kappa=11",
+        str(int(head[1]) % node_count(files) + 1), head[i] + "0",
+    ) if t != head[i]])
+    if rng.random() < 0.2:
+        del head[rng.randrange(len(head))]
+    lines[0] = " ".join(head)
+    return f"header of {name} -> {lines[0]!r}", name, REFUSED
+
+
+# -- old-format node files: [header, "block hex", ...] -----------------------------
 
 
 def flip_symbol(files, rng):
@@ -42,20 +113,6 @@ def widen_symbol(files, rng):
     return f"widen {name} line {i + 1}", name, REFUSED
 
 
-def drop_line(files, rng):
-    name, lines = pick_node(files, rng)
-    i = rng.randrange(len(lines))
-    del lines[i]
-    return f"drop {name} line {i + 1}", name, REFUSED
-
-
-def duplicate_line(files, rng):
-    name, lines = pick_node(files, rng)
-    i = rng.randrange(len(lines))
-    lines.insert(rng.randrange(len(lines) + 1), lines[i])
-    return f"duplicate {name} line {i + 1}", name, REFUSED
-
-
 def reorder_lines(files, rng):
     name, lines = pick_node(files, rng)
     i, j = rng.sample(range(len(lines)), 2)
@@ -63,18 +120,21 @@ def reorder_lines(files, rng):
     return f"swap {name} lines {i + 1} and {j + 1}", name, REFUSED
 
 
-def garble_header(files, rng):
+def garble_v1_header(files, rng):
     name, lines = pick_node(files, rng)
     head = lines[0].split()
     i = rng.randrange(len(head))
-    head[i] = rng.choice([
+    head[i] = rng.choice([t for t in (
         "", "x", "-1", "0", "999", "precoded=0", "kappa=", "kappa=x",
         "kappa=11", str(int(head[0]) % node_count(files) + 1), head[i] + "0",
-    ])
+    ) if t != head[i]])
     if rng.random() < 0.2:
         del head[rng.randrange(len(head))]
     lines[0] = " ".join(head)
     return f"header of {name} -> {lines[0]!r}", name, REFUSED
+
+
+# -- code.json ------------------------------------------------------------------------
 
 
 def retype_meta_key(files, rng):
@@ -105,10 +165,12 @@ def wrong_modulus(files, rng):
     return f"code.json modulus = {field['modulus']!r}", None, REFUSED
 
 
-MUTATIONS = [
-    flip_symbol, widen_symbol, drop_line, duplicate_line, reorder_lines,
-    garble_header, retype_meta_key, drop_meta_key, wrong_modulus,
-]
+def garble_complete_design(files, rng):
+    design = files["code.json"]["design"]
+    key = rng.choice(sorted(design))
+    design[key] = rng.choice([False, 1, "true", None] if key == "complete"
+                             else [design[key] - 1, design[key] + 1, 0])
+    return f"code.json design.{key} = {design[key]!r}", None, REFUSED
 
 
 def move_block_member(files, rng):
@@ -119,7 +181,16 @@ def move_block_member(files, rng):
     return f"code.json design block {block}", None, REFUSED
 
 
-LAYERED_MUTATIONS = [m for m in MUTATIONS if m is not wrong_modulus] + [move_block_member]
+NODE_MUTATIONS = [
+    flip_digit, widen_digit, truncate_payload, drop_line, duplicate_line, garble_crc,
+    garble_header,
+]
+META_MUTATIONS = [retype_meta_key, drop_meta_key]
+PRECODED_MUTATIONS = NODE_MUTATIONS + META_MUTATIONS + [wrong_modulus]
+LAYERED_MUTATIONS = NODE_MUTATIONS + META_MUTATIONS + [garble_complete_design]
+V1_MUTATIONS = [
+    flip_symbol, widen_symbol, drop_line, duplicate_line, reorder_lines, garble_v1_header,
+] + META_MUTATIONS + [move_block_member]
 
 
 def node_count(files):
@@ -151,17 +222,21 @@ def run_cli(capsys, argv, desc, allowed):
     return code
 
 
-def fuzz_node_dir(tmp_path, capsys, encode_argv, data, mutations, n, max_failed):
+def encode_dir(tmp_path, capsys, encode_argv, data):
     (tmp_path / "data.bin").write_bytes(data)
     node_dir = tmp_path / "nodes"
     assert main([*encode_argv, "--data", str(tmp_path / "data.bin"),
                  "--out-dir", str(node_dir)]) == 0
     capsys.readouterr()
+    return node_dir
+
+
+def fuzz_node_dir(tmp_path, capsys, node_dir, mutations, max_failed):
     pristine = {"code.json": json.loads((node_dir / "code.json").read_text())}
+    n, k = (pristine["code.json"]["params"][key] for key in "nk")
     for x in range(1, n + 1):
         name = f"node_{x:03d}.txt"
         pristine[name] = (node_dir / name).read_text().splitlines()
-    k = pristine["code.json"]["params"]["k"]
 
     rng = random.Random(20181)
     seen = set()
@@ -185,20 +260,26 @@ def fuzz_node_dir(tmp_path, capsys, encode_argv, data, mutations, n, max_failed)
 
 
 def test_fuzzed_precoded_node_dir_exits_cleanly(tmp_path, capsys):
-    fuzz_node_dir(
+    node_dir = encode_dir(
         tmp_path, capsys,
         ["encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
          "--e", "1", "--m", "1", "--r", "2"],
         b"".join((v * 40503 % (1 << 20)).to_bytes(3, "big") for v in range(9)),
-        MUTATIONS, n=5, max_failed=1,
     )
+    fuzz_node_dir(tmp_path, capsys, node_dir, PRECODED_MUTATIONS, max_failed=1)
 
 
 def test_fuzzed_layered_node_dir_exits_cleanly(tmp_path, capsys):
     # the complete design of 4-sets over 6 nodes, (4, 2) groups over GF(2^8)
-    fuzz_node_dir(
+    node_dir = encode_dir(
         tmp_path, capsys,
         ["encode", "--n", "6", "--m", "2", "--e", "2", "--d", "4", "--r", "4"],
         bytes(v * 97 % 256 for v in range(30)),
-        LAYERED_MUTATIONS, n=6, max_failed=2,
     )
+    fuzz_node_dir(tmp_path, capsys, node_dir, LAYERED_MUTATIONS, max_failed=2)
+
+
+def test_fuzzed_old_format_node_dir_exits_cleanly(tmp_path, capsys, old_format_dir):
+    # the old layout's labelled lines and block lists; repair writes v2 files,
+    # which each round overwrites
+    fuzz_node_dir(tmp_path, capsys, old_format_dir, V1_MUTATIONS, max_failed=1)

@@ -1,6 +1,7 @@
 """Layered code behavior: geometry, round trips, repair, extension, node files."""
 
 import itertools
+import zlib
 
 import pytest
 
@@ -11,6 +12,7 @@ from regencodes import (
     ValidationError,
     binary_field,
     build_code,
+    build_precoded,
     bundled_design,
 )
 from regencodes.bandwidth import beta_oracle
@@ -283,37 +285,85 @@ def test_out_of_order_lines_are_rejected_everywhere():
 # -- node text format -------------------------------------------------------------
 
 
-def test_node_text_round_trip(example_state):
+def test_node_text_round_trip(example_code, example_state):
     _, state = example_state
     for nc in state:
         text = node_contents_to_text(nc, hex_width=2)
-        parsed, kappa = node_contents_from_text(text)
+        head, payload = text.splitlines()
+        assert head == f"v2 {nc.node} 7 crc={zlib.crc32(payload.encode()):08x}"
+        assert payload == "".join(f"{sym:02x}" for _, sym in nc.symbols)
+        parsed, kappa = node_contents_from_text(text, example_code)
         assert parsed == nc
         assert kappa is None
 
 
+def test_node_text_odd_hex_widths():
+    # one hex digit per GF(2^4) symbol, three per GF(2^12) symbol
+    for w, width in ((4, 1), (12, 3)):
+        code = build_code(SystemParams(n=4, k=3, d=3, e=1, m=1, r=3, t=3),
+                          field=binary_field(w))
+        state = code.encode([(7 * i + 5) % (1 << w) for i in range(code.data_len)])
+        for nc in state:
+            text = node_contents_to_text(nc, hex_width=width)
+            assert len(text.splitlines()[1]) == 3 * width
+            assert node_contents_from_text(text, code) == (nc, None)
+
+
 def test_node_text_precoded_header():
-    nc = NodeContents(node=3, symbols=((1, 0xAB), (2, 0x01)))
-    text = node_contents_to_text(nc, hex_width=2, kappa=40)
-    assert text.splitlines()[0] == "3 2 precoded=1 kappa=40"
-    parsed, kappa = node_contents_from_text(text)
+    code = build_precoded(n=5, k=3, d=4, e=1, m=1, r=2)
+    nc = code.encode(list(range(1, code.data_len + 1)))[2]
+    text = node_contents_to_text(nc, hex_width=code.field.hex_width, kappa=code.field.kappa)
+    head, payload = text.splitlines()
+    assert head == f"v2 3 4 crc={zlib.crc32(payload.encode()):08x} kappa=10"
+    assert len(payload) == 4 * code.field.hex_width
+    parsed, kappa = node_contents_from_text(text, code.inner)
     assert parsed == nc
-    assert kappa == 40
+    assert kappa == 10
 
 
-def test_node_text_parse_errors():
-    with pytest.raises(ValidationError):
-        node_contents_from_text("")
-    with pytest.raises(ValidationError):
-        node_contents_from_text("1\n")
-    with pytest.raises(ValidationError):
-        node_contents_from_text("1 2\n1 aa\n")  # count mismatch
-    with pytest.raises(ValidationError):
-        node_contents_from_text("1 1\n1 aa zz\n")
-    with pytest.raises(ValidationError):
-        node_contents_from_text("1 1\n0 aa\n")  # block index must be >= 1
-    with pytest.raises(ValidationError):
-        node_contents_from_text("1 1 precoded=0 kappa=4\n1 aa\n")
+def test_node_text_parse_errors(example_code):
+    # the old format, labels and all
+    for text in ("", "1\n", "1 2\n1 aa\n", "1 1\n1 aa zz\n", "1 1\n0 aa\n",
+                 "1 1 precoded=0 kappa=4\n1 aa\n"):
+        with pytest.raises(ValidationError):
+            node_contents_from_text(text, example_code)
+
+
+def test_v2_node_text_refuses_structural_faults(example_code, example_state):
+    # each fault is refused before the checksum is compared, and so exits 2
+    _, state = example_state
+    head, payload = node_contents_to_text(state[0], hex_width=2).splitlines()
+    crc = head.split()[3]
+
+    def v2(payload, alpha=7, crc_token=None):
+        token = crc_token or f"crc={zlib.crc32(payload.encode()):08x}"
+        return f"v2 1 {alpha} {token}\n{payload}\n"
+
+    cases = [  # (text, the refusal it meets)
+        (v2(payload[:-2]), "payload holds 12 hex digits"),  # short payload
+        (v2(payload[:-1]), "payload holds 13 hex digits"),  # odd width
+        (v2("zz" + payload[2:]), "other than 0-9a-f"),
+        (v2(payload.upper()), "other than 0-9a-f"),
+        (v2(payload, crc_token="crc=12345"), "bad checksum token"),
+        (v2(payload, crc_token="crc=1234567g"), "bad checksum token"),
+        (v2("not even hex", alpha=6), "header says alpha=6"),  # before the payload
+        (f"v2 1 7\n{payload}\n", "bad node header"),
+        (f"{head} kappa=x\n{payload}\n", "bad node header"),
+        (f"v2 9 7 {crc}\n{payload}\n", "node id 9 out of range"),
+        (f"{head}\n", "not 1"),
+        (f"{head}\n{payload}\n{payload}\n", "not 3"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            node_contents_from_text(text, example_code)
+
+
+def test_v2_node_text_checksum_names_the_node(example_code, example_state):
+    _, state = example_state
+    head, payload = node_contents_to_text(state[4], hex_width=2).splitlines()
+    flipped = payload[:5] + ("0" if payload[5] != "0" else "1") + payload[6:]
+    with pytest.raises(IntegrityError, match=r"^node 5: payload fails its checksum crc="):
+        node_contents_from_text(f"{head}\n{flipped}\n", example_code)
 
 
 def _first_mismatch_pair(code, given_nodes, blocks):
