@@ -377,8 +377,6 @@ def node_contents_to_text(nc: NodeContents, hex_width: int, kappa: Optional[int]
     symbols = [sym for _, sym in nc.symbols]
     if hex_width == 2:
         payload = bytes(symbols).hex()
-    elif hex_width == 1:
-        payload = bytes(symbols).hex()[1::2]  # drop each byte's zero high digit
     else:
         payload = "".join(f"{sym:0{hex_width}x}" for sym in symbols)
     head = f"v2 {nc.node} {nc.alpha} crc={zlib.crc32(payload.encode()):08x}"

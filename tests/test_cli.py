@@ -212,6 +212,12 @@ def test_symbol_range_is_checked(tmp_path, capsys):
         "--data", str(data), "--out-dir", str(tmp_path / "x"),
     )
     assert code == 2
+    # the error names the first symbol out of range
+    data.write_bytes(bytes([1, 15, 0, 16, 17, 2, 3, 4]))
+    code = main(["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+                 "--field-width", "4", "--data", str(data), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: symbol #3 in {data} exceeds 4 bits\n"
 
 
 def test_missing_node_file_exits_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Seeded fuzzing of a precoded and a layered node directory through the CLI.
+"""Seeded fuzzing of precoded, layered and old-format node directories through the CLI.
 
 Every mutated node file or code.json must end in one of the documented exit
 codes (0 ok, 2 invalid input, 3 integrity failure), never in an uncaught
@@ -7,7 +7,10 @@ would raise IndexError from their tables, or compute garbage, and one
 reaching the GF(2^8) column kernel would not fit its bytes. Each mutation
 returns the node file it touched (None for code.json) and the exit codes
 allowed when a command reads that file; a command that does not read it
-must succeed.
+must succeed. A v2 node file whose payload or checksum digits change but
+keep their layout fails its checksum (exit 3) whatever the redundancy; any
+other change to it is refused (exit 2). Old-format files carry no checksum, so a
+changed symbol shows only where a decode has a symbol to spare.
 """
 
 import json
