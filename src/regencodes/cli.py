@@ -143,7 +143,7 @@ def _symbol_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def _read_data_file(path: Path, count: int, bits: int) -> list[int]:
+def _read_data_file(path: Path, count: int, bits: int) -> Sequence[int]:
     nbytes = _symbol_bytes(bits)
     try:
         blob = path.read_bytes()
@@ -155,7 +155,7 @@ def _read_data_file(path: Path, count: int, bits: int) -> list[int]:
             f"{count} symbols x {nbytes} bytes = {count * nbytes}"
         )
     if nbytes == 1:
-        out = list(blob)
+        out = blob  # one int per symbol already
     else:
         out = [int.from_bytes(blob[i : i + nbytes], "big") for i in range(0, len(blob), nbytes)]
     if max(out, default=0) >> bits:
@@ -304,11 +304,6 @@ def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]
     return out
 
 
-def _field_bits(code) -> int:
-    # a precoded code's symbols are extension-field elements
-    return code.field.w if _node_kappa(code) is None else code.field.degree
-
-
 def _layered_meta(code: LayeredCode) -> dict:
     p, design = code.params, code.design
     stored = {"n": design.n, "r": design.r, "t": design.t}
@@ -403,7 +398,7 @@ def _cmd_encode(args) -> int:
                               m=m, r=args.r, w=args.field_width)
         meta = _precoded_meta(code)
 
-    bits = _field_bits(code)
+    bits = code.field.order.bit_length() - 1  # a precoded code's: the extension field's
     data = _read_data_file(Path(args.data), code.data_len, bits)
     state = code.encode(data)
     written = _save_node_dir(out_dir, meta, code, state)
@@ -451,7 +446,7 @@ def _cmd_reconstruct(args) -> int:
     nodes = _int_list(args.nodes, "--nodes")
     state = _load_nodes(dirpath, sorted(set(nodes)), code)
     data = code.reconstruct(state)
-    bits = _field_bits(code)
+    bits = code.field.order.bit_length() - 1
     blob = _data_to_bytes(data, bits)
     if args.out:
         path = _resolve(args.out)

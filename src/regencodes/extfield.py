@@ -21,11 +21,12 @@ Arithmetic is table-driven (Plank, Greenan and Miller, "Screaming Fast
 Galois Field Arithmetic", FAST 2013, without SIMD); each field builds two
 tables from its modulus alone, once, in the constructor:
 
-- a reduction table of 16 entries, red[t] = (t << D) ^ ((t << D) mod
-  modulus) for degree D. mul(a, b) makes the 16 unreduced multiples of a
-  (each below 2^(D+3)) and walks b four bits at a time from the top:
-  p = (p << 4) ^ multiple[nibble], then p ^= red[p >> D] clears the bits
-  above D. One call is about D/4 table steps instead of D bit steps.
+- a reduction table of 256 entries, red[t] = (t << D) ^ ((t << D) mod
+  modulus) for degree D, shared with the modulus search's squarings, which
+  clear the bits above D a byte at a time. mul(a, b) makes the 16
+  unreduced multiples of a (each below 2^(D+3)) and walks b four bits at a
+  time from the top: p = (p << 4) ^ multiple[nibble], then p ^= red[p >> D]
+  clears the bits above D, about D/4 table steps instead of D bit steps.
 - Frobenius tables. z -> z^q is GF(2)-linear, so the images of the D unit
   monomials x^i (w squarings each) fix it; they are summed into ceil(D/8)
   tables of up to 256 entries, one per byte of the operand, and
@@ -43,19 +44,14 @@ from typing import Iterable, Sequence
 from .errors import IntegrityError, ValidationError
 from .gf import BinaryField, binary_field, lincomb_loop
 
-# at D = 1024 the modulus search takes about 13 s and the Frobenius tables
-# about 5 MB; D = 2048 takes minutes (2 cores, Python 3.11)
+# at D = 1024 the modulus search takes about 4.2 s (13 s when it reduced a
+# bit at a time) and the Frobenius tables about 5 MB; D = 2048 takes about
+# 110 s (2-core x86-64 VM, Python 3.11)
 MAX_EXTENSION_DEGREE = 1024
 
-# squaring spreads bits: byte b -> 16-bit word with b's bits at even offsets
-_SPREAD = [0] * 256
-for _b in range(256):
-    _v = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _v |= 1 << (2 * _i)
-    _SPREAD[_b] = _v
-del _b, _v, _i
+# squaring spreads bits: byte b -> the 16-bit word of b's bits at even offsets, as two bytes
+_SPREAD = [sum(1 << 2 * i for i in range(8) if b >> i & 1) for b in range(256)]
+_SPREAD_LO, _SPREAD_HI = bytes(v & 0xFF for v in _SPREAD), bytes(v >> 8 for v in _SPREAD)
 
 
 def _polyrem(a: int, b: int) -> int:
@@ -71,14 +67,27 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+@lru_cache(maxsize=4)
+def _reduction_table(modulus: int) -> tuple[int, ...]:
+    """red[t] = (t << D) ^ ((t << D) mod modulus) for each byte t, D the degree."""
+    d = modulus.bit_length() - 1
+    red = [0]
+    for j in range(8):  # red is GF(2)-linear in t: double it one bit of t at a time
+        unit = (1 << d + j) ^ _polyrem(1 << d + j, modulus)
+        red += [v ^ unit for v in red]
+    return tuple(red)
+
+
 def _sqrmod(a: int, modulus: int) -> int:
-    out = 0
-    k = 0
-    while a:
-        out |= _SPREAD[a & 0xFF] << k
-        a >>= 8
-        k += 16
-    return _polyrem(out, modulus)
+    """a^2 mod modulus: spread a's bits, then clear the bits past the degree a byte at a time."""
+    b = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    sq = bytearray(2 * len(b))
+    sq[0::2], sq[1::2] = b.translate(_SPREAD_LO), b.translate(_SPREAD_HI)
+    p = int.from_bytes(sq, "little")
+    red, d = _reduction_table(modulus), modulus.bit_length() - 1
+    for s in range((p.bit_length() - 1 - d) & ~7, -1, -8):
+        p ^= red[p >> (d + s)] << s
+    return p
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -166,11 +175,9 @@ class BinaryExtensionField:
         if self.degree < 2:
             raise ValidationError("GF(2) needs no extension machinery; use BinaryField")
         self.modulus = find_modulus(self.degree)
-        self._top = 1 << self.degree
+        self.order = 1 << self.degree
         # every multiply, construction included, goes through _red
-        self._red = tuple(
-            (t << self.degree) ^ _polyrem(t << self.degree, self.modulus) for t in range(16)
-        )
+        self._red = _reduction_table(self.modulus)
         images = self._frobenius_images()
         self._frob = self._frobenius_tables(images)
         self._beta_pows = self._embed_subfield(images)
@@ -306,7 +313,7 @@ class BinaryExtensionField:
         return g1
 
     def contains(self, a: object) -> bool:
-        return isinstance(a, int) and 0 <= a < self._top
+        return isinstance(a, int) and 0 <= a < self.order
 
     @staticmethod
     def column(symbols: Iterable[int]) -> tuple:

@@ -18,6 +18,7 @@ elements.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -143,6 +144,13 @@ def lincomb_loop(mul, weights: Sequence[int], columns: Sequence) -> tuple:
     for c, col in zip(weights, columns):
         out = [o ^ mul(v, c) for o, v in zip(out, col)]
     return tuple(out)
+
+
+def check_symbols(field, symbols: Sequence, message: str) -> None:
+    """ValidationError(message.format(s)) for the first s not in field; one max() clears bytes."""
+    if not (isinstance(symbols, bytes) and max(symbols, default=0) < field.order):
+        for s in filterfalse(field.contains, symbols):
+            raise ValidationError(message.format(s))
 
 
 @lru_cache(maxsize=None)

@@ -7,30 +7,24 @@ symbol per member. Any k = n-m nodes reconstruct everything (each block
 keeps >= r-m symbols), and up to m simultaneous failures are repaired
 exactly from any d >= k helpers, group by group.
 
-Every operation completes some blocks' codewords in one block-major list
-(entry b*r + pos holds position pos of block b, None where unknown) and
-reads its output from it. _decode fills in the listed blocks. Blocks with
-the same lowest r-m given positions share generator rows, so each such set
-is one MdsCodec.decode_many call, with a column of symbols per position.
-Every other given symbol is checked against its block's codeword; if any
-disagrees, the lowest such block raises "block B: mismatch seen at position
-P (node X)" for its first mismatching position, the same error a
-block-by-block decode meets first. Reconstruct, repair and extend decode
-through it; encode has nothing to check and is one decode_many call.
+A node holds its column (gf.py: bytes for w <= 8, else a tuple), one
+symbol per slot, blocks ascending. One slot map permutes node-major order
+(node 1's column, then node 2's, ...) into block-major order (entry b*r +
+pos is position pos of block b), by itemgetter gathers. Blocks are grouped
+by the roles of their positions (given, lost, neither): a group is one
+MdsCodec.decode_many call through its lowest r-m given positions, and each
+further given position is one column compared with the decoded one. On a
+mismatch the lowest such block raises "block B: mismatch seen at position
+P (node X)" for its first mismatching position, as a block-by-block decode
+would.
 
-A node file is two lines: the header `v2 NODE ALPHA crc=XXXXXXXX
-[kappa=K]`, then the payload, the node's alpha symbols in slot order
-(ascending block order) as fixed-width lowercase hex with no separators or
-block labels. crc is zlib.crc32 of the payload line as written; it covers
-the symbols, and every header field is checked against the code instead.
-The reader refuses a malformed header, an alpha the code does not have, a
-payload of the wrong length or with a non-hex digit (ValidationError), and
-only then compares the checksum: a mismatch raises IntegrityError naming
-the node before any decode. It takes the block labels of NodeContents from
-the code's slots. The old format, a `node alpha [precoded=1 kappa=K]`
-header and one `block_index hex_symbol` line per symbol, is still read,
-never written; its labels come from the file, and every entry point checks
-them against the design and rejects lines out of slot order.
+A node file is the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and the
+column as one line of fixed-width lowercase hex; crc is zlib.crc32 of that
+line. A bad header, alpha, payload length or digit raises ValidationError;
+then a checksum mismatch raises IntegrityError naming the node, before any
+decode. The old format, a `node alpha [precoded=1 kappa=K]` header and one
+`block_index hex_symbol` line per symbol, is still read, never written;
+its labels must match the code's slots.
 """
 
 from __future__ import annotations
@@ -39,13 +33,18 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
 from .errors import IntegrityError, ValidationError
-from .gf import binary_field
+from .gf import binary_field, check_symbols
 from .mds import MdsCodec, mds_codec
+
+GIVEN, LOST = 1, 2  # a position's role in _groups; 0 is neither
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,17 @@ class SystemParams:
 @dataclass(frozen=True)
 class NodeContents:
     node: int
-    symbols: tuple[tuple[int, int], ...]  # (1-based block index, symbol), ascending
+    symbols: Sequence[int]  # the node's column: one symbol per slot, blocks ascending
 
     @property
     def alpha(self) -> int:
         return len(self.symbols)
+
+
+def _gather(indices: Sequence[int]):
+    """seq -> the tuple of seq's items at the indices."""
+    get = itemgetter(*indices)
+    return get if len(indices) != 1 else lambda seq: (get(seq),)
 
 
 class LayeredCode:
@@ -102,16 +107,21 @@ class LayeredCode:
         self.block_count = design.block_count
         self.data_len = design.block_count * (params.r - params.m)
         self.alpha = stats.alpha
-        slots: dict[int, list[tuple[int, int]]] = {x: [] for x in range(1, params.n + 1)}
-        for b, block in enumerate(design.blocks):
-            for pos, x in enumerate(block):
-                slots[x].append((b, pos))
-        for x, sl in slots.items():
-            if len(sl) != self.alpha:
+        # the slot map: node-major entry i (slot i % alpha of its node) is block-major _slots[i]
+        by_node: list[list[int]] = [[] for _ in range(params.n + 1)]
+        for i, x in enumerate(chain.from_iterable(design.blocks)):
+            by_node[x].append(i)
+        for x in range(1, params.n + 1):
+            if len(by_node[x]) != self.alpha:
                 raise ValidationError(
-                    f"node {x} sits in {len(sl)} blocks, expected alpha={self.alpha}"
+                    f"node {x} sits in {len(by_node[x])} blocks, expected alpha={self.alpha}"
                 )
-        self._slots = {x: tuple(sl) for x, sl in slots.items()}
+        self._slots = list(chain.from_iterable(by_node))
+
+    @cached_property
+    def _to_blocks(self):
+        """Node-major sequence -> block-major tuple, the slot map's inverse (encode needs none)."""
+        return _gather(sorted(range(len(self._slots)), key=self._slots.__getitem__))
 
     # -- encoding / reconstruction -------------------------------------------
 
@@ -119,16 +129,11 @@ class LayeredCode:
         """Data -> contents of all n nodes, ordered by node id."""
         if len(data) != self.data_len:
             raise ValidationError(f"data must have {self.data_len} symbols, got {len(data)}")
-        for s in data:
-            if not self.field.contains(s):
-                raise ValidationError(f"symbol {s!r} is not a field element")
-        r, km = self.params.r, self.codec.dimension
-        # every block's message sits at positions 0..r-m-1: one batch, with
-        # no given symbol beyond the messages to check
-        cols = self.codec.decode_many(
-            range(km), [self.field.column(data[i::km]) for i in range(km)]
-        )
-        full: list = [None] * (self.block_count * r)
+        check_symbols(self.field, data, "symbol {!r} is not a field element")
+        r, km, column = self.params.r, self.codec.dimension, self.field.column
+        # every message sits at positions 0..r-m-1: one batch, nothing to check
+        cols = self.codec.decode_many(range(km), [column(data[i::km]) for i in range(km)])
+        full = [0] * (self.block_count * r)
         for pos, col in enumerate(cols):
             full[pos::r] = col
         return self._contents(full, range(1, self.params.n + 1))
@@ -136,12 +141,11 @@ class LayeredCode:
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents."""
         by_node = self._index_contents(contents)
-        if len(by_node) < self.params.k:
-            raise ValidationError(
-                f"need at least k={self.params.k} distinct nodes, got {len(by_node)}"
-            )
-        r, km = self.params.r, self.codec.dimension
-        full = self._decode(self._block_major(by_node), range(self.block_count))
+        r, k, km = self.params.r, self.params.k, self.codec.dimension
+        if len(by_node) < k:
+            raise ValidationError(f"need at least k={k} distinct nodes, got {len(by_node)}")
+        groups = self._groups(dict.fromkeys(by_node, bytes([GIVEN]) * self.alpha))
+        full = self._decode(self._node_major(by_node), groups, list(groups))
         data = [0] * self.data_len
         for i in range(km):
             data[i::km] = full[i::r]
@@ -181,45 +185,38 @@ class LayeredCode:
             raise ValidationError(f"helper contents missing for nodes {missing}")
 
         km = self.codec.dimension
-        failed_set, helper_set = set(failed_t), set(helpers_t)
-        # integer tallies, priced as Fractions once at the end: held_by[s, h]
-        # lists the helper of each symbol in the affected blocks that lost s
-        # symbols and keep h, read_by[s] each helper the naive decode reads
-        held_by: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-        read_by: defaultdict[int, list[int]] = defaultdict(list)
-        affected = []
-        for b, block in enumerate(self.design.blocks):
-            s = len(failed_set.intersection(block))
-            if s == 0:
-                continue
-            held = [x for x in block if x in helper_set]
+        roles = {**dict.fromkeys(helpers_t, GIVEN), **dict.fromkeys(failed_t, LOST)}
+        groups = self._groups({x: bytes([role]) * self.alpha for x, role in roles.items()})
+        affected = [key for key in groups if LOST in key]
+        # integer tallies per role pattern, priced once: held_by[s, h] counts helper symbols in
+        # affected blocks that lost s and keep h, read_by[s] the r-m lowest, which naive reads
+        held_by: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
+        read_by: defaultdict[int, Counter] = defaultdict(Counter)
+        for key in affected:  # in order of their lowest blocks
+            held = [pos for pos, role in enumerate(key) if role == GIVEN]
             if len(held) < km:
-                raise IntegrityError(
-                    f"block {block} holds {len(held)} helper symbols, fewer than r-m={km}"
-                )
-            held_by[s, len(held)] += held
-            read_by[s] += held[:km]
-            affected.append(b)
+                raise IntegrityError(f"block {self.design.blocks[groups[key][0]]} holds "
+                                     f"{len(held)} helper symbols, fewer than r-m={km}")
+            members = list(zip(*map(self.design.blocks.__getitem__, groups[key])))  # by position
+            s = key.count(LOST)
+            read = Counter(chain.from_iterable(members[pos] for pos in held[:km]))
+            read_by[s].update(read)
+            held_by[s, len(held)].update(read)
+            held_by[s, len(held)].update(chain.from_iterable(members[pos] for pos in held[km:]))
 
-        full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), affected)
+        full = self._decode(self._node_major({h: by_node[h] for h in helpers_t}), groups, affected)
 
         msmr = dict.fromkeys(helpers_t, Fraction(0))
         for (s, h_cnt), held in held_by.items():
-            for x, count in Counter(held).items():
+            for x, count in held.items():
                 msmr[x] += Fraction(count * s, h_cnt - km + s)
         naive = dict.fromkeys(helpers_t, Fraction(0))
         lnaive = dict.fromkeys(helpers_t, Fraction(0))
         for s, read in read_by.items():
-            for x, count in Counter(read).items():
+            for x, count in read.items():
                 naive[x] += count
                 lnaive[x] += count * s
-        report = BandwidthReport(
-            failed=failed_t,
-            helpers=helpers_t,
-            msmr=msmr,
-            naive=naive,
-            layered_naive=lnaive,
-        )
+        report = BandwidthReport(failed_t, helpers_t, msmr=msmr, naive=naive, layered_naive=lnaive)
         return self._contents(full, failed_t), report
 
     # -- extension ---------------------------------------------------------------
@@ -233,9 +230,8 @@ class LayeredCode:
         each old codeword gains one evaluation point (stored on the new node)
         and the new block encodes new_data. Old node contents stay literal
         prefixes of their new contents. Every stored symbol is checked first,
-        as in reconstruct: a corrupted one raises IntegrityError and nothing
-        is returned. Requires the complete t = r = k+e-1 layout, i.e.
-        n = k+e, d = k.
+        as in reconstruct. Requires the complete layout n = k+e, d = k,
+        t = r = k+e-1.
         """
         p = self.params
         if not (p.n == p.k + p.e and p.d == p.k and p.t == p.r and p.r == p.k + p.e - 1):
@@ -257,26 +253,22 @@ class LayeredCode:
             n=p.n + 1, k=p.k, d=p.d, e=p.e + 1, m=p.m + 1, r=p.r + 1, t=p.t + 1
         )
         new_code = LayeredCode(new_params, new_design, self.field)
-        for s in new_data:
-            if not self.field.contains(s):
-                raise ValidationError(f"symbol {s!r} is not a field element")
+        check_symbols(self.field, new_data, "symbol {!r} is not a field element")
 
-        # old nodes keep their positions in the new design, and the new
-        # codec's points are the old ones plus field.element(r), so each old
-        # codeword is a prefix of its new one; the new block's message sits
-        # on its first r-m positions. One decode checks every stored symbol
-        # and codes the new block with the rest.
-        full = new_code._block_major(by_node)
-        start = self.block_count * new_params.r
-        full[start : start + km] = new_data
-        new_code._decode(full, range(new_code.block_count))
+        # old codewords are prefixes of their new ones (same positions, points extended); the
+        # new block, every old node's last slot, carries new_data on nodes 1..r-m. One decode
+        # checks every stored symbol and codes the rest.
+        given = {x: (*by_node[x], new_data[x - 1] if x <= km else 0) for x in by_node}
+        roles = {x: bytes([GIVEN] * self.alpha + [GIVEN if x <= km else 0]) for x in by_node}
+        groups = new_code._groups(roles)
+        full = new_code._decode(new_code._node_major(given), groups, list(groups))
         return new_code, new_code._contents(full, range(1, new_node + 1))
 
     # -- helpers -----------------------------------------------------------------
 
-    def _index_contents(self, contents: Iterable[NodeContents]) -> dict[int, tuple[int, ...]]:
-        """Check each node against the design; node -> its symbols in slot order."""
-        by_node: dict[int, tuple[int, ...]] = {}
+    def _index_contents(self, contents: Iterable[NodeContents]) -> dict[int, Sequence[int]]:
+        """Check each node against the code; node -> its column."""
+        by_node: dict[int, Sequence[int]] = {}
         for nc in contents:
             x = nc.node
             if not 1 <= x <= self.params.n:
@@ -287,67 +279,68 @@ class LayeredCode:
                 raise ValidationError(
                     f"node {x} carries {nc.alpha} symbols, expected alpha={self.alpha}"
                 )
-            for (b, _), (blk_idx, sym) in zip(self._slots[x], nc.symbols):
-                if blk_idx != b + 1:
-                    raise ValidationError(
-                        f"node {x} lists block {blk_idx} where block {b + 1} belongs"
-                    )
-                if not self.field.contains(sym):
-                    raise ValidationError(f"node {x} holds a non-field symbol {sym!r}")
-            by_node[x] = tuple(sym for _, sym in nc.symbols)
+            check_symbols(self.field, nc.symbols, f"node {x} holds a non-field symbol {{!r}}")
+            by_node[x] = self.field.column(nc.symbols)
         return by_node
 
-    def _block_major(self, by_node: Mapping[int, Sequence[int]]) -> list:
-        """Entry b*r + pos holds the symbol at position pos of block b, or None."""
-        r = self.params.r
-        given: list = [None] * (self.block_count * r)
-        for x, syms in by_node.items():
-            for (b, pos), sym in zip(self._slots[x], syms):
-                given[b * r + pos] = sym
-        return given
+    def _node_major(self, by_node) -> list:
+        """The nodes' columns back to back in node order, zeros for absent nodes."""
+        zeros = (0,) * self.alpha
+        return list(chain.from_iterable(by_node.get(x, zeros) for x in range(1, self.params.n + 1)))
 
-    def _decode(self, full: list, blocks: Iterable[int]) -> list:
-        """Fill in every position of the listed blocks of _block_major's list.
+    def _groups(self, roles: dict[int, bytes]) -> dict[bytes, list[int]]:
+        """Blocks by the roles of their positions, from each node's slot roles (absent: 0)."""
+        by_entry, r = bytes(self._to_blocks(self._node_major(roles))), self.params.r
+        groups: dict[bytes, list[int]] = {}
+        for b, key in enumerate([by_entry[i : i + r] for i in range(0, len(by_entry), r)]):
+            groups.setdefault(key, []).append(b)
+        return groups
 
-        Works in place and returns the list. Blocks whose lowest r-m given
-        positions agree share one generator, so each such group is one
-        decode_many call. Every other given symbol is checked against its
-        block's codeword. A mismatch raises for the lowest block that has
-        one, at its first mismatching position: the error a block-by-block
-        decode meets first.
+    def _decode(self, given: Sequence[int], groups: dict[bytes, list[int]], wanted) -> list:
+        """Node-major symbols -> block-major, the wanted groups' codewords completed.
+
+        Checks every GIVEN symbol of those groups (module docstring).
         """
         r, km = self.params.r, self.codec.dimension
-        groups: dict[tuple[int, ...], list[int]] = {}  # chosen positions -> block starts
-        for b in blocks:
-            present = [pos for pos, v in enumerate(full[b * r : (b + 1) * r]) if v is not None]
-            groups.setdefault(tuple(present[:km]), []).append(b * r)
+        column = self.field.column
+        full = list(self._to_blocks(given))
+        # the blocks group by group, the wanted groups first
+        order = list(chain.from_iterable(groups[key] for key in wanted))
+        done = len(order)
+        order += chain.from_iterable(blocks for key, blocks in groups.items() if key not in wanted)
+        to_order = _gather(order)
+        by_pos = [to_order(full[pos::r]) for pos in range(r)]
+        parts: list[list] = [[] for _ in range(r)]
         mismatches = []
-        for chosen, starts in groups.items():
-            cols = self.codec.decode_many(
-                chosen, [self.field.column([full[s + pos] for s in starts]) for pos in chosen]
-            )
-            for pos, col in enumerate(cols):
-                if pos in chosen:
-                    continue
-                for s, sym in zip(starts, col):
-                    given = full[s + pos]
-                    if given is None:
-                        full[s + pos] = sym
-                    elif given != sym:
-                        mismatches.append((s // r, pos))
+        start = 0
+        for key in wanted:
+            blocks = groups[key]
+            end = start + len(blocks)
+            known = [pos for pos, role in enumerate(key) if role == GIVEN]
+            chosen = [column(by_pos[pos][start:end]) for pos in known[:km]]
+            cols = self.codec.decode_many(known[:km], chosen)
+            for pos in known[km:]:
+                have = column(by_pos[pos][start:end])
+                if have != cols[pos]:
+                    i = next(i for i, (u, v) in enumerate(zip(have, cols[pos])) if u != v)
+                    mismatches.append((blocks[i], pos))
+            for part, col in zip(parts, cols):
+                part.append(col)
+            start = end
         if mismatches:
             b, pos = min(mismatches)
             x = self.design.blocks[b][pos]
             raise IntegrityError(f"block {b + 1}: mismatch seen at position {pos} (node {x})")
+        back = _gather(sorted(range(len(order)), key=order.__getitem__))
+        for pos in range(r):
+            full[pos::r] = back(list(chain(*parts[pos], by_pos[pos][done:])))
         return full
 
     def _contents(self, full: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:
         """The nodes' contents, read from a completed block-major list."""
-        r = self.params.r
+        alpha, column = self.alpha, self.field.column
         return [
-            NodeContents(
-                node=x, symbols=tuple((b + 1, full[b * r + pos]) for b, pos in self._slots[x])
-            )
+            NodeContents(x, column(_gather(self._slots[(x - 1) * alpha : x * alpha])(full)))
             for x in nodes
         ]
 
@@ -373,12 +366,9 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def node_contents_to_text(nc: NodeContents, hex_width: int, kappa: Optional[int] = None) -> str:
-    """A node file: the v2 header, then the symbols as one fixed-width hex line."""
-    symbols = [sym for _, sym in nc.symbols]
-    if hex_width == 2:
-        payload = bytes(symbols).hex()
-    else:
-        payload = "".join(f"{sym:0{hex_width}x}" for sym in symbols)
+    """A node file: the v2 header, then the column as one fixed-width hex line."""
+    width, symbols = hex_width, nc.symbols
+    payload = bytes(symbols).hex() if width == 2 else "".join(f"{s:0{width}x}" for s in symbols)
     head = f"v2 {nc.node} {nc.alpha} crc={zlib.crc32(payload.encode()):08x}"
     if kappa is not None:
         head += f" kappa={kappa}"
@@ -393,7 +383,7 @@ def node_contents_from_text(text: str, code: LayeredCode) -> tuple[NodeContents,
     fails its checksum raises IntegrityError.
     """
     if text.split(None, 1)[:1] != ["v2"]:
-        return _node_contents_from_v1_text(text)
+        return _node_contents_from_v1_text(text, code)
     lines = text.splitlines()
     if len(lines) != 2:
         raise ValidationError(f"node file must be a header and a payload line, not {len(lines)}")
@@ -427,16 +417,13 @@ def node_contents_from_text(text: str, code: LayeredCode) -> tuple[NodeContents,
         raise ValidationError(f"node {node}: payload holds a character other than 0-9a-f")
     if zlib.crc32(payload.encode()) != int(crc, 16):
         raise IntegrityError(f"node {node}: payload fails its checksum crc={crc}")
-    if width == 2:
-        symbols = bytes.fromhex(payload)
-    else:
-        symbols = [int(payload[i : i + width], 16) for i in range(0, len(payload), width)]
-    labels = [b + 1 for b, _ in code._slots[node]]
-    return NodeContents(node=node, symbols=tuple(zip(labels, symbols))), kappa
+    symbols = bytes.fromhex(payload) if width == 2 else code.field.column(
+        int(payload[i : i + width], 16) for i in range(0, len(payload), width))
+    return NodeContents(node, symbols), kappa
 
 
-def _node_contents_from_v1_text(text: str) -> tuple[NodeContents, Optional[int]]:
-    """Parse an old-format node file, block labels and all."""
+def _node_contents_from_v1_text(text: str, code: LayeredCode) -> tuple[NodeContents, Optional[int]]:
+    """Parse an old-format node file; its block labels must match the code's slots."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValidationError("empty node file")
@@ -457,17 +444,24 @@ def _node_contents_from_v1_text(text: str) -> tuple[NodeContents, Optional[int]]
             raise ValidationError(f"bad kappa in header {lines[0]!r}") from None
     if len(lines) - 1 != alpha:
         raise ValidationError(f"node {node}: header says {alpha} symbols, file has {len(lines) - 1}")
-    symbols = []
+    labels, symbols = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'block hex', got {ln!r}")
         try:
-            b = int(parts[0])
-            sym = int(parts[1], 16)
+            labels.append(int(parts[0]))
+            symbols.append(int(parts[1], 16))
         except ValueError:
             raise ValidationError(f"line {lineno}: expected 'block hex', got {ln!r}") from None
-        if b < 1:
-            raise ValidationError(f"line {lineno}: block index {b} must be >= 1")
-        symbols.append((b, sym))
-    return NodeContents(node=node, symbols=tuple(symbols)), kappa
+        if labels[-1] < 1:
+            raise ValidationError(f"line {lineno}: block index {labels[-1]} must be >= 1")
+    if not (1 <= node <= code.params.n and alpha == code.alpha):
+        return NodeContents(node, tuple(symbols)), kappa  # _index_contents names the fault
+    for label, slot in zip(labels, code._slots[(node - 1) * alpha : node * alpha]):
+        if label != slot // code.params.r + 1:
+            raise ValidationError(
+                f"node {node} lists block {label} where block {slot // code.params.r + 1} belongs"
+            )
+    check_symbols(code.field, symbols, f"node {node} holds a non-field symbol {{!r}}")
+    return NodeContents(node, code.field.column(symbols)), kappa

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SymbolMismatch, ValidationError
+from .gf import check_symbols
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,7 @@ class MdsCodec:
         f = self.field
         if len(message) != self.dimension:
             raise ValidationError(f"message must have {self.dimension} symbols, got {len(message)}")
-        for s in message:
-            if not f.contains(s):
-                raise ValidationError(f"symbol {s!r} is not a field element")
+        check_symbols(f, message, "symbol {!r} is not a field element")
         cols = self.decode_many(range(self.dimension), [f.column((s,)) for s in message])
         return [col[0] for col in cols]
 

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .designs import check_block_count, complete_design
 from .errors import IntegrityError, ValidationError
 from .extfield import BinaryExtensionField, extension_field
-from .gf import binary_field
+from .gf import binary_field, check_symbols
 from .layered import LayeredCode, NodeContents, SystemParams, build_code
 from .mds import mds_codec
 
@@ -113,9 +113,7 @@ def linearized_precode(field: BinaryExtensionField, data: Sequence[int]) -> list
     """Evaluate the data's linearized polynomial at the field's basis theta."""
     if len(data) > field.kappa:
         raise ValidationError(f"{len(data)} coefficients but only kappa={field.kappa} points")
-    for v in data:
-        if not field.contains(v):
-            raise ValidationError(f"{v!r} is not a field element")
+    check_symbols(field, data, "{!r} is not a field element")
     return [linearized_eval(field, data, pt) for pt in field.theta]
 
 
@@ -206,9 +204,7 @@ class PrecodedCode:
         # linear, so each slot holds f at what it stores for data theta
         stored_theta = self.inner.encode(f.theta)
         pairs = [  # (evaluation point, stored symbol)
-            (nu, sym)
-            for x, syms in sorted(by_node.items())
-            for (_, nu), sym in zip(stored_theta[x - 1].symbols, syms)
+            pair for x in sorted(by_node) for pair in zip(stored_theta[x - 1].symbols, by_node[x])
         ]
         data = linearized_interpolate(f, pairs, self.data_len)
         for nu, sym in pairs:

@@ -44,10 +44,9 @@ def rewrite_flipped(out_dir, node, which=0):
     code = build_code(SystemParams(n=4, k=3, d=3, e=1, m=1, r=3, t=3))
     path = out_dir / f"node_{node:03d}.txt"
     nc, _ = node_contents_from_text(path.read_text(), code)
-    symbols = list(nc.symbols)
-    b, sym = symbols[which]
-    symbols[which] = (b, sym ^ 1)
-    path.write_text(node_contents_to_text(NodeContents(node, tuple(symbols)), hex_width=2))
+    symbols = bytearray(nc.symbols)
+    symbols[which] ^= 1
+    path.write_text(node_contents_to_text(NodeContents(node, bytes(symbols)), hex_width=2))
 
 
 def dir_digest(dirpath, skip=("manifest.json",)):
@@ -218,6 +217,26 @@ def test_symbol_range_is_checked(tmp_path, capsys):
                  "--field-width", "4", "--data", str(data), "--out-dir", str(tmp_path / "x")])
     assert code == 2
     assert capsys.readouterr().err == f"error: symbol #3 in {data} exceeds 4 bits\n"
+
+
+def test_non_field_symbol_under_a_valid_checksum_exits_2(tmp_path, capsys):
+    # a GF(2^5) symbol takes two hex digits, so a payload can hold 0xff with
+    # a checksum that matches; the node's column check refuses it
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(3, 11)))
+    out_dir = tmp_path / "nodes"
+    assert main(["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+                 "--field-width", "5", "--data", str(data), "--out-dir", str(out_dir)]) == 0
+    path = out_dir / "node_001.txt"
+    payload = "ff" + path.read_text().splitlines()[1][2:]
+    path.write_text(f"v2 1 3 crc={zlib.crc32(payload.encode()):08x}\n{payload}\n")
+    capsys.readouterr()
+    for argv in (
+        ["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3"],
+        ["repair", "--node-dir", str(out_dir), "--failed", "4", "--helpers", "1,2,3"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: node 1 holds a non-field symbol 255\n"
 
 
 def test_missing_node_file_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Structure checks for GF((2^w)^kappa): modulus, embedding, basis."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from regencodes import ValidationError, binary_field
@@ -58,6 +60,30 @@ def test_modulus_is_irreducible(degree):
     assert h.bit_length() - 1 == degree
     assert _is_irreducible(h, degree)
     assert irreducible_by_trial_division(h, degree)
+
+
+# the first irreducible polynomial of each degree, as the bit-serial search
+# found them; degree 1024 is the search's upper bound
+PINNED_MODULI = {
+    2: 0x7, 3: 0xB, 5: 0x25, 7: 0x83, 8: 0x11B, 9: 0x203, 16: 0x1002B, 24: 0x100001B,
+    32: 0x10000008D, 40: 0x10000000039, 64: (1 << 64) | 0x1B, 80: (1 << 80) | 0xAF,
+    128: (1 << 128) | 0x87, 140: (1 << 140) | 0x53, 160: (1 << 160) | 0x2D,
+    200: (1 << 200) | 0x2D, 256: (1 << 256) | 0x425, 300: (1 << 300) | 0x21,
+    400: (1 << 400) | 0x2D, 512: (1 << 512) | 0x125, 1024: (1 << 1024) | 0x2CD,
+}
+
+
+def test_moduli_are_pinned():
+    for degree, modulus in PINNED_MODULI.items():
+        assert find_modulus(degree) == modulus, degree
+
+
+def test_squaring_matches_the_bit_serial_reference_at_wide_degrees(rng):
+    # _sqrmod reduces a byte at a time through a per-modulus table
+    for degree in (80, 140, 1024):
+        modulus = SimpleNamespace(degree=degree, modulus=find_modulus(degree))
+        for a in [1 << (degree - 1), (1 << degree) - 1] + [rng.randrange(1 << degree) for _ in range(20)]:
+            assert _sqrmod(a, modulus.modulus) == reference_mul(modulus, a, a)
 
 
 def test_irreducibility_test_agrees_with_trial_division():

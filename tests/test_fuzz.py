@@ -1,4 +1,4 @@
-"""Seeded fuzzing of precoded, layered and old-format node directories through the CLI.
+"""Seeded fuzzing of node directories and data files through the CLI.
 
 Every mutated node file or code.json must end in one of the documented exit
 codes (0 ok, 2 invalid input, 3 integrity failure), never in an uncaught
@@ -10,7 +10,9 @@ allowed when a command reads that file; a command that does not read it
 must succeed. A v2 node file whose payload or checksum digits change but
 keep their layout fails its checksum (exit 3) whatever the redundancy; any
 other change to it is refused (exit 2). Old-format files carry no checksum, so a
-changed symbol shows only where a decode has a symbol to spare.
+changed symbol shows only where a decode has a symbol to spare. A data file
+for encode or extend --new-data of the wrong length, or with a symbol of w
+bits or more, is refused (exit 2); one that stays in the field is encoded.
 """
 
 import json
@@ -286,3 +288,50 @@ def test_fuzzed_old_format_node_dir_exits_cleanly(tmp_path, capsys, old_format_d
     # the old layout's labelled lines and block lists; repair writes v2 files,
     # which each round overwrites
     fuzz_node_dir(tmp_path, capsys, old_format_dir, V1_MUTATIONS, max_failed=1)
+
+
+# -- data files --------------------------------------------------------------------
+
+
+def mutate_data(blob, nbytes, w, rng):
+    """One seeded mutation of a valid data file of nbytes-byte symbols over GF(2^w).
+
+    Returns its description, the mutated file and the exit codes allowed.
+    """
+    count = len(blob) // nbytes
+    kind = rng.choice(["truncate", "pad", "stray", "stray", "rewrite"])
+    if kind == "truncate":
+        j = rng.randrange(len(blob))
+        return f"truncate to {j} bytes", blob[:j], REFUSED
+    if kind == "pad":
+        j = rng.randrange(len(blob) + 1)
+        extra = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 2 * nbytes + 2)))
+        return f"insert {len(extra)} bytes at {j}", blob[:j] + extra + blob[j:], REFUSED
+    i = rng.randrange(count)
+    # a symbol of w bits or more does not fit the field; a rewrite stays in it
+    v = rng.randrange(1 << w, 1 << 8 * nbytes) if kind == "stray" else rng.randrange(1 << w)
+    blob = blob[: i * nbytes] + v.to_bytes(nbytes, "big") + blob[(i + 1) * nbytes:]
+    return f"{kind} symbol #{i} = {v}", blob, REFUSED if kind == "stray" else {0}
+
+
+@pytest.mark.parametrize("w,nbytes", [(4, 1), (12, 2)])
+def test_fuzzed_data_files_exit_cleanly(tmp_path, capsys, w, nbytes):
+    # the complete (4, 3, 3, 1) layout, so the directory can also be extended
+    argv = ["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+            "--field-width", str(w)]
+    data = b"".join((v * 2654435761 % (1 << w)).to_bytes(nbytes, "big") for v in range(8))
+    node_dir = encode_dir(tmp_path, capsys, argv, data)
+    new_data = data[: 2 * nbytes]
+    rng = random.Random(w)
+    seen = set()
+    for _ in range(150):
+        desc, blob, allowed = mutate_data(data, nbytes, w, rng)
+        (tmp_path / "fuzzed.bin").write_bytes(blob)
+        seen.add(run_cli(capsys, [*argv, "--data", str(tmp_path / "fuzzed.bin"),
+                                  "--out-dir", str(tmp_path / "out")], desc, allowed))
+        desc, blob, allowed = mutate_data(new_data, nbytes, w, rng)
+        (tmp_path / "fuzzed.bin").write_bytes(blob)
+        seen.add(run_cli(capsys, ["extend", "--node-dir", str(node_dir), "--new-data",
+                                  str(tmp_path / "fuzzed.bin"), "--out-dir", str(tmp_path / "ext")],
+                         desc, allowed))
+    assert seen == {0, 2}

@@ -22,9 +22,13 @@ from regencodes.layered import node_contents_from_text, node_contents_to_text
 
 def flip_symbol(nc, which=0):
     symbols = list(nc.symbols)
-    b, s = symbols[which]
-    symbols[which] = (b, s ^ 1)
-    return NodeContents(node=nc.node, symbols=tuple(symbols))
+    symbols[which] ^= 1
+    return NodeContents(node=nc.node, symbols=type(nc.symbols)(symbols))
+
+
+def slot_blocks(code, x):
+    """The 0-based blocks of node x's slots: those holding x, ascending."""
+    return [b for b, block in enumerate(code.design.blocks) if x in block]
 
 
 def test_example_geometry(example_code):
@@ -41,11 +45,11 @@ def test_systematic_block_layout():
     code = build_code(params)
     data = list(range(10, 10 + code.data_len))
     state = code.encode(data)
-    by_node = {nc.node: dict(nc.symbols) for nc in state}
-    for j, block in enumerate(code.design.blocks, start=1):
+    by_node = {nc.node: dict(zip(slot_blocks(code, nc.node), nc.symbols)) for nc in state}
+    for j, block in enumerate(code.design.blocks):
         for pos, x in enumerate(block):
             if pos < 3:
-                assert by_node[x][j] == data[(j - 1) * 3 + pos]
+                assert by_node[x][j] == data[j * 3 + pos]
 
 
 def test_remark_system_layout():
@@ -56,7 +60,7 @@ def test_remark_system_layout():
     state = code.encode([7] * 15)
     for nc in state:
         assert nc.alpha == 4
-        missing = set(range(1, 6)) - {b for b, _ in nc.symbols}
+        missing = set(range(1, 6)) - {b + 1 for b in slot_blocks(code, nc.node)}
         assert missing == {6 - nc.node}
 
 
@@ -249,8 +253,8 @@ def test_extend_checks_every_stored_symbol():
         for which in range(code.alpha):
             bad = list(state)
             bad[x - 1] = flip_symbol(state[x - 1], which)
-            b = state[x - 1].symbols[which][0]
-            want = f"block {b}: mismatch seen at position 3 (node {code.design.blocks[b - 1][3]})"
+            b = slot_blocks(code, x)[which]
+            want = f"block {b + 1}: mismatch seen at position 3 (node {code.design.blocks[b][3]})"
             with pytest.raises(IntegrityError) as caught:
                 code.extend(bad, new_data=[7, 8, 9])
             assert str(caught.value) == want
@@ -268,18 +272,17 @@ def test_extend_rejects_non_field_new_data():
 
 
 def test_out_of_order_lines_are_rejected_everywhere():
-    # labels intact, two lines swapped: repair, reconstruct and extend agree
+    # an old-format file with labels intact and two lines swapped: only the
+    # reader sees labels, and repair, reconstruct and extend all read
+    # through it, so it refuses the node before any of them
     code = optimal_point_code(3, 1)
     state = code.encode(list(range(8)))
-    symbols = list(state[0].symbols)
-    symbols[0], symbols[1] = symbols[1], symbols[0]
-    bad = [NodeContents(node=1, symbols=tuple(symbols))] + list(state[1:])
-    with pytest.raises(ValidationError, match="node 1 lists block"):
-        code.repair(bad, failed=[4], helpers=[1, 2, 3])
-    with pytest.raises(ValidationError, match="node 1 lists block"):
-        code.reconstruct(bad)
-    with pytest.raises(ValidationError, match="node 1 lists block"):
-        code.extend(bad, new_data=[1, 2])
+    lines = [f"{b + 1} {s:02x}" for b, s in zip(slot_blocks(code, 1), state[0].symbols)]
+    parsed, _ = node_contents_from_text("\n".join(["1 3", *lines]) + "\n", code)
+    assert parsed == state[0]
+    lines[0], lines[1] = lines[1], lines[0]
+    with pytest.raises(ValidationError, match="^node 1 lists block 2 where block 1 belongs$"):
+        node_contents_from_text("\n".join(["1 3", *lines]) + "\n", code)
 
 
 # -- node text format -------------------------------------------------------------
@@ -291,7 +294,7 @@ def test_node_text_round_trip(example_code, example_state):
         text = node_contents_to_text(nc, hex_width=2)
         head, payload = text.splitlines()
         assert head == f"v2 {nc.node} 7 crc={zlib.crc32(payload.encode()):08x}"
-        assert payload == "".join(f"{sym:02x}" for _, sym in nc.symbols)
+        assert payload == "".join(f"{sym:02x}" for sym in nc.symbols)
         parsed, kappa = node_contents_from_text(text, example_code)
         assert parsed == nc
         assert kappa is None
@@ -388,7 +391,7 @@ def _first_mismatch_pair(code, given_nodes, blocks):
 
 def _flip_at(code, state, b, pos):
     x = code.design.blocks[b][pos]
-    which = [blk for blk, _ in code._slots[x]].index(b)
+    which = slot_blocks(code, x).index(b)
     return [flip_symbol(nc, which) if nc.node == x else nc for nc in state]
 
 

@@ -10,6 +10,7 @@ from regencodes import IntegrityError, NodeContents, ValidationError
 from regencodes.bandwidth import beta_formula
 from regencodes import precoded
 from regencodes.extfield import extension_field
+from regencodes.layered import node_contents_from_text
 from regencodes.precoded import (
     build_precoded,
     linearized_eval,
@@ -198,20 +199,24 @@ def test_reconstruct_needs_k_nodes(small_code, small_state):
 def test_tampered_symbol_is_rejected(small_code, small_state):
     data, state = small_state
     nc = state[0]
-    b, s = nc.symbols[0]
-    bad = NodeContents(node=nc.node, symbols=((b, s ^ 1),) + nc.symbols[1:])
+    bad = NodeContents(node=nc.node, symbols=(nc.symbols[0] ^ 1,) + nc.symbols[1:])
     with pytest.raises(IntegrityError):
         small_code.reconstruct([bad] + list(state[1:]))
 
 
 def test_out_of_order_lines_are_rejected(small_code, small_state):
-    # the inner code's index checks block labels for the precoded path too
+    # an old-format precoded node file with two lines swapped: the reader
+    # checks its labels against the inner code's slots
     _, state = small_state
     nc = state[0]
-    swapped = (nc.symbols[1], nc.symbols[0]) + nc.symbols[2:]
-    bad = NodeContents(node=nc.node, symbols=swapped)
+    blocks = [b + 1 for b, block in enumerate(small_code.inner.design.blocks) if 1 in block]
+    width = small_code.field.hex_width
+    lines = [f"{b} {s:0{width}x}" for b, s in zip(blocks, nc.symbols)]
+    head = f"1 {nc.alpha} precoded=1 kappa={small_code.field.kappa}"
+    assert node_contents_from_text("\n".join([head, *lines]), small_code.inner)[0] == nc
+    lines[0], lines[1] = lines[1], lines[0]
     with pytest.raises(ValidationError, match="lists block"):
-        small_code.reconstruct([bad] + list(state[1:]))
+        node_contents_from_text("\n".join([head, *lines]), small_code.inner)
 
 
 def test_encode_validates(small_code):
@@ -251,12 +256,9 @@ def test_wide_precoded_code_round_trips():
     # redundant symbols, so a flip in one of them must show
     held = {nc.node for nc in subset}
     nc = subset[0]
-    i = next(
-        i for i, (b, _) in enumerate(nc.symbols)
-        if len(held & set(code.inner.design.blocks[b - 1])) > 2
-    )
-    b, s = nc.symbols[i]
-    bad = NodeContents(node=nc.node, symbols=nc.symbols[:i] + ((b, s ^ 1),) + nc.symbols[i + 1:])
+    blocks = [block for block in code.inner.design.blocks if nc.node in block]  # its slots
+    i = next(i for i, block in enumerate(blocks) if len(held & set(block)) > 2)
+    bad = NodeContents(node=nc.node, symbols=nc.symbols[:i] + (nc.symbols[i] ^ 1,) + nc.symbols[i + 1:])
     with pytest.raises(IntegrityError, match="inconsistent with the recovered data"):
         code.reconstruct([bad] + subset[1:])
 
