@@ -46,7 +46,7 @@ from .gf import BinaryField, binary_field, lincomb_loop
 
 # at D = 1024 the modulus search takes about 4.2 s (13 s when it reduced a
 # bit at a time) and the Frobenius tables about 5 MB; D = 2048 takes about
-# 110 s (2-core x86-64 VM, Python 3.11)
+# two minutes (2-core x86-64 VM, Python 3.11)
 MAX_EXTENSION_DEGREE = 1024
 
 # squaring spreads bits: byte b -> the 16-bit word of b's bits at even offsets, as two bytes
