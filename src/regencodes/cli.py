@@ -92,14 +92,18 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _atomic_write(path: Path, data) -> None:
-    # the rename would replace a directory or a device node, not write into it
+def _prepare_target(path: Path) -> None:
+    # refuse what the rename would replace, a directory or a device node; make the parents
     if path.exists() and not path.is_file():
         raise ValidationError(f"cannot write {path}: it is not a regular file")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ValidationError(f"cannot write {path}: a parent is not a directory") from None
+
+
+def _atomic_write(path: Path, data) -> None:
+    _prepare_target(path)
     blob = data if isinstance(data, bytes) else data.encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -300,7 +304,7 @@ def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as ex:
             raise ValidationError(f"cannot read node file {path}: {ex}") from None
-        nc, kappa = node_contents_from_text(text, layered)
+        nc, kappa = node_contents_from_text(text, layered, path)
         if nc.node != x:
             raise ValidationError(f"{path} names node {nc.node}, expected {x}")
         if kappa != expect_kappa:
@@ -433,12 +437,14 @@ def _cmd_repair(args) -> int:
     helpers = _int_list(args.helpers, "--helpers")
     state = _load_nodes(dirpath, sorted(set(helpers)), code)
     repaired, report = code.repair(state, failed, helpers)
+    rpath = _resolve(args.report) if args.report else None
+    if rpath:
+        _prepare_target(rpath)  # a refused report leaves the node directory as it was
     written = _write_nodes(dirpath, code, repaired)
     payload = report.to_json_dict()
     payload["written"] = written
     _print_json(payload)
-    if args.report:
-        rpath = _resolve(args.report)
+    if rpath:
         _atomic_write(rpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         _write_manifest(rpath, "repair",
                         {"failed": failed, "helpers": helpers},

@@ -5,13 +5,14 @@ point set lies in exactly one block (verify_steiner). complete_design gives
 the degenerate t = r case, all r-subsets in lexicographic order; smaller t
 comes from files or the bundled designs. verify_steiner refuses a design
 with more than MAX_BLOCKS t-subsets before it expands any block, so a short
-file cannot make it allocate without bound.
+file cannot make it allocate without bound. The verdict is kept on the design:
+complete_design's, Steiner by construction, is True and skips every check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -30,6 +31,7 @@ class BlockDesign:
     r: int
     t: int
     blocks: tuple[tuple[int, ...], ...]
+    _steiner: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or not 1 <= self.t <= self.r <= self.n:
@@ -85,28 +87,32 @@ def complete_design(n: int, r: int) -> BlockDesign:
     if not 1 <= r <= n:
         raise ValidationError(f"need 1 <= r <= n, got n={n} r={r}")
     check_block_count(n, r)
+    design = object.__new__(BlockDesign)  # no __post_init__: the blocks are sorted and distinct
     blocks = tuple(itertools.combinations(range(1, n + 1), r))
-    return BlockDesign(n=n, r=r, t=r, blocks=blocks)
+    vars(design).update(n=n, r=r, t=r, blocks=blocks, _steiner=True)
+    return design
 
 
 def verify_steiner(design: BlockDesign) -> bool:
-    """True iff every t-subset of 1..n lies in exactly one block.
+    """True iff every t-subset of 1..n lies in exactly one block; the verdict is kept.
 
     Before any block is expanded, C(n, t) > MAX_BLOCKS raises and a block
     count other than C(n, t) / C(r, t) gives False.
     """
+    if design._steiner is not None:
+        return design._steiner
     n, r, t = design.n, design.r, design.t
     if not _comb_within_limit(n, t):
         raise ValidationError(
             f"design has C({n},{t}) {t}-subsets to cover, more than {MAX_BLOCKS}"
         )
-    if design.block_count * comb(r, t) != comb(n, t):
-        return False
     # C(n, t) subsets in all: every one is covered once iff none repeats
     seen: set[tuple[int, ...]] = set()
-    for b in design.blocks:
-        seen.update(itertools.combinations(b, t))
-    return len(seen) == comb(n, t)
+    if design.block_count * comb(r, t) == comb(n, t):
+        for b in design.blocks:
+            seen.update(itertools.combinations(b, t))
+    object.__setattr__(design, "_steiner", len(seen) == comb(n, t))
+    return design._steiner
 
 
 def _exact_ratio(num: int, den: int, what: str) -> int:

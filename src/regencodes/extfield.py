@@ -22,11 +22,10 @@ Galois Field Arithmetic", FAST 2013, without SIMD); each field builds two
 tables from its modulus alone, once, in the constructor:
 
 - a reduction table of 256 entries, red[t] = (t << D) ^ ((t << D) mod
-  modulus) for degree D, shared with the modulus search's squarings, which
-  clear the bits above D a byte at a time. mul(a, b) makes the 16
-  unreduced multiples of a (each below 2^(D+3)) and walks b four bits at a
-  time from the top: p = (p << 4) ^ multiple[nibble], then p ^= red[p >> D]
-  clears the bits above D, about D/4 table steps instead of D bit steps.
+  modulus) for degree D. mul(a, b) makes the 16 unreduced multiples of a
+  (each below 2^(D+3)) and walks b four bits at a time from the top:
+  p = (p << 4) ^ multiple[nibble], then p ^= red[p >> D] clears the bits
+  above D, about D/4 table steps instead of D bit steps.
 - Frobenius tables. z -> z^q is GF(2)-linear, so the images of the D unit
   monomials x^i (w squarings each) fix it; they are summed into ceil(D/8)
   tables of up to 256 entries, one per byte of the operand, and
@@ -44,9 +43,8 @@ from typing import Iterable, Sequence
 from .errors import IntegrityError, ValidationError
 from .gf import BinaryField, binary_field, lincomb_loop
 
-# at D = 1024 the modulus search takes about 4.2 s (13 s when it reduced a
-# bit at a time) and the Frobenius tables about 5 MB; D = 2048 takes about
-# two minutes (2-core x86-64 VM, Python 3.11)
+# at D = 1024 the modulus search takes about 1 s and the Frobenius tables
+# about 5 MB; D = 2048 searches for about 12 s (2-core x86-64 VM, Python 3.11)
 MAX_EXTENSION_DEGREE = 1024
 
 # squaring spreads bits: byte b -> the 16-bit word of b's bits at even offsets, as two bytes
@@ -67,7 +65,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-@lru_cache(maxsize=4)
 def _reduction_table(modulus: int) -> tuple[int, ...]:
     """red[t] = (t << D) ^ ((t << D) mod modulus) for each byte t, D the degree."""
     d = modulus.bit_length() - 1
@@ -79,14 +76,19 @@ def _reduction_table(modulus: int) -> tuple[int, ...]:
 
 
 def _sqrmod(a: int, modulus: int) -> int:
-    """a^2 mod modulus: spread a's bits, then clear the bits past the degree a byte at a time."""
+    """a^2 mod modulus: spread a's bits, then fold the part hi * x^D past the degree D down to
+    hi * low, for modulus = x^D + low: one shifted hi per tap, twice when the taps are below D/2."""
     b = a.to_bytes((a.bit_length() + 7) // 8, "little")
     sq = bytearray(2 * len(b))
     sq[0::2], sq[1::2] = b.translate(_SPREAD_LO), b.translate(_SPREAD_HI)
     p = int.from_bytes(sq, "little")
-    red, d = _reduction_table(modulus), modulus.bit_length() - 1
-    for s in range((p.bit_length() - 1 - d) & ~7, -1, -8):
-        p ^= red[p >> (d + s)] << s
+    d = modulus.bit_length() - 1
+    low, mask = modulus ^ (1 << d), (1 << d) - 1
+    taps = [t for t in range(low.bit_length()) if low >> t & 1]
+    while p >> d:
+        hi, p = p >> d, p & mask
+        for t in taps:
+            p ^= hi << t
     return p
 
 

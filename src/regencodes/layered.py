@@ -8,15 +8,15 @@ keeps >= r-m symbols), and up to m simultaneous failures are repaired
 exactly from any d >= k helpers, group by group.
 
 A node holds its column (gf.py: bytes for w <= 8, else a tuple), one
-symbol per slot, blocks ascending. One slot map permutes node-major order
-(node 1's column, then node 2's, ...) into block-major order (entry b*r +
-pos is position pos of block b), by itemgetter gathers. Blocks are grouped
-by the roles of their positions (given, lost, neither): a group is one
-MdsCodec.decode_many call through its lowest r-m given positions, and each
-further given position is one column compared with the decoded one. On a
-mismatch the lowest such block raises "block B: mismatch seen at position
-P (node X)" for its first mismatching position, as a block-by-block decode
-would.
+symbol per slot, blocks ascending. One slot map takes block-major entries
+(entry b*r + pos is position pos of block b) to node-major ones (node 1's
+column, then node 2's, ...). A command gives each node one role (given,
+lost, or neither when absent); the blocks whose members have the same roles
+are a group, one MdsCodec.decode_many call through its lowest r-m given
+positions that returns only the further given ones, each compared with its
+given column, and the ones the command needs. On a mismatch the lowest such
+block raises "block B: mismatch seen at position P (node X)" for its first
+mismatching position, as a block-by-block decode would.
 
 A node file is the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and the
 column as one line of fixed-width lowercase hex; crc is zlib.crc32 of that
@@ -31,8 +31,8 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -104,22 +104,14 @@ class LayeredCode:
         self.codec: MdsCodec = mds_codec(field, params.r, params.r - params.m)
         self.block_count = design.block_count
         self.data_len = design.block_count * (params.r - params.m)
-        self.alpha = stats.alpha
-        # the slot map: node-major entry i (slot i % alpha of its node) is block-major _slots[i]
-        by_node: list[list[int]] = [[] for _ in range(params.n + 1)]
-        for i, x in enumerate(chain.from_iterable(design.blocks)):
-            by_node[x].append(i)
-        for x in range(1, params.n + 1):
-            if len(by_node[x]) != self.alpha:
-                raise ValidationError(
-                    f"node {x} sits in {len(by_node[x])} blocks, expected alpha={self.alpha}"
-                )
-        self._slots = list(chain.from_iterable(by_node))
-
-    @cached_property
-    def _to_blocks(self):
-        """Node-major sequence -> block-major tuple, the slot map's inverse (encode needs none)."""
-        return _gather(sorted(range(len(self._slots)), key=self._slots.__getitem__))
+        self.alpha = alpha = stats.alpha
+        # the slot map: block-major entry j is node-major entry _to_node[j]. Each node numbers
+        # its slots in block order from (node - 1) * alpha; a Steiner design gives it alpha
+        members = list(chain.from_iterable(design.blocks))
+        slot = [count(i) for i in range(-alpha, params.n * alpha, alpha)]
+        self._to_node = list(map(next, map(slot.__getitem__, members)))
+        self._to_blocks = _gather(self._to_node)  # node-major sequence -> block-major tuple
+        self._member_of = _gather(members)  # sequence by node id -> each entry's node's item
 
     # -- encoding / reconstruction -------------------------------------------
 
@@ -134,7 +126,10 @@ class LayeredCode:
         full = [0] * (self.block_count * r)
         for pos, col in enumerate(cols):
             full[pos::r] = col
-        return self._contents(full, range(1, self.params.n + 1))
+        node_major = [0] * len(full)
+        for i, symbol in zip(self._to_node, full):
+            node_major[i] = symbol
+        return self._contents(node_major, range(1, self.params.n + 1))
 
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents."""
@@ -142,8 +137,9 @@ class LayeredCode:
         r, k, km = self.params.r, self.params.k, self.codec.dimension
         if len(by_node) < k:
             raise ValidationError(f"need at least k={k} distinct nodes, got {len(by_node)}")
-        groups = self._groups(dict.fromkeys(by_node, bytes([GIVEN]) * self.alpha))
-        full = self._decode(self._node_major(by_node), groups, list(groups))
+        groups = self._groups(dict.fromkeys(by_node, GIVEN))
+        node_major = self._decode(self._node_major(by_node), groups, list(groups), keep=range(km))
+        full = self._to_blocks(node_major)
         data = [0] * self.data_len
         for i in range(km):
             data[i::km] = full[i::r]
@@ -184,38 +180,34 @@ class LayeredCode:
 
         km = self.codec.dimension
         roles = {**dict.fromkeys(helpers_t, GIVEN), **dict.fromkeys(failed_t, LOST)}
-        groups = self._groups({x: bytes([role]) * self.alpha for x, role in roles.items()})
+        groups = self._groups(roles)
         affected = [key for key in groups if LOST in key]
-        # integer tallies per role pattern, priced once: held_by[s, h] counts helper symbols in
-        # affected blocks that lost s and keep h, read_by[s] the r-m lowest, which naive reads
-        held_by: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
-        read_by: defaultdict[int, Counter] = defaultdict(Counter)
+        # helper symbols of the affected blocks per role class (s lost, h held): the r-m lowest,
+        # which naive reads, and the rest, counted per class and priced once
+        read: defaultdict[tuple[int, int], list] = defaultdict(list)
+        rest: defaultdict[tuple[int, int], list] = defaultdict(list)
         for key in affected:  # in order of their lowest blocks
             held = [pos for pos, role in enumerate(key) if role == GIVEN]
             if len(held) < km:
                 raise IntegrityError(f"block {self.design.blocks[groups[key][0]]} holds "
                                      f"{len(held)} helper symbols, fewer than r-m={km}")
             members = list(zip(*map(self.design.blocks.__getitem__, groups[key])))  # by position
-            s = key.count(LOST)
-            read = Counter(chain.from_iterable(members[pos] for pos in held[:km]))
-            read_by[s].update(read)
-            held_by[s, len(held)].update(read)
-            held_by[s, len(held)].update(chain.from_iterable(members[pos] for pos in held[km:]))
+            sh = key.count(LOST), len(held)
+            read[sh] += chain.from_iterable(members[pos] for pos in held[:km])
+            rest[sh] += chain.from_iterable(members[pos] for pos in held[km:])
 
-        full = self._decode(self._node_major({h: by_node[h] for h in helpers_t}), groups, affected)
+        given = self._node_major({h: by_node[h] for h in helpers_t})
+        node_major = self._decode(given, groups, affected)
 
-        msmr = dict.fromkeys(helpers_t, Fraction(0))
-        for (s, h_cnt), held in held_by.items():
-            for x, count in held.items():
-                msmr[x] += Fraction(count * s, h_cnt - km + s)
-        naive = dict.fromkeys(helpers_t, Fraction(0))
-        lnaive = dict.fromkeys(helpers_t, Fraction(0))
-        for s, read in read_by.items():
-            for x, count in read.items():
-                naive[x] += count
-                lnaive[x] += count * s
+        read_by = {sh: Counter(nodes) for sh, nodes in read.items()}
+        held_by = {sh: read_by[sh] + Counter(rest[sh]) for sh in read}
+        den = lcm(*(h - km + s for s, h in held_by))  # one denominator for every msmr share
+        msmr = {x: Fraction(sum(held[x] * s * den // (h - km + s)
+                                for (s, h), held in held_by.items()), den) for x in helpers_t}
+        naive = {x: Fraction(sum(c[x] for c in read_by.values())) for x in helpers_t}
+        lnaive = {x: Fraction(sum(c[x] * s for (s, _), c in read_by.items())) for x in helpers_t}
         report = BandwidthReport(failed_t, helpers_t, msmr=msmr, naive=naive, layered_naive=lnaive)
-        return self._contents(full, failed_t), report
+        return self._contents(node_major, failed_t), report
 
     # -- extension ---------------------------------------------------------------
 
@@ -257,10 +249,11 @@ class LayeredCode:
         # new block, every old node's last slot, carries new_data on nodes 1..r-m. One decode
         # checks every stored symbol and codes the rest.
         given = {x: (*by_node[x], new_data[x - 1] if x <= km else 0) for x in by_node}
-        roles = {x: bytes([GIVEN] * self.alpha + [GIVEN if x <= km else 0]) for x in by_node}
-        groups = new_code._groups(roles)
-        full = new_code._decode(new_code._node_major(given), groups, list(groups))
-        return new_code, new_code._contents(full, range(1, new_node + 1))
+        last = bytes(GIVEN if x <= km else 0 for x in range(1, new_node))
+        groups = new_code._groups(dict.fromkeys(by_node, GIVEN), last)
+        node_major = new_code._decode(new_code._node_major(given), groups, list(groups),
+                                      keep=range(new_params.r))
+        return new_code, new_code._contents(node_major, range(1, new_node + 1))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -286,61 +279,55 @@ class LayeredCode:
         zeros = (0,) * self.alpha
         return list(chain.from_iterable(by_node.get(x, zeros) for x in range(1, self.params.n + 1)))
 
-    def _groups(self, roles: dict[int, bytes]) -> dict[bytes, list[int]]:
-        """Blocks by the roles of their positions, from each node's slot roles (absent: 0)."""
-        by_entry, r = bytes(self._to_blocks(self._node_major(roles))), self.params.r
+    def _groups(self, roles: dict[int, int], last: Optional[bytes] = None) -> dict[bytes, list]:
+        """Blocks by their members' roles (absent: 0); `last` gives the last block's instead."""
+        per_node = [roles.get(x, 0) for x in range(self.params.n + 1)]
+        by_entry, r = bytes(self._member_of(per_node)), self.params.r
+        if last is not None:
+            by_entry = by_entry[:-r] + last
         groups: dict[bytes, list[int]] = {}
         for b, key in enumerate([by_entry[i : i + r] for i in range(0, len(by_entry), r)]):
             groups.setdefault(key, []).append(b)
         return groups
 
-    def _decode(self, given: Sequence[int], groups: dict[bytes, list[int]], wanted) -> list:
-        """Node-major symbols -> block-major, the wanted groups' codewords completed.
-
-        Checks every GIVEN symbol of those groups (module docstring).
-        """
-        r, km = self.params.r, self.codec.dimension
+    def _decode(self, given: list, groups: dict[bytes, list[int]], wanted,
+                keep: Iterable[int] = ()) -> list:
+        """Decode the wanted groups' LOST and keep positions into the node-major list given,
+        checking every GIVEN symbol of those groups (module docstring)."""
+        r, km, to_node = self.params.r, self.codec.dimension, self._to_node
         column = self.field.column
-        full = list(self._to_blocks(given))
-        # the blocks group by group, the wanted groups first
-        order = list(chain.from_iterable(groups[key] for key in wanted))
-        done = len(order)
-        order += chain.from_iterable(blocks for key, blocks in groups.items() if key not in wanted)
-        to_order = _gather(order)
+        full = self._to_blocks(given)
+        # the wanted groups' blocks group by group, one tuple per position
+        to_order = _gather(list(chain.from_iterable(groups[key] for key in wanted)))
         by_pos = [to_order(full[pos::r]) for pos in range(r)]
-        parts: list[list] = [[] for _ in range(r)]
         mismatches = []
         start = 0
         for key in wanted:
             blocks = groups[key]
             end = start + len(blocks)
             known = [pos for pos, role in enumerate(key) if role == GIVEN]
+            out = [pos for pos, role in enumerate(key) if role == LOST or not role and pos in keep]
             chosen = [column(by_pos[pos][start:end]) for pos in known[:km]]
-            cols = self.codec.decode_many(known[:km], chosen)
+            cols = self.codec.decode_many(known[:km], chosen, known[km:] + out)
             for pos in known[km:]:
                 have = column(by_pos[pos][start:end])
                 if have != cols[pos]:
                     i = next(i for i, (u, v) in enumerate(zip(have, cols[pos])) if u != v)
                     mismatches.append((blocks[i], pos))
-            for part, col in zip(parts, cols):
-                part.append(col)
+            for pos in out:
+                for b, v in zip(blocks, cols[pos]):
+                    given[to_node[b * r + pos]] = v
             start = end
         if mismatches:
             b, pos = min(mismatches)
             x = self.design.blocks[b][pos]
             raise IntegrityError(f"block {b + 1}: mismatch seen at position {pos} (node {x})")
-        back = _gather(sorted(range(len(order)), key=order.__getitem__))
-        for pos in range(r):
-            full[pos::r] = back(list(chain(*parts[pos], by_pos[pos][done:])))
-        return full
+        return given
 
-    def _contents(self, full: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:
-        """The nodes' contents, read from a completed block-major list."""
+    def _contents(self, node_major: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:
+        """The nodes' contents, read from a completed node-major list."""
         alpha, column = self.alpha, self.field.column
-        return [
-            NodeContents(x, column(_gather(self._slots[(x - 1) * alpha : x * alpha])(full)))
-            for x in nodes
-        ]
+        return [NodeContents(x, column(node_major[(x - 1) * alpha : x * alpha])) for x in nodes]
 
 
 def build_code(
@@ -373,17 +360,19 @@ def node_contents_to_text(nc: NodeContents, hex_width: int, kappa: Optional[int]
     return f"{head}\n{payload}\n"
 
 
-def node_contents_from_text(text: str, code: LayeredCode) -> tuple[NodeContents, Optional[int]]:
+def node_contents_from_text(text: str, code: LayeredCode,
+                            path=None) -> tuple[NodeContents, Optional[int]]:
     """Parse one node file of `code`; returns (contents, kappa or None).
 
-    Structural faults raise ValidationError; a payload that fails its
-    checksum raises IntegrityError.
+    Structural faults raise ValidationError, prefixed with the path (if given) when found before
+    the node id; a payload that fails its checksum raises IntegrityError.
     """
+    at = "" if path is None else f"{path}: "
     if text.split(None, 1)[:1] != ["v2"]:
-        raise ValidationError("node file is not v2; the pre-v2 layout is no longer read")
+        raise ValidationError(f"{at}node file is not v2; the pre-v2 layout is no longer read")
     lines = text.splitlines()
     if len(lines) != 2:
-        raise ValidationError(f"node file must be a header and a payload line, not {len(lines)}")
+        raise ValidationError(f"{at}node file must be a header and a payload line, not {len(lines)}")
     head, payload = lines
     tokens = head.split()
     if not (
@@ -391,12 +380,12 @@ def node_contents_from_text(text: str, code: LayeredCode) -> tuple[NodeContents,
         and tokens[3].startswith("crc=")
         and (len(tokens) == 4 or tokens[4].startswith("kappa="))
     ):
-        raise ValidationError(f"bad node header {head!r}")
+        raise ValidationError(f"{at}bad node header {head!r}")
     try:
         node, alpha = int(tokens[1]), int(tokens[2])
         kappa = int(tokens[4][len("kappa=") :]) if len(tokens) == 5 else None
     except ValueError:
-        raise ValidationError(f"bad node header {head!r}") from None
+        raise ValidationError(f"{at}bad node header {head!r}") from None
     crc = tokens[3][len("crc=") :]
     if len(crc) != 8 or not set(crc) <= _HEX_DIGITS:
         raise ValidationError(f"node {node}: bad checksum token {tokens[3]!r}")

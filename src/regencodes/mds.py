@@ -8,19 +8,21 @@ positions determine the rest.
 
 The generator rows through K positions hold Lagrange weights in barycentric
 form: one weight w_i = 1 / prod_{j != i} (x_i - x_j) per chosen point, and
-row(x)_i = l(x) w_i / (x - x_i) with l(x) = prod_j (x - x_j), so a position
-set costs K + (L-K) K inverses. The rows are built once per position set
-and kept on the codec (generator).
+row(x)_i = l(x) w_i / (x - x_i) with l(x) = prod_j (x - x_j). The codec
+inverts each difference x_a - x_b once, and then a row costs only
+multiplications; rows are built as they are asked for and kept per
+position set (generator).
 
 All coding runs on columns (gf.py): decode_many applies one set of rows to
-a whole batch of codewords, one column per position, and the per-symbol
-encode and decode are its batch of one codeword.
+a whole batch of codewords, one column per position, and returns only the
+positions asked for; the per-symbol encode and decode are its batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SymbolMismatch, ValidationError
 from .gf import check_symbols
@@ -33,7 +35,7 @@ class MdsCodec:
     dimension: int
     points: tuple[int, ...]
 
-    # sorted positions -> generator rows, filled by generator()
+    # sorted positions -> generator rows, None where not built yet; filled by _rows()
     _generators: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,14 +48,23 @@ class MdsCodec:
         if len(set(self.points)) != self.length:
             raise ValidationError("evaluation points must be distinct")
 
+    @cached_property
+    def _inv_diffs(self) -> list[list[int]]:
+        """[a][b] = 1 / (x_a - x_b) for a != b; zero on the diagonal."""
+        f = self.field
+        return [[f.inv(f.add(a, b)) if a != b else f.zero for b in self.points] for a in self.points]
+
     def generator(self, positions: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Generator rows through `dimension` ascending positions, one per position.
 
         Every codeword c has c[pos] = sum_i rows[pos][i] c[positions[i]], so
-        the row of a chosen position is its unit vector. Built on the first
-        request for a position set and kept for the life of the codec.
+        the row of a chosen position is its unit vector. Kept for the life
+        of the codec.
         """
-        key = tuple(positions)
+        return self._rows(tuple(positions), range(self.length))
+
+    def _rows(self, key: tuple[int, ...], wanted: Iterable[int]) -> tuple:
+        """The rows through key with at least the wanted ones built (the rest may be None)."""
         rows = self._generators.get(key)
         if rows is None:
             if len(key) != self.dimension or not all(
@@ -62,56 +73,58 @@ class MdsCodec:
                 raise ValidationError(
                     f"need {self.dimension} ascending positions below {self.length}, got {key}"
                 )
-            rows = self._barycentric_rows(key)
-            self._generators[key] = rows
+            rows = (None,) * self.length
+        missing = [pos for pos in wanted if rows[pos] is None]
+        if not missing:
+            return rows
+        # in characteristic 2, subtraction is add()
+        f, inv, points = self.field, self._inv_diffs, self.points
+        mul, one = f.mul, f.one
+        weights = []
+        for i in key:
+            w = one
+            for j in key:
+                if j != i:
+                    w = mul(w, inv[i][j])
+            weights.append(w)
+        rows = list(rows)
+        for pos in missing:
+            if pos in key:
+                rows[pos] = tuple(one if p == pos else f.zero for p in key)
+                continue
+            x, ell = points[pos], one
+            for j in key:
+                ell = mul(ell, f.add(x, points[j]))
+            rows[pos] = tuple([mul(mul(ell, w), inv[pos][i]) for i, w in zip(key, weights)])
+        self._generators[key] = rows = tuple(rows)
         return rows
 
-    def _barycentric_rows(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        # in characteristic 2, subtraction is add()
-        f = self.field
-        base = [self.points[p] for p in key]
-        weights = []
-        for xi in base:
-            d = f.one
-            for xj in base:
-                if xj != xi:
-                    d = f.mul(d, f.add(xi, xj))
-            weights.append(f.inv(d))
-        rows = []
-        for pos, x in enumerate(self.points):
-            if pos in key:
-                rows.append(tuple(f.one if p == pos else f.zero for p in key))
-                continue
-            ell = f.one
-            for xj in base:
-                ell = f.mul(ell, f.add(x, xj))
-            rows.append(tuple(
-                f.mul(f.mul(ell, w), f.inv(f.add(x, xi))) for xi, w in zip(base, weights)
-            ))
-        return tuple(rows)
-
-    def decode_many(self, chosen: Iterable[int], columns: Sequence) -> list:
-        """All `length` columns of a batch of codewords from `dimension` of them.
+    def decode_many(self, chosen: Iterable[int], columns: Sequence,
+                    wanted: Optional[Iterable[int]] = None) -> list:
+        """The wanted columns (default: all) of a batch of codewords from `dimension` of them.
 
         chosen holds `dimension` ascending positions, and columns[i] is the
         field's column (gf.py) of position chosen[i] across the batch. The
-        chosen columns come back as given; every other one is their
-        combination by the generator rows through chosen. The caller checks
-        that the columns hold field elements and compares any further
-        symbols it has with the result.
+        chosen columns come back as given, every other wanted one as their
+        combination by the generator rows through chosen, and None at the
+        positions not wanted; only the wanted rows are built. The caller
+        checks that the columns hold field elements and compares any
+        further symbols it has with the result.
         """
         chosen = tuple(chosen)
-        rows = self.generator(chosen)
+        wanted = set(range(self.length) if wanted is None else wanted).difference(chosen)
+        if wanted and not 0 <= min(wanted) <= max(wanted) < self.length:
+            raise ValidationError(f"wanted positions must lie below {self.length}, got {wanted}")
+        rows = self._rows(chosen, wanted)
         if len(columns) != self.dimension or len({len(c) for c in columns}) != 1:
             raise ValidationError(
                 f"need {self.dimension} columns of one length, "
                 f"got lengths {[len(c) for c in columns]}"
             )
-        given = dict(zip(chosen, columns))
-        lincomb = self.field.lincomb
+        given, lincomb = dict(zip(chosen, columns)), self.field.lincomb
         return [
-            given[pos] if pos in given else lincomb(row, columns)
-            for pos, row in enumerate(rows)
+            lincomb(rows[pos], columns) if pos in wanted else given.get(pos)
+            for pos in range(self.length)
         ]
 
     def encode(self, message: Sequence[int]) -> list[int]:

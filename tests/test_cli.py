@@ -293,6 +293,23 @@ def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys, case):
     assert not (tmp_path / "x").exists()
 
 
+def test_refused_report_path_leaves_the_node_dir_unchanged(tmp_path, capsys):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    (out_dir / "node_001.txt").unlink()
+    before = dir_digest(out_dir, skip=())
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for report, why in ((taken, "it is not a regular file"),
+                        (out_dir / "code.json" / "rep", "a parent is not a directory")):
+        argv = ["repair", "--node-dir", str(out_dir), "--failed", "1", "--helpers", "2,3,4",
+                "--report", str(report)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {report}: {why}\n")
+        assert not (out_dir / "node_001.txt").exists()
+        assert dir_digest(out_dir, skip=()) == before
+    assert list(taken.iterdir()) == []
+
+
 def test_manifest_sits_beside_a_suffix_less_output(tmp_path, capsys):
     _, out_dir, _ = encode_small(tmp_path, capsys)
     for argv, name in (
@@ -400,6 +417,46 @@ def test_design_rejects_non_steiner_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_steiner_block_list_in_code_json_exits_2_and_writes_nothing(tmp_path, capsys):
+    dpath = tmp_path / "s237.design"
+    dpath.write_text(serialize_design(bundled_design("s_2_3_7")))
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(14)))
+    steiner = tmp_path / "steiner"
+    assert main(["encode", "--n", "7", "--m", "1", "--e", "1", "--d", "6", "--design", str(dpath),
+                 "--data", str(data), "--out-dir", str(steiner)]) == 0
+    capsys.readouterr()
+    _, complete, _ = encode_small(tmp_path, capsys)
+    extra = tmp_path / "extra.bin"
+    extra.write_bytes(b"\xaa\xbb")
+    # the complete design written out as its block list is read like any other
+    meta = json.loads((complete / "code.json").read_text())
+    meta["design"] = {"n": 4, "r": 3, "t": 3, "blocks": ["1 2 3", "1 2 4", "1 3 4", "2 3 4"]}
+    (complete / "code.json").write_text(json.dumps(meta))
+    assert main(["reconstruct", "--node-dir", str(complete), "--nodes", "1,2,3"]) == 0
+    capsys.readouterr()
+    for node_dir, helpers in ((steiner, "2,3,4,5,6,7"), (complete, "2,3,4")):
+        meta = json.loads((node_dir / "code.json").read_text())
+        blocks = meta["design"]["blocks"]
+        meta["design"]["blocks"] = [blocks[0]] + blocks[:1] + blocks[2:]  # block 2 -> block 1
+        (node_dir / "code.json").write_text(json.dumps(meta))
+        before = dir_digest(node_dir, skip=())
+        for argv in (
+            ["repair", "--node-dir", str(node_dir), "--failed", "1", "--helpers", helpers,
+             "--report", str(tmp_path / "report.json")],
+            ["reconstruct", "--node-dir", str(node_dir), "--nodes", helpers,
+             "--out", str(tmp_path / "back.bin")],
+            ["extend", "--node-dir", str(node_dir), "--new-data", str(extra),
+             "--out-dir", str(tmp_path / "bigger")],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", "error: design does not cover every t-subset exactly once\n")
+            assert dir_digest(node_dir, skip=()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.bin", "extra.bin", "nodes", "s237.design", "steiner"]
+
+
 def test_encode_with_design_file(tmp_path, capsys):
     dpath = tmp_path / "s348.design"
     dpath.write_text(serialize_design(bundled_design("s_3_4_8")))
@@ -483,7 +540,27 @@ def test_pre_v2_node_dir_exits_2_and_writes_nothing(tmp_path, capsys, old_format
     (out_dir / "node_002.txt").write_text((old_format_dir / "node_002.txt").read_text())
     assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4"]) == 2
     assert capsys.readouterr().err == (
-        "error: node file is not v2; the pre-v2 layout is no longer read\n")
+        f"error: {out_dir / 'node_002.txt'}: "
+        "node file is not v2; the pre-v2 layout is no longer read\n")
+
+
+def test_node_file_faults_before_the_node_id_name_the_file(tmp_path, capsys):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    path = out_dir / "node_002.txt"
+    head, payload = path.read_text().splitlines()
+    for text, message in (
+        (f"{head}\n{payload}\n{payload}\n", "node file must be a header and a payload line, not 3"),
+        (f"v2 2 3\n{payload}\n", "bad node header 'v2 2 3'"),
+        (f"{head} kappa=x\n{payload}\n", f"bad node header '{head} kappa=x'"),
+    ):
+        path.write_text(text)
+        assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    # a fault found after the node id names the node, as before
+    path.write_text(f"{head}\n{payload[:-2]}\n")
+    assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: node 2: payload holds 4 hex digits, expected alpha x 2 = 6\n")
 
 
 def oversized_designs():

@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 from math import comb
 
 import pytest
 
-from regencodes import ValidationError
+from regencodes import ValidationError, designs
 from regencodes.designs import (
     BlockDesign,
     bundled_design,
@@ -56,6 +57,40 @@ def test_bundled_fano_plane():
     assert verify_steiner(d)
     st = design_stats(d)
     assert (st.N, st.alpha, st.lambda2, st.lambda3) == (7, 3, 1, 0)
+
+
+def refuse_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("t-subsets expanded")
+
+    monkeypatch.setattr(designs.itertools, "combinations", refuse)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (7, 1), (8, 8), (14, 9), (300, 2)])
+def test_complete_design_equals_the_checked_constructor(n, r, monkeypatch):
+    d = complete_design(n, r)
+    # the constructor sorts each block, so feed it every block reversed
+    checked = BlockDesign(n=n, r=r, t=r, blocks=tuple(b[::-1] for b in d.blocks))
+    assert d == checked and hash(d) == hash(checked) and repr(d) == repr(checked)
+    assert d.blocks == checked.blocks
+    assert (d._steiner, checked._steiner) == (True, None)
+    assert verify_steiner(checked) is True and checked._steiner is True
+    refuse_expansion(monkeypatch)  # the kept verdicts are read, not recomputed
+    assert verify_steiner(d) is True and verify_steiner(checked) is True
+
+
+def test_a_caller_built_design_never_starts_trusted(monkeypatch):
+    d = complete_design(5, 3)
+    for other in (BlockDesign(n=5, r=3, t=3, blocks=d.blocks), dataclasses.replace(d),
+                  parse_design(serialize_design(d))):
+        assert other == d and other._steiner is None
+    with pytest.raises(TypeError):
+        BlockDesign(n=5, r=3, t=3, blocks=d.blocks, _steiner=True)
+    # a complete design's shape with one block in place of another is found out
+    bad = BlockDesign(n=5, r=3, t=3, blocks=d.blocks[:1] + d.blocks[:1] + d.blocks[2:])
+    assert verify_steiner(bad) is False and bad._steiner is False
+    refuse_expansion(monkeypatch)
+    assert verify_steiner(bad) is False
 
 
 def test_bundled_names():

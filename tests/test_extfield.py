@@ -79,7 +79,7 @@ def test_moduli_are_pinned():
 
 
 def test_squaring_matches_the_bit_serial_reference_at_wide_degrees(rng):
-    # _sqrmod reduces a byte at a time through a per-modulus table
+    # _sqrmod folds the bits past the degree back through the modulus's taps
     for degree in (80, 140, 1024):
         modulus = SimpleNamespace(degree=degree, modulus=find_modulus(degree))
         for a in [1 << (degree - 1), (1 << degree) - 1] + [rng.randrange(1 << degree) for _ in range(20)]:

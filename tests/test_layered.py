@@ -17,7 +17,7 @@ from regencodes import (
 )
 from regencodes.bandwidth import beta_oracle
 from regencodes.designs import BlockDesign, complete_design
-from regencodes.layered import node_contents_from_text, node_contents_to_text
+from regencodes.layered import GIVEN, LOST, node_contents_from_text, node_contents_to_text
 
 
 def flip_symbol(nc, which=0):
@@ -413,3 +413,36 @@ def test_first_mismatch_in_block_order_across_groups(example_code, example_state
     want = rf"^block {b1 + 1}: mismatch seen at position {pos1} \(node {x1}\)$"
     with pytest.raises(IntegrityError, match=want):
         code.repair(bad, failed=[failed], helpers=helpers)
+
+
+def reference_groups(code, role, last=None):
+    """Blocks by the roles of their members, one block at a time; `last` keys the last block."""
+    groups = {}
+    for b, block in enumerate(code.design.blocks):
+        key = bytes(role.get(x, 0) for x in block)
+        groups.setdefault(last if last is not None and b == code.block_count - 1 else key,
+                          []).append(b)
+    return groups
+
+
+def test_groups_match_a_per_block_reference(rng):
+    base = build_code(SystemParams(n=4, k=3, d=3, e=1, m=1, r=3, t=3))
+    data = list(range(1, base.data_len + 1))
+    step, _ = base.extend(base.encode(data), [7, 9])
+    codes = [
+        build_code(SystemParams(n=7, k=4, d=4, e=3, m=3, r=5, t=5)),  # complete
+        build_code(SystemParams(n=7, k=6, d=6, e=1, m=1, r=3, t=2), bundled_design("s_2_3_7")),
+        build_code(SystemParams(n=8, k=6, d=6, e=2, m=2, r=4, t=3), bundled_design("s_3_4_8")),
+        step,
+    ]
+    for code in codes:
+        n = code.params.n
+        for _ in range(40):
+            nodes = rng.sample(range(1, n + 1), rng.randint(0, n))
+            role = {x: rng.choice((GIVEN, LOST)) for x in nodes}
+            # the order counts too: groups are met in the order of their lowest blocks
+            assert list(code._groups(role).items()) == list(reference_groups(code, role).items())
+    # the extend step's own roles: every old node given, the new block's data on nodes 1..r-m
+    role, last = dict.fromkeys(range(1, 5), GIVEN), bytes([GIVEN, GIVEN, 0, 0])
+    assert list(step._groups(role, last).items()) == list(
+        reference_groups(step, role, last).items())

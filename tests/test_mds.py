@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from regencodes import IntegrityError, ValidationError, binary_field
+from regencodes import IntegrityError, ValidationError, binary_field, build_precoded
 from regencodes.extfield import extension_field
 from regencodes.mds import MdsCodec, mds_codec
 
@@ -205,6 +205,29 @@ def test_decode_many_matches_one_block_decode(field, bits, length, dimension, rn
             assert codec.decode({p: cw[p] for p in chosen}) == cw
 
 
+@pytest.mark.parametrize("field, length, dimension", [
+    (binary_field(4), 7, 3),
+    (binary_field(8), 9, 5),
+    (binary_field(12), 9, 4),
+    (build_precoded(n=6, k=4, d=5, e=1, m=1, r=3).field, 4, 2),  # GF((2^2)^40): four points
+], ids=["gf16", "gf256", "gf4096", "precoded"])
+def test_decode_many_returns_the_wanted_positions(field, length, dimension, rng):
+    codec, reference = mds_codec(field, length, dimension), mds_codec(field, length, dimension)
+    batch = [reference.encode([rng.randrange(field.order) for _ in range(dimension)])
+             for _ in range(6)]
+    for _ in range(80):
+        chosen = sorted(rng.sample(range(length), dimension))
+        wanted = rng.sample(range(length), rng.randint(0, length))
+        cols = [field.column(cw[p] for cw in batch) for p in chosen]
+        full = reference.decode_many(chosen, cols)
+        got = codec.decode_many(chosen, cols, wanted)
+        assert got == [col if p in wanted or p in chosen else None for p, col in enumerate(full)]
+    # rows built a few at a time end up the generator's, and stay put once complete
+    for key in list(codec._generators):
+        rows = codec.generator(key)
+        assert rows == reference.generator(key) and codec.generator(key) is rows
+
+
 @pytest.mark.parametrize("w", [8, 3])
 def test_column_tables_equal_mul(w):
     # lincomb with one weight c is exactly the column through T_c
@@ -233,3 +256,6 @@ def test_decode_many_edge_batches(codec, rng):
         codec.decode_many((0, 1, 2, 3), [b"\x01", b"\x02", b"\x03", b"\x04\x05"])
     with pytest.raises(ValidationError):
         codec.decode_many((0, 1, 3, 2), [b"\x01"] * 4)  # not ascending
+    for wanted in ([7], [-1], [0, 9]):  # a codec of length 7
+        with pytest.raises(ValidationError, match="wanted positions must lie below 7"):
+            codec.decode_many((0, 1, 2, 3), [b"\x01"] * 4, wanted)
