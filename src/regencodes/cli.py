@@ -34,8 +34,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -119,7 +119,7 @@ def _atomic_write(path: Path, data) -> None:
 
 
 def _write_manifest(target: Path, command: str, parameters: dict,
-                    inputs: list[str], outputs: list[str], seed=None) -> Path:
+                    inputs: list[str], outputs: list[str]) -> Path:
     manifest = {
         "tool": "regencodes",
         "version": __version__,
@@ -127,7 +127,7 @@ def _write_manifest(target: Path, command: str, parameters: dict,
         "parameters": parameters,
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
-        "seed": seed,
+        "seed": None,
     }
     if target.is_dir():
         path = target / "manifest.json"
@@ -318,8 +318,9 @@ def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]
 def _layered_meta(code: LayeredCode) -> dict:
     p, design = code.params, code.design
     stored = {"n": design.n, "r": design.r, "t": design.t}
-    lex = itertools.combinations(range(1, design.n + 1), design.r)
-    if design.t == design.r and design.blocks == tuple(lex):
+    # the code's design is Steiner: with t = r it holds every r-subset once, in lexicographic
+    # order exactly when its blocks ascend
+    if design.t == design.r and all(map(operator.lt, design.blocks, design.blocks[1:])):
         stored["complete"] = True
     else:
         stored["blocks"] = [" ".join(map(str, b)) for b in design.blocks]

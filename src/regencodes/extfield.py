@@ -21,11 +21,12 @@ Arithmetic is table-driven (Plank, Greenan and Miller, "Screaming Fast
 Galois Field Arithmetic", FAST 2013, without SIMD); each field builds two
 tables from its modulus alone, once, in the constructor:
 
-- a reduction table of 256 entries, red[t] = (t << D) ^ ((t << D) mod
+- a reduction table of 16 entries, red[t] = (t << D) ^ ((t << D) mod
   modulus) for degree D. mul(a, b) makes the 16 unreduced multiples of a
   (each below 2^(D+3)) and walks b four bits at a time from the top:
-  p = (p << 4) ^ multiple[nibble], then p ^= red[p >> D] clears the bits
-  above D, about D/4 table steps instead of D bit steps.
+  p = (p << 4) ^ multiple[nibble] stays below 2^(D+4), then
+  p ^= red[p >> D] clears the bits above D, about D/4 table steps instead
+  of D bit steps.
 - Frobenius tables. z -> z^q is GF(2)-linear, so the images of the D unit
   monomials x^i (w squarings each) fix it; they are summed into ceil(D/8)
   tables of up to 256 entries, one per byte of the operand, and
@@ -66,10 +67,10 @@ def _gcd(a: int, b: int) -> int:
 
 
 def _reduction_table(modulus: int) -> tuple[int, ...]:
-    """red[t] = (t << D) ^ ((t << D) mod modulus) for each byte t, D the degree."""
+    """red[t] = (t << D) ^ ((t << D) mod modulus) for each nibble t, D the degree."""
     d = modulus.bit_length() - 1
     red = [0]
-    for j in range(8):  # red is GF(2)-linear in t: double it one bit of t at a time
+    for j in range(4):  # red is GF(2)-linear in t: double it one bit of t at a time
         unit = (1 << d + j) ^ _polyrem(1 << d + j, modulus)
         red += [v ^ unit for v in red]
     return tuple(red)

@@ -123,12 +123,10 @@ class LayeredCode:
         r, km, column = self.params.r, self.codec.dimension, self.field.column
         # every message sits at positions 0..r-m-1: one batch, nothing to check
         cols = self.codec.decode_many(range(km), [column(data[i::km]) for i in range(km)])
-        full = [0] * (self.block_count * r)
+        node_major = [0] * (self.block_count * r)
         for pos, col in enumerate(cols):
-            full[pos::r] = col
-        node_major = [0] * len(full)
-        for i, symbol in zip(self._to_node, full):
-            node_major[i] = symbol
+            for i, symbol in zip(self._to_node[pos::r], col):
+                node_major[i] = symbol
         return self._contents(node_major, range(1, self.params.n + 1))
 
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:

@@ -9,7 +9,8 @@ stored symbol is then itself an evaluation of f at a known point (the symbol
 the inner code stores for data theta), so any symbol set whose columns have
 full rank over GF(q) pins f down. Reconstruction recovers f by Newton
 interpolation of the linearized polynomial, in O(F^2) field operations and
-one inverse (linearized_interpolate).
+one inverse per point taken, and checks every symbol it did not take in the
+same pass (linearized_interpolate).
 
 F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
 recomputes subset ranks by eliminating an explicit generator matrix and
@@ -120,49 +121,47 @@ def linearized_precode(field: BinaryExtensionField, data: Sequence[int]) -> list
 def linearized_interpolate(
     field: BinaryExtensionField, pairs: Sequence[tuple[int, int]], size: int
 ) -> list[int]:
-    """Coefficients of the f of q-degree < size through size of the pairs.
+    """Coefficients of the f of q-degree < size through the pairs, each pair checked.
 
-    pairs are (point, value). A point is taken when it is independent over
-    the subfield of the points taken before it; the rest are skipped,
-    values unread. Raises IntegrityError when fewer than size points are
-    taken. Fraction-free
-    Newton interpolation: ann vanishes exactly on the subfield span of the
-    points taken so far, g / s interpolates their values, and the only
-    inverse is the final 1 / s.
+    pairs are (point, value). One pass of Newton interpolation: ann, monic,
+    vanishes exactly on the subfield span of the points taken so far, and f
+    interpolates their values. A point nu is taken while fewer than size
+    are and delta = ann(nu) != 0; for the residual e = value + f(nu),
+    f <- f + (e / delta) ann and ann <- ann^q + delta^(q-1) ann, through one
+    inverse. Every other pair must have e = 0: a skipped point lies in the
+    span, on which all linearized f through the points taken agree, and
+    after the size-th point f is final. Raises IntegrityError when fewer than size
+    points are taken, else when a checked pair disagrees.
     """
-    if size == 0:
-        return []
     mul, frob = field.mul, field.frobenius
+    f: list[int] = []
     ann = [field.one]  # the polynomial x
-    g: list[int] = []
-    s = field.one
-    taken = 0
+    misfit = False
     for nu, y in pairs:
-        pows = [nu]  # nu^(q^i) for i < len(ann)
-        for _ in range(len(ann) - 1):
+        taking = len(f) < size
+        pows = [nu]  # nu^(q^i) for i < len(ann) while taking, i < len(f) after
+        for _ in range(len(f) - 1 + taking):
             pows.append(frob(pows[-1]))
-        delta = field.zero
-        for c, p in zip(ann, pows):
-            delta ^= mul(c, p)
-        if delta == field.zero:
-            continue  # nu lies in the span: ann(nu) = 0
-        # g <- delta g + e ann keeps g = s' y at the old points and fixes nu
-        e = mul(s, y)
-        for c, p in zip(g, pows):
+        e = y
+        for c, p in zip(f, pows):
             e ^= mul(c, p)
-        g = [mul(delta, c) ^ mul(e, a) for c, a in zip(g, ann)] + [mul(e, ann[-1])]
-        s = mul(delta, s)
-        taken += 1
-        if taken == size:
-            scale = field.inv(s)
-            return [mul(scale, c) for c in g]
-        # ann <- delta ann^q + delta^q ann vanishes at nu too
-        dq = frob(delta)
-        grown = [mul(dq, c) for c in ann] + [field.zero]
-        for i, c in enumerate(ann):
-            grown[i + 1] ^= mul(delta, frob(c))
-        ann = grown
-    raise IntegrityError(f"only {taken} independent columns among {len(pairs)}; need {size}")
+        delta = field.zero
+        if taking:
+            for c, p in zip(ann, pows):
+                delta ^= mul(c, p)
+        if delta == field.zero:  # nu lies in the span, or f is final
+            misfit |= e != field.zero
+            continue
+        inv = field.inv(delta)
+        s, dq1 = mul(e, inv), mul(frob(delta), inv)  # e / delta and delta^(q-1)
+        f = [c ^ mul(s, a) for c, a in zip(f, ann)] + [s]  # ann is monic
+        lifted = [field.zero] + [frob(c) for c in ann]  # ann^q
+        ann = [c ^ mul(dq1, a) for c, a in zip(lifted, ann)] + lifted[-1:]
+    if len(f) < size:
+        raise IntegrityError(f"only {len(f)} independent columns among {len(pairs)}; need {size}")
+    if misfit:
+        raise IntegrityError("stored symbols are inconsistent with the recovered data")
+    return f
 
 
 @dataclass(frozen=True)
@@ -191,10 +190,10 @@ class PrecodedCode:
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents.
 
-        Walks the provided symbols in node order, then slot order, and
+        Walks the provided symbols in node order, then slot order, once:
         interpolates f through the first F whose evaluation points are
-        independent over the subfield; then checks f against every provided
-        symbol.
+        independent over the subfield, and checks every other symbol
+        against it (linearized_interpolate).
         """
         by_node = self.inner._index_contents(contents)
         if len(by_node) < self.k:
@@ -206,11 +205,7 @@ class PrecodedCode:
         pairs = [  # (evaluation point, stored symbol)
             pair for x in sorted(by_node) for pair in zip(stored_theta[x - 1].symbols, by_node[x])
         ]
-        data = linearized_interpolate(f, pairs, self.data_len)
-        for nu, sym in pairs:
-            if linearized_eval(f, data, nu) != sym:
-                raise IntegrityError("stored symbols are inconsistent with the recovered data")
-        return data
+        return linearized_interpolate(f, pairs, self.data_len)
 
     def repair(
         self,

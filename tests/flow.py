@@ -34,6 +34,14 @@ import zlib
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+# imported before any case changes the working directory
+from conftest import OLD_FORMAT_DIR  # noqa: E402
+from regencodes.cli import main as cli_main  # noqa: E402
+from regencodes.designs import bundled_design, serialize_design  # noqa: E402
+
 HASHES = HERE / "flow_hashes.json"
 SEED = 20260
 SUBCOMMANDS = ("design", "encode", "repair", "reconstruct", "extend",
@@ -73,16 +81,14 @@ class Case:
         self.rng = random.Random(f"{SEED}/{name}")
 
     def run(self, *argv: str) -> int:
-        from regencodes.cli import main
-
         before = _snapshot(self.root)
         out, err = io.BytesIO(), io.StringIO()
         stdout = io.TextIOWrapper(out, encoding="utf-8", newline="\n", write_through=True)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             try:
-                code = main(list(argv))
+                code = cli_main(list(argv))
             except SystemExit as ex:  # argparse: --help, usage errors
-                code = ex.code if isinstance(ex.code, int) else 0 if ex.code is None else 1
+                code = ex.code
             stdout.flush()
         files = {}
         for name, blob in _snapshot(self.root).items():
@@ -146,8 +152,8 @@ def _help(case: Case) -> None:
 
 def _node_dir_checks(case: Case, nodes: str, alpha: int, reconstruct: list[str],
                      repairs: list[tuple[str, str]]) -> None:
-    """Reconstruct and repair on a clean copy, then on two copies with a flipped symbol:
-    one flipped on disk (its crc fails) and one under a recomputed crc."""
+    """Reconstruct and repair clean, then from copies with one flipped symbol each: three
+    flipped on disk (the crc fails) and three under a recomputed crc."""
     for subset in reconstruct:
         case.run("reconstruct", "--node-dir", nodes, "--nodes", subset, "--out", "back.bin")
         case.run("reconstruct", "--node-dir", nodes, "--nodes", subset)
@@ -187,8 +193,6 @@ def _layered(argv: list[str], count: int, bits: int, alpha: int, reconstruct: li
 
 def _bundled(name: str):
     def setup(case: Case) -> None:
-        from regencodes.designs import bundled_design, serialize_design
-
         case.write(f"{name}.design", serialize_design(bundled_design(name)))
         case.run("design", "--load", f"{name}.design", "--out", "canon.design")
     return setup
@@ -258,8 +262,6 @@ def _verify(case: Case) -> None:
 
 
 def _pre_v2(case: Case) -> None:
-    from conftest import OLD_FORMAT_DIR
-
     for name, text in OLD_FORMAT_DIR.items():
         case.write(f"old/{name}", text)
     case.data("extra.bin", 2, 8)
@@ -356,5 +358,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(HERE.parent / "src"))
     raise SystemExit(main(sys.argv[1:]))

@@ -1,6 +1,13 @@
-"""Rank-limited precoding: counting formula, rank oracle, linearized codec."""
+"""Rank-limited precoding: counting formula, rank oracle, linearized codec.
+
+PrecodedCode.reconstruct is also checked against a two-pass reference kept
+here: fraction-free interpolation, then f evaluated at every given symbol.
+Tier-1 runs a seeded sample of its cases; `python tests/test_precoded.py`
+(with the package importable) runs every one.
+"""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -112,9 +119,9 @@ def _independent_points(f, rng, count, subfield_rank):
 
 
 def _with_dependent_points(f, rng, points):
-    # 0 first, then after each point but the last (where interpolation
-    # stops) a subfield multiple of it other than itself and a sum of two
-    # earlier points
+    # 0 first, then after each point but the last (where taking stops) a
+    # subfield multiple of it other than itself and a sum of two earlier
+    # points
     out = [f.zero]
     for i, p in enumerate(points):
         out.append(p)
@@ -133,11 +140,9 @@ def test_linearized_interpolate_inverts_eval(w, kappa, rng, subfield_rank):
         for _ in range(3):
             coeffs = [rng.randrange(1 << f.degree) for _ in range(size)]
             independent = _independent_points(f, rng, size, subfield_rank)
-            pairs = []
-            for z in _with_dependent_points(f, rng, independent):
-                y = linearized_eval(f, coeffs, z)
-                # a dependent point carries a wrong value: it must be skipped
-                pairs.append((z, y if z in independent else y ^ 1))
+            # dependent points carry their true values: they are checked, not taken
+            points = _with_dependent_points(f, rng, independent)
+            pairs = [(z, linearized_eval(f, coeffs, z)) for z in points]
             assert len(pairs) > size or size == 1
             assert linearized_interpolate(f, pairs, size) == coeffs
 
@@ -156,6 +161,36 @@ def test_linearized_interpolate_needs_enough_independent_points(w, kappa, rng, s
             f"only {size - 1} independent columns among {len(pairs)}; need {size}"
         )
     assert linearized_interpolate(f, [], 0) == []
+
+
+INCONSISTENT = "stored symbols are inconsistent with the recovered data"
+
+
+@pytest.mark.parametrize("w,kappa", [(2, 5), (3, 4)])
+def test_linearized_interpolate_checks_every_pair_it_does_not_take(w, kappa, rng, subfield_rank):
+    f = extension_field(w, kappa)
+    for size in range(1, kappa + 1):
+        coeffs = [rng.randrange(1 << f.degree) for _ in range(size)]
+        independent = _independent_points(f, rng, size, subfield_rank)
+        dependent = _with_dependent_points(f, rng, independent)
+        # the last independent point is the size-th taken; any pair after it is checked
+        points = dependent + [rng.randrange(1 << f.degree) for _ in range(3)]
+        pairs = [(z, linearized_eval(f, coeffs, z)) for z in points]
+        assert linearized_interpolate(f, pairs, size) == coeffs
+        for i, (z, y) in enumerate(pairs):
+            if z in independent:
+                continue
+            flipped = pairs[:i] + [(z, y ^ 1)] + pairs[i + 1:]
+            with pytest.raises(IntegrityError) as err:
+                linearized_interpolate(f, flipped, size)
+            assert str(err.value) == INCONSISTENT
+        # too few independent points: the rank verdict comes before a wrong dependent value
+        wrong = [(z, y if z in independent else y ^ 1) for z, y in pairs[: len(dependent)]]
+        with pytest.raises(IntegrityError) as err:
+            linearized_interpolate(f, wrong, size + 1)
+        assert str(err.value) == (
+            f"only {size} independent columns among {len(wrong)}; need {size + 1}"
+        )
 
 
 # -- full codec ---------------------------------------------------------------------
@@ -277,3 +312,107 @@ def test_build_validation(monkeypatch):
     monkeypatch.setattr(precoded, "extension_field", no_field)
     with pytest.raises(ValidationError, match="more than 100000 blocks"):
         build_precoded(n=40, k=30, d=31, e=1, m=10, r=20)
+
+
+# -- reconstruct against the two-pass reference ---------------------------------------
+
+
+def fraction_free_interpolate(field, pairs, size):
+    """Newton interpolation with one inverse: g / s interpolates the points taken, and a
+    point in the subfield span of those before it is skipped, its value unread."""
+    mul, frob = field.mul, field.frobenius
+    ann, g, s, taken = [field.one], [], field.one, 0
+    for nu, y in pairs:
+        pows = [nu]
+        for _ in range(len(ann) - 1):
+            pows.append(frob(pows[-1]))
+        delta = field.zero
+        for c, p in zip(ann, pows):
+            delta ^= mul(c, p)
+        if delta == field.zero:
+            continue
+        e = mul(s, y)
+        for c, p in zip(g, pows):
+            e ^= mul(c, p)
+        g = [mul(delta, c) ^ mul(e, a) for c, a in zip(g, ann)] + [mul(e, ann[-1])]
+        s = mul(delta, s)
+        taken += 1
+        if taken == size:
+            scale = field.inv(s)
+            return [mul(scale, c) for c in g]
+        dq = frob(delta)
+        grown = [mul(dq, c) for c in ann] + [field.zero]
+        for i, c in enumerate(ann):
+            grown[i + 1] ^= mul(delta, frob(c))
+        ann = grown
+    raise IntegrityError(f"only {taken} independent columns among {len(pairs)}; need {size}")
+
+
+def reference_reconstruct(code, contents):
+    """Interpolate through the first F independent points, then evaluate f at every pair."""
+    f = code.field
+    stored_theta = code.inner.encode(f.theta)
+    by_node = {nc.node: nc.symbols for nc in contents}
+    pairs = [pair for x in sorted(by_node) for pair in zip(stored_theta[x - 1].symbols, by_node[x])]
+    data = fraction_free_interpolate(f, pairs, code.data_len)
+    for nu, sym in pairs:
+        if linearized_eval(f, data, nu) != sym:
+            raise IntegrityError(INCONSISTENT)
+    return data
+
+
+def outcome(reconstruct, contents):
+    try:
+        return reconstruct(contents)
+    except IntegrityError as ex:
+        return str(ex)
+
+
+# (n, k, d, e, m, r) and how many node lists tier-1 samples; None takes every one
+DIFFERENTIAL_CODES = [
+    ((5, 3, 4, 1, 1, 2), None),  # F=9
+    ((5, 2, 3, 1, 2, 3), None),  # F=9
+    ((6, 4, 5, 1, 1, 3), 3),  # F=36
+    ((7, 4, 5, 1, 2, 4), 1),  # F=66
+]
+
+
+def differential_cases(params, sample=None):
+    """(code, data, contents) over node lists, each (k+1)-subset and its first k nodes: each
+    list clean and with three seeded single-symbol flips."""
+    code = build_precoded(*params)
+    rng = random.Random(str(params))
+    data = [rng.randrange(code.field.order) for _ in range(code.data_len)]
+    state = code.encode(data)
+    node_lists = [list(nodes) for subset in itertools.combinations(state, code.k + 1)
+                  for nodes in (subset, subset[: code.k])]
+    if sample is not None:
+        node_lists = rng.sample(node_lists, sample)
+    for nodes in node_lists:
+        yield code, data, nodes
+        for _ in range(3):
+            i, j = rng.randrange(len(nodes)), rng.randrange(code.alpha)
+            nc = nodes[i]
+            bad = NodeContents(nc.node, nc.symbols[:j] + (nc.symbols[j] ^ 1,) + nc.symbols[j + 1:])
+            yield code, data, nodes[:i] + [bad] + nodes[i + 1:]
+
+
+def differential_verdicts(params, sample=None):
+    """Counts of the reference's verdicts; asserts reconstruct gives the same in every case."""
+    verdicts = {"data": 0, "wrong data": 0, "raised": 0}
+    for code, data, contents in differential_cases(params, sample):
+        want = outcome(lambda c: reference_reconstruct(code, c), contents)
+        assert outcome(code.reconstruct, contents) == want, (params, [nc.node for nc in contents])
+        verdicts["raised" if isinstance(want, str) else "data" if want == data else "wrong data"] += 1
+    return verdicts
+
+
+@pytest.mark.parametrize("params,sample", DIFFERENTIAL_CODES, ids=[str(c[0]) for c in DIFFERENTIAL_CODES])
+def test_reconstruct_matches_the_two_pass_reference(params, sample):
+    verdicts = differential_verdicts(params, sample)
+    assert verdicts["data"] and verdicts["raised"], verdicts
+
+
+if __name__ == "__main__":
+    for params, _ in DIFFERENTIAL_CODES:
+        print(params, differential_verdicts(params))
