@@ -148,6 +148,11 @@ def _help(case: Case) -> None:
     case.run()
     case.run("encode", "--n", "4")
     case.run("region", "--k", "x", "--e", "1")
+    case.run("--version")
+    case.run("bogus")
+    case.run("region", "--k", "4", "--e", "2", "--bogus")
+    case.run("encode", "--n", "4", "-h")
+    case.run("region", "--k", "4", "--e", "2", "--o", "r.csv")
 
 
 def _node_dir_checks(case: Case, nodes: str, alpha: int, reconstruct: list[str],
@@ -244,6 +249,8 @@ def _tradeoff(case: Case) -> None:
     case.run("compare", "--n", "8", "--k", "5", "--d", "6")
     case.run("compare", "--n", "10", "--k", "7", "--d", "7", "--out", "compare.csv")
     case.run("compare", "--n", "5", "--k", "5", "--d", "5")
+    case.run("points", "--n", "30", "--k", "20", "--d", "22", "--e", "4")
+    case.run("compare", "--n", "20", "--k", "14", "--d", "15")
 
 
 def _design(case: Case) -> None:
