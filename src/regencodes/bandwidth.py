@@ -14,14 +14,18 @@ Fractions. Three accountings of the same repair:
 
 beta_formula is the closed form of the msmr total per helper for complete
 designs (t = r); beta_oracle recounts all three from an explicit design and
-explicit failed/helper sets, sharing no code with the formula.
+explicit failed/helper sets, sharing no code with the formula. The closed
+forms sum exact integers, over one common denominator where the shares are
+fractional, and build one Fraction per returned value; the oracle adds its
+shares as Fractions, block by block.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Optional
 
 from .designs import BlockDesign
@@ -90,16 +94,12 @@ def beta_formula(n: int, e: int, m: int, r: int, d: int) -> Fraction:
     needs d >= n-m, but the analytic curve extends below that.
     """
     _check_formula_args(n, e, m, r, d)
-    total = Fraction(0)
+    nums: defaultdict[int, int] = defaultdict(int)  # integer numerator per denominator m-p+s
     for s in range(1, e + 1):
         for p in range(max(s, r - d), min(n - d - e + s, r - 1) + 1):
-            total += (
-                comb(d - 1, r - p - 1)
-                * comb(n - d - e, p - s)
-                * comb(e, s)
-                * Fraction(s, m - p + s)
-            )
-    return total
+            nums[m - p + s] += comb(d - 1, r - p - 1) * comb(n - d - e, p - s) * comb(e, s) * s
+    den = lcm(*nums)  # every term over one common denominator, one Fraction at the end
+    return Fraction(sum(num * (den // q) for q, num in nums.items()), den)
 
 
 def _check_formula_args(n: int, e: int, m: int, r: int, d: int) -> None:

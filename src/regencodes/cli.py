@@ -294,6 +294,10 @@ def _code_from_meta(meta: dict):
     raise ValidationError(f"unknown construction {construction!r} in code.json")
 
 
+def _code_n(code) -> int:
+    return code.n if isinstance(code, PrecodedCode) else code.params.n
+
+
 def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]:
     expect_kappa = _node_kappa(code)
     layered = code if expect_kappa is None else code.inner  # whose slots the files follow
@@ -436,6 +440,8 @@ def _cmd_repair(args) -> int:
     code = _code_from_meta(meta)
     failed = _int_list(args.failed, "--failed")
     helpers = _int_list(args.helpers, "--helpers")
+    if not set(failed + helpers) <= set(range(1, _code_n(code) + 1)):  # before any file is read
+        raise ValidationError("failed and helper nodes must lie in 1..n")
     state = _load_nodes(dirpath, sorted(set(helpers)), code)
     repaired, report = code.repair(state, failed, helpers)
     rpath = _resolve(args.report) if args.report else None
@@ -457,15 +463,19 @@ def _cmd_reconstruct(args) -> int:
     dirpath = _resolve(args.node_dir)
     meta = _load_code_meta(dirpath)
     code = _code_from_meta(meta)
-    nodes = _int_list(args.nodes, "--nodes")
-    state = _load_nodes(dirpath, sorted(set(nodes)), code)
+    nodes = sorted(set(_int_list(args.nodes, "--nodes")))
+    n = _code_n(code)
+    for x in nodes:  # before any file is read
+        if not 1 <= x <= n:
+            raise ValidationError(f"node id {x} out of range 1..{n}")
+    state = _load_nodes(dirpath, nodes, code)
     data = code.reconstruct(state)
     bits = code.field.order.bit_length() - 1
     blob = _data_to_bytes(data, bits)
     if args.out:
         path = _resolve(args.out)
         _atomic_write(path, blob)
-        _write_manifest(path, "reconstruct", {"nodes": sorted(set(nodes))},
+        _write_manifest(path, "reconstruct", {"nodes": nodes},
                         inputs=[str(dirpath)], outputs=[str(path)])
         _print_json({"out": str(path), "data_symbols": len(data), "bytes": len(blob)})
     else:
@@ -548,16 +558,14 @@ def _cmd_verify(args) -> int:
 
 
 # -- parser -----------------------------------------------------------------------
+#
+# main() builds the top-level parser with only the subparser its first argument names;
+# any other argv (none, -h, --version, an unknown command) gets all nine, so every help
+# text, usage line and error message is the same either way. Each main() call builds its
+# parser afresh; nothing is kept between calls.
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="regencodes",
-        description="Layered regenerating codes: repair, reconstruction, tradeoff region.",
-    )
-    ap.add_argument("--version", action="version", version=f"regencodes {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
+def _design_parser(sub) -> None:
     p = sub.add_parser("design", help="generate or validate a block design")
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
@@ -565,6 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the canonical design file here")
     p.set_defaults(func=_cmd_design)
 
+
+def _encode_parser(sub) -> None:
     p = sub.add_parser("encode", help="encode a data file into a node directory")
     p.add_argument("--construction", choices=["layered", "precoded"], default="layered")
     p.add_argument("--n", type=int)
@@ -579,6 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_encode)
 
+
+def _repair_parser(sub) -> None:
     p = sub.add_parser("repair", help="rebuild failed nodes from helper node files")
     p.add_argument("--node-dir", required=True, dest="node_dir")
     p.add_argument("--failed", required=True)
@@ -586,24 +598,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="also write the bandwidth report JSON here")
     p.set_defaults(func=_cmd_repair)
 
+
+def _reconstruct_parser(sub) -> None:
     p = sub.add_parser("reconstruct", help="recover the data file from k nodes")
     p.add_argument("--node-dir", required=True, dest="node_dir")
     p.add_argument("--nodes", required=True)
     p.add_argument("--out", help="write the data here (default: stdout)")
     p.set_defaults(func=_cmd_reconstruct)
 
+
+def _extend_parser(sub) -> None:
     p = sub.add_parser("extend", help="grow (k+e,k) into (k+e+1,k) with fresh data")
     p.add_argument("--node-dir", required=True, dest="node_dir")
     p.add_argument("--new-data", required=True, dest="new_data")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_extend)
 
+
+def _region_parser(sub) -> None:
     p = sub.add_parser("region", help="corner points and achievable curve at n=k+e, d=k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(func=_cmd_region)
 
+
+def _points_parser(sub) -> None:
     p = sub.add_parser("points", help="achievable (alpha, beta) curves for general (n,k,d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -613,6 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(func=_cmd_points)
 
+
+def _compare_parser(sub) -> None:
     p = sub.add_parser("compare", help="msmr vs naive repair bandwidth, single failure")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -620,16 +642,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here (default: stdout)")
     p.set_defaults(func=_cmd_compare)
 
+
+def _verify_parser(sub) -> None:
     p = sub.add_parser("verify", help="run randomized self-checks")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)
 
+
+_SUBPARSERS = {  # in the order --help lists them
+    "design": _design_parser,
+    "encode": _encode_parser,
+    "repair": _repair_parser,
+    "reconstruct": _reconstruct_parser,
+    "extend": _extend_parser,
+    "region": _region_parser,
+    "points": _points_parser,
+    "compare": _compare_parser,
+    "verify": _verify_parser,
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only `command`'s."""
+    ap = argparse.ArgumentParser(
+        prog="regencodes",
+        description="Layered regenerating codes: repair, reconstruction, tradeoff region.",
+    )
+    ap.add_argument("--version", action="version", version=f"regencodes {__version__}")
+    if command is None:
+        sub = ap.add_subparsers(dest="command", required=True)
+        for add in _SUBPARSERS.values():
+            add(sub)
+    else:
+        # spell out what the full build shows by default, so the top-level usage still lists
+        # every command; the full build leaves it unset, or "the following arguments are
+        # required" would name the list instead of `command`
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBPARSERS) + "}")
+        _SUBPARSERS[command](sub)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBPARSERS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as ex:

@@ -11,7 +11,9 @@ The module computes:
 - achievable (alpha_bar, beta_bar) curves for general (n, k, d) systems with
   a precode, one curve per erasure budget m.
 
-Everything is Fraction arithmetic; nothing here touches floats.
+Every value is an exact rational. The bandwidth sums (beta_formula) add exact
+integers over one common denominator, with one Fraction per returned value;
+nothing here touches floats.
 """
 
 from __future__ import annotations

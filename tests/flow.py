@@ -9,8 +9,14 @@ first, so a version bump does not move the hashes. Between commands a case
 may edit files itself (write seeded data, flip a stored symbol); those edits
 are not recorded.
 
-    python tests/flow.py           compare a fresh run with flow_hashes.json
-    python tests/flow.py --write   rewrite flow_hashes.json from a fresh run
+    python tests/flow.py                compare a fresh run with flow_hashes.json
+    python tests/flow.py --write        rewrite flow_hashes.json from a fresh run
+    python tests/flow.py --against REV  compare a fresh run with the same cases run
+                                        against REV's src/ (a git revision)
+
+--against checks REV out with `git worktree add` into a temporary directory,
+runs this tree's cases against that checkout's package in a subprocess,
+prints every entry that differs and removes the worktree.
 
 tests/test_flow.py runs the comparison in tier-1. A change that means to
 alter an output rewrites the JSON and names each changed entry; regenerating
@@ -20,6 +26,7 @@ on the Python minor version's argparse; the JSON was written under 3.11.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -28,6 +35,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import zlib
@@ -351,16 +359,55 @@ def diff(pinned: dict, got: dict) -> list[str]:
     return sorted(key for key in pinned.keys() | got.keys() if pinned.get(key) != got.get(key))
 
 
+# run in a subprocess with REV's src/ first on sys.path: argv is src, tests, output file
+_RUN_AGAINST = """import json, sys
+sys.path[:0] = sys.argv[1:3]
+import flow
+with open(sys.argv[3], "w") as fh:
+    json.dump(flow.run_flow(), fh)
+"""
+
+
+def run_flow_against(rev: str) -> dict:
+    """Run every case against the package as it is at the git revision rev."""
+    repo = HERE.parent
+    with tempfile.TemporaryDirectory(prefix="flow-against-") as tmp:
+        checkout, out = Path(tmp) / "rev", Path(tmp) / "record.json"
+        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", str(checkout), rev],
+                       check=True, capture_output=True, text=True)
+        try:
+            subprocess.run([sys.executable, "-c", _RUN_AGAINST, str(checkout / "src"), str(HERE),
+                            str(out)], check=True)
+            return json.loads(out.read_text())
+        finally:
+            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(checkout)],
+                           check=True, capture_output=True)
+
+
 def main(argv: list[str]) -> int:
-    got = run_flow()
-    if "--write" in argv:
+    ap = argparse.ArgumentParser(prog="python tests/flow.py")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help=f"rewrite {HASHES.name}")
+    mode.add_argument("--against", metavar="REV", help="compare with REV's src/ instead")
+    args = ap.parse_args(argv)
+    if args.write:
+        got = run_flow()
         HASHES.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(got)} commands to {HASHES.name}")
         return 0
-    changed = diff(json.loads(HASHES.read_text()), got)
+    if args.against:
+        try:
+            pinned = run_flow_against(args.against)
+        except subprocess.CalledProcessError as ex:
+            print(f"{ex.cmd[0]} failed: {(ex.stderr or '').strip()}", file=sys.stderr)
+            return 2
+    else:
+        pinned = json.loads(HASHES.read_text())
+    got = run_flow()
+    changed = diff(pinned, got)
     for key in changed:
         print(f"differs: {key}")
-    print(f"{len(got)} commands, {len(changed)} differ")
+    print(f"{len(got)} commands, {len(changed)} differ from {args.against or HASHES.name}")
     return 1 if changed else 0
 
 

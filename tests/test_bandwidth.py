@@ -8,6 +8,7 @@ in the other.
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -97,6 +98,34 @@ def test_formula_matches_oracle_on_complete_designs(rng):
                         want = beta_formula(n, e, m, r, d)
                         rep = beta_oracle(design, m, failed, helpers)
                         assert set(rep.msmr.values()) == {want}
+
+
+def per_term_fraction_sum(n, e, m, r, d):
+    """The formula summed one normalized Fraction per term, as first written."""
+    total = Fraction(0)
+    for s in range(1, e + 1):
+        for p in range(max(s, r - d), min(n - d - e + s, r - 1) + 1):
+            total += (
+                comb(d - 1, r - p - 1)
+                * comb(n - d - e, p - s)
+                * comb(e, s)
+                * Fraction(s, m - p + s)
+            )
+    return total
+
+
+def test_formula_equals_the_per_term_fraction_sum_on_its_domain():
+    cases = 0
+    for n in range(2, 17):
+        for m in range(1, n):
+            for e in range(1, m + 1):
+                for r in range(m + 1, n + 1):
+                    for d in range(max(1, n - m - e + 1), n - e + 1):
+                        got = beta_formula(n, e, m, r, d)
+                        assert type(got) is Fraction
+                        assert got == per_term_fraction_sum(n, e, m, r, d), (n, e, m, r, d)
+                        cases += 1
+    assert cases == 17340
 
 
 def test_formula_in_extended_domain():

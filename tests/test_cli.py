@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv): files, manifests, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from regencodes import NodeContents, SystemParams, build_code
-from regencodes.cli import main
+from regencodes.cli import _build_parser, main
 from regencodes.designs import bundled_design, serialize_design
 from regencodes.layered import LayeredCode, node_contents_from_text, node_contents_to_text
 from regencodes.tradeoff import CSV_HEADER
@@ -704,3 +705,53 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("regencodes ")
+
+
+def test_out_of_range_node_ids_are_refused_before_any_file_is_read(tmp_path, capsys):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    (out_dir / "node_009.txt").mkdir()  # reading it would fail, so the range check must come first
+    for argv, err in (
+        (["reconstruct", "--nodes", "1,2,9"], "error: node id 9 out of range 1..4\n"),
+        (["reconstruct", "--nodes", "0,1,2,3"], "error: node id 0 out of range 1..4\n"),
+        (["repair", "--failed", "1", "--helpers", "2,3,9"],
+         "error: failed and helper nodes must lie in 1..n\n"),
+        (["repair", "--failed", "9", "--helpers", "1,2,3"],
+         "error: failed and helper nodes must lie in 1..n\n"),
+    ):
+        assert main([*argv, "--node-dir", str(out_dir)]) == 2, argv
+        assert capsys.readouterr().err == err
+
+
+# one valid argv per subcommand, every option given where the command allows it
+VALID_ARGV = {
+    "design": ["--n", "7", "--r", "3", "--load", "in.design", "--out", "out.design"],
+    "encode": ["--construction", "precoded", "--n", "6", "--k", "4", "--m", "1", "--e", "1",
+               "--d", "5", "--r", "3", "--design", "x.design", "--field-width", "2",
+               "--data", "data.bin", "--out-dir", "nodes"],
+    "repair": ["--node-dir", "nodes", "--failed", "1", "--helpers", "2,3,4", "--report", "r.json"],
+    "reconstruct": ["--node-dir", "nodes", "--nodes", "1,2,3", "--out", "back.bin"],
+    "extend": ["--node-dir", "n4", "--new-data", "extra.bin", "--out-dir", "n5"],
+    "region": ["--k", "4", "--e", "2", "--out", "region.csv"],
+    "points": ["--n", "8", "--k", "5", "--d", "6", "--e", "2", "--m-values", "2,3",
+               "--out", "points.csv"],
+    "compare": ["--n", "8", "--k", "5", "--d", "6", "--out", "compare.csv"],
+    "verify": ["--seed", "7"],
+}
+
+
+def _subparsers(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_subcommand_has_a_valid_argv():
+    assert set(_subparsers(_build_parser())) == set(VALID_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGV))
+def test_single_command_parser_matches_the_full_parser(command):
+    full, single = _build_parser(), _build_parser(command)
+    assert list(_subparsers(single)) == [command]
+    assert single.format_usage() == full.format_usage()
+    assert _subparsers(single)[command].format_help() == _subparsers(full)[command].format_help()
+    argv = [command, *VALID_ARGV[command]]
+    assert single.parse_args(argv) == full.parse_args(argv)
