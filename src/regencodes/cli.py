@@ -21,10 +21,13 @@ holds the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and one line of the
 node's symbols as fixed-width hex in slot order; crc is zlib.crc32 of that
 payload line, so a node file changed on disk fails with exit 3 naming the
 node before any decode. Header, alpha, payload length and hex digits are
-checked first (exit 2).
+checked first (exit 2), and the kappa token only a precoded code's node
+files carry after the checksum (exit 2).
 All file writes are atomic (write to a temp name, then rename) and every
 command that writes files also writes a JSON run manifest next to them.
-Relative output paths are placed under $REGENCODES_OUT_DIR when it is set.
+Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
+when it is set (commands both write and read node directories); other
+input paths are used as given.
 
 Exit codes: 0 success, 2 invalid input, 3 integrity failure.
 """
@@ -39,13 +42,12 @@ import operator
 import os
 import sys
 import tempfile
-from fractions import Fraction
-from math import comb
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .bandwidth import beta_formula, beta_layered_naive_e1
+from .bandwidth import beta_layered_naive_e1
 from .designs import (
     BlockDesign,
     complete_design,
@@ -57,14 +59,13 @@ from .designs import (
 from .errors import IntegrityError, ValidationError
 from .gf import binary_field
 from .layered import (
-    LayeredCode,
     NodeContents,
     SystemParams,
     build_code,
     node_contents_from_text,
     node_contents_to_text,
 )
-from .precoded import PrecodedCode, build_precoded, rho
+from .precoded import build_precoded, rho
 from .tradeoff import (
     CSV_HEADER,
     achievable_points_general,
@@ -73,11 +74,11 @@ from .tradeoff import (
     csv_rows,
     mbcr_point,
     msmr_point,
-    TradeoffPoint,
 )
 
 DEFAULT_SEED = 12345
 OUT_DIR_ENV = "REGENCODES_OUT_DIR"
+CODE_JSON_FORMAT = "regencodes-node-dir"
 CODE_JSON_VERSION = 2  # the only code.json layout read or written
 
 
@@ -148,12 +149,14 @@ def _int_list(text: str, what: str) -> list[int]:
         raise ValidationError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _symbol_bytes(bits: int) -> int:
-    return (bits + 7) // 8
+def _symbol_width(field) -> tuple[int, int]:
+    """Bits and bytes of one data-file symbol; a field (extension, if precoded) of order 2^bits."""
+    w = field.order.bit_length() - 1
+    return w, (w + 7) // 8
 
 
-def _read_data_file(path: Path, count: int, bits: int) -> Sequence[int]:
-    nbytes = _symbol_bytes(bits)
+def _read_data_file(path: Path, count: int, field) -> Sequence[int]:
+    bits, nbytes = _symbol_width(field)
     try:
         blob = path.read_bytes()
     except OSError as ex:
@@ -173,8 +176,8 @@ def _read_data_file(path: Path, count: int, bits: int) -> Sequence[int]:
     return out
 
 
-def _data_to_bytes(symbols: Sequence[int], bits: int) -> bytes:
-    nbytes = _symbol_bytes(bits)
+def _data_to_bytes(symbols: Sequence[int], field) -> bytes:
+    nbytes = _symbol_width(field)[1]
     if nbytes == 1:
         return bytes(symbols)
     return b"".join(int(v).to_bytes(nbytes, "big") for v in symbols)
@@ -210,17 +213,11 @@ def _emit_csv(rows: list[list[str]], out: Optional[str], command: str,
 # -- node directories ----------------------------------------------------------
 
 
-def _node_kappa(code) -> Optional[int]:
-    """The kappa node-file headers carry: the field's for a precoded code, else none."""
-    return code.field.kappa if isinstance(code, PrecodedCode) else None
-
-
 def _write_nodes(dirpath: Path, code, state: list[NodeContents]) -> list[str]:
     written = []
-    kappa = _node_kappa(code)
     for nc in state:
         path = _node_path(dirpath, nc.node)
-        _atomic_write(path, node_contents_to_text(nc, code.field.hex_width, kappa=kappa))
+        _atomic_write(path, node_contents_to_text(nc, code))
         written.append(str(path))
     return written
 
@@ -239,7 +236,7 @@ def _load_code_meta(dirpath: Path) -> dict:
         raise ValidationError(f"cannot read {code_path}: {ex}") from None
     except json.JSONDecodeError as ex:
         raise ValidationError(f"{code_path} is not valid JSON: {ex}") from None
-    if not isinstance(meta, dict) or meta.get("format") != "regencodes-node-dir":
+    if not isinstance(meta, dict) or meta.get("format") != CODE_JSON_FORMAT:
         raise ValidationError(f"{code_path} is not a regencodes node directory descriptor")
     return meta
 
@@ -294,13 +291,7 @@ def _code_from_meta(meta: dict):
     raise ValidationError(f"unknown construction {construction!r} in code.json")
 
 
-def _code_n(code) -> int:
-    return code.n if isinstance(code, PrecodedCode) else code.params.n
-
-
 def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]:
-    expect_kappa = _node_kappa(code)
-    layered = code if expect_kappa is None else code.inner  # whose slots the files follow
     out = []
     for x in nodes:
         path = _node_path(dirpath, x)
@@ -308,18 +299,20 @@ def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as ex:
             raise ValidationError(f"cannot read node file {path}: {ex}") from None
-        nc, kappa = node_contents_from_text(text, layered, path)
+        nc = node_contents_from_text(text, code, path)
         if nc.node != x:
             raise ValidationError(f"{path} names node {nc.node}, expected {x}")
-        if kappa != expect_kappa:
-            raise ValidationError(
-                f"{path} kappa header {kappa} disagrees with the code ({expect_kappa})"
-            )
         out.append(nc)
     return out
 
 
-def _layered_meta(code: LayeredCode) -> dict:
+def _code_meta(construction: str, **rest) -> dict:
+    """code.json for either construction: the shared keys, then its own."""
+    return {"format": CODE_JSON_FORMAT, "format_version": CODE_JSON_VERSION,
+            "version": __version__, "construction": construction, **rest}
+
+
+def _layered_meta(code) -> dict:
     p, design = code.params, code.design
     stored = {"n": design.n, "r": design.r, "t": design.t}
     # the code's design is Steiner: with t = r it holds every r-subset once, in lexicographic
@@ -328,28 +321,21 @@ def _layered_meta(code: LayeredCode) -> dict:
         stored["complete"] = True
     else:
         stored["blocks"] = [" ".join(map(str, b)) for b in design.blocks]
-    return {
-        "format": "regencodes-node-dir",
-        "format_version": CODE_JSON_VERSION,
-        "version": __version__,
-        "construction": "layered",
-        "params": {"n": p.n, "k": p.k, "d": p.d, "e": p.e, "m": p.m, "r": p.r, "t": p.t},
-        "field": {"w": code.field.w},
-        "design": stored,
-    }
+    return _code_meta(
+        "layered",
+        params={"n": p.n, "k": p.k, "d": p.d, "e": p.e, "m": p.m, "r": p.r, "t": p.t},
+        field={"w": code.field.w},
+        design=stored,
+    )
 
 
-def _precoded_meta(code: PrecodedCode) -> dict:
-    return {
-        "format": "regencodes-node-dir",
-        "format_version": CODE_JSON_VERSION,
-        "version": __version__,
-        "construction": "precoded",
-        "params": {"n": code.n, "k": code.k, "d": code.d, "e": code.e,
-                   "m": code.m, "r": code.r},
-        "field": {"w": code.field.subfield.w, "kappa": code.field.kappa,
-                  "modulus": hex(code.field.modulus)},
-    }
+def _precoded_meta(code) -> dict:
+    return _code_meta(
+        "precoded",
+        params={"n": code.n, "k": code.k, "d": code.d, "e": code.e, "m": code.m, "r": code.r},
+        field={"w": code.field.subfield.w, "kappa": code.field.kappa,
+               "modulus": hex(code.field.modulus)},
+    )
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -414,8 +400,7 @@ def _cmd_encode(args) -> int:
                               m=m, r=args.r, w=args.field_width)
         meta = _precoded_meta(code)
 
-    bits = code.field.order.bit_length() - 1  # a precoded code's: the extension field's
-    data = _read_data_file(Path(args.data), code.data_len, bits)
+    data = _read_data_file(Path(args.data), code.data_len, code.field)
     state = code.encode(data)
     written = _save_node_dir(out_dir, meta, code, state)
     params_json = dict(meta["params"])
@@ -428,7 +413,7 @@ def _cmd_encode(args) -> int:
         "nodes": len(state),
         "alpha": code.alpha,
         "data_symbols": code.data_len,
-        "symbol_bytes": _symbol_bytes(bits),
+        "symbol_bytes": _symbol_width(code.field)[1],
         "manifest": str(manifest),
     })
     return 0
@@ -440,7 +425,7 @@ def _cmd_repair(args) -> int:
     code = _code_from_meta(meta)
     failed = _int_list(args.failed, "--failed")
     helpers = _int_list(args.helpers, "--helpers")
-    if not set(failed + helpers) <= set(range(1, _code_n(code) + 1)):  # before any file is read
+    if not set(failed + helpers) <= set(range(1, code.n + 1)):  # before any file is read
         raise ValidationError("failed and helper nodes must lie in 1..n")
     state = _load_nodes(dirpath, sorted(set(helpers)), code)
     repaired, report = code.repair(state, failed, helpers)
@@ -464,14 +449,12 @@ def _cmd_reconstruct(args) -> int:
     meta = _load_code_meta(dirpath)
     code = _code_from_meta(meta)
     nodes = sorted(set(_int_list(args.nodes, "--nodes")))
-    n = _code_n(code)
     for x in nodes:  # before any file is read
-        if not 1 <= x <= n:
-            raise ValidationError(f"node id {x} out of range 1..{n}")
+        if not 1 <= x <= code.n:
+            raise ValidationError(f"node id {x} out of range 1..{code.n}")
     state = _load_nodes(dirpath, nodes, code)
     data = code.reconstruct(state)
-    bits = code.field.order.bit_length() - 1
-    blob = _data_to_bytes(data, bits)
+    blob = _data_to_bytes(data, code.field)
     if args.out:
         path = _resolve(args.out)
         _atomic_write(path, blob)
@@ -490,8 +473,8 @@ def _cmd_extend(args) -> int:
     if meta.get("construction") != "layered":
         raise ValidationError("only layered node directories can be extended")
     code = _code_from_meta(meta)
-    state = _load_nodes(dirpath, range(1, code.params.n + 1), code)
-    new_data = _read_data_file(Path(args.new_data), code.codec.dimension, code.field.w)
+    state = _load_nodes(dirpath, range(1, code.n + 1), code)
+    new_data = _read_data_file(Path(args.new_data), code.codec.dimension, code.field)
     new_code, new_state = code.extend(state, new_data)
     new_meta = _layered_meta(new_code)
     written = _save_node_dir(out_dir, new_meta, new_code, new_state)
@@ -499,7 +482,7 @@ def _cmd_extend(args) -> int:
                                inputs=[str(dirpath), args.new_data], outputs=written)
     _print_json({
         "out_dir": str(out_dir),
-        "nodes": new_code.params.n,
+        "nodes": new_code.n,
         "alpha": new_code.alpha,
         "data_symbols": new_code.data_len,
         "manifest": str(manifest),
@@ -530,18 +513,17 @@ def _cmd_points(args) -> int:
 def _cmd_compare(args) -> int:
     n, k, d = args.n, args.k, args.d
     m = n - k
+    if k < 1:
+        raise ValidationError(f"compare needs k >= 1, got k={k}")
     if m < 1:
         raise ValidationError(f"compare needs k < n, got n={n} k={k}")
     if not k <= d <= n - 1:
         raise ValidationError(f"need k <= d <= n-1, got d={d}")
     points = []
-    for r in range(m + 1, n + 1):
-        denom = rho(n, k, m, r)
-        alpha_bar = Fraction(comb(n - 1, r - 1), denom)
-        msmr = beta_formula(n, 1, m, r, d) / denom
-        naive = beta_layered_naive_e1(n, m, r, d) / denom
-        points.append(TradeoffPoint(alpha_bar, msmr, f"msmr(r={r})", r=r, m=m))
-        points.append(TradeoffPoint(alpha_bar, naive, f"layered-naive(r={r})", r=r, m=m))
+    for pt in achievable_points_general(n, k, d, 1, [m]):  # msmr: one failure, one per r
+        naive = beta_layered_naive_e1(n, m, pt.r, d) / rho(n, k, m, pt.r)
+        points.append(replace(pt, label=f"msmr(r={pt.r})"))
+        points.append(replace(pt, beta_bar=naive, label=f"layered-naive(r={pt.r})"))
     rows = csv_rows(points)
     _emit_csv(rows, args.out, "compare", {"n": n, "k": k, "d": d, "m": m})
     return 0

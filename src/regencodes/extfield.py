@@ -183,8 +183,8 @@ class BinaryExtensionField:
         self._red = _reduction_table(self.modulus)
         images = self._frobenius_images()
         self._frob = self._frobenius_tables(images)
-        self._beta_pows = self._embed_subfield(images)
-        self._emb = self._embedding_table()
+        beta_pows = self._embed_subfield(images)
+        self._emb = [self._combine(beta_pows, a) for a in range(subfield.order)]
         # x has degree kappa over the subfield (module docstring)
         self.theta = tuple(1 << i for i in range(kappa))
 
@@ -332,16 +332,6 @@ class BinaryExtensionField:
         if not self.subfield.contains(a):
             raise ValidationError(f"{a!r} is not a GF(2^{self.subfield.w}) element")
         return self._emb[a]
-
-    def _embedding_table(self) -> list[int]:
-        emb = [0] * self.subfield.order
-        for a in range(self.subfield.order):
-            acc = 0
-            for j in range(self.subfield.w):
-                if a >> j & 1:
-                    acc ^= self._beta_pows[j]
-            emb[a] = acc
-        return emb
 
     def element(self, i: int) -> int:
         """Canonical evaluation points: the embedded subfield elements."""

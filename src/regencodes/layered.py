@@ -20,9 +20,11 @@ mismatching position, as a block-by-block decode would.
 
 A node file is the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and the
 column as one line of fixed-width lowercase hex; crc is zlib.crc32 of that
-line. A bad header, alpha, payload length or digit raises ValidationError;
-then a checksum mismatch raises IntegrityError naming the node, before any
-decode.
+line. The code fixes the header; kappa=K is there exactly when its field is
+an extension field (a precoded code's). A bad header, alpha, payload length
+or digit raises ValidationError; then a checksum mismatch raises
+IntegrityError naming the node; then a wrong kappa token raises
+ValidationError, all before any decode.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Iterable, Optional, Sequence
 from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
 from .errors import IntegrityError, ValidationError
+from .extfield import BinaryExtensionField
 from .gf import binary_field, check_symbols
 from .mds import MdsCodec, mds_codec
 
@@ -112,6 +115,10 @@ class LayeredCode:
         self._to_node = list(map(next, map(slot.__getitem__, members)))
         self._to_blocks = _gather(self._to_node)  # node-major sequence -> block-major tuple
         self._member_of = _gather(members)  # sequence by node id -> each entry's node's item
+
+    @property
+    def n(self) -> int:
+        return self.params.n
 
     # -- encoding / reconstruction -------------------------------------------
 
@@ -348,9 +355,14 @@ def build_code(
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
-def node_contents_to_text(nc: NodeContents, hex_width: int, kappa: Optional[int] = None) -> str:
-    """A node file: the v2 header, then the column as one fixed-width hex line."""
-    width, symbols = hex_width, nc.symbols
+def _header_kappa(code) -> Optional[int]:
+    """The kappa token a node file of the code carries: its extension field's, else none."""
+    return code.field.kappa if isinstance(code.field, BinaryExtensionField) else None
+
+
+def node_contents_to_text(nc: NodeContents, code) -> str:
+    """A node file of the code, layered or precoded: the v2 header, then one hex line."""
+    width, symbols, kappa = code.field.hex_width, nc.symbols, _header_kappa(code)
     payload = bytes(symbols).hex() if width == 2 else "".join(f"{s:0{width}x}" for s in symbols)
     head = f"v2 {nc.node} {nc.alpha} crc={zlib.crc32(payload.encode()):08x}"
     if kappa is not None:
@@ -358,12 +370,12 @@ def node_contents_to_text(nc: NodeContents, hex_width: int, kappa: Optional[int]
     return f"{head}\n{payload}\n"
 
 
-def node_contents_from_text(text: str, code: LayeredCode,
-                            path=None) -> tuple[NodeContents, Optional[int]]:
-    """Parse one node file of `code`; returns (contents, kappa or None).
+def node_contents_from_text(text: str, code, path=None) -> NodeContents:
+    """Parse one node file of the code (layered or precoded).
 
     Structural faults raise ValidationError, prefixed with the path (if given) when found before
-    the node id; a payload that fails its checksum raises IntegrityError.
+    the node id; a payload that fails its checksum raises IntegrityError; a kappa token other
+    than the code's then raises ValidationError.
     """
     at = "" if path is None else f"{path}: "
     if text.split(None, 1)[:1] != ["v2"]:
@@ -387,8 +399,8 @@ def node_contents_from_text(text: str, code: LayeredCode,
     crc = tokens[3][len("crc=") :]
     if len(crc) != 8 or not set(crc) <= _HEX_DIGITS:
         raise ValidationError(f"node {node}: bad checksum token {tokens[3]!r}")
-    if not 1 <= node <= code.params.n:
-        raise ValidationError(f"node id {node} out of range 1..{code.params.n}")
+    if not 1 <= node <= code.n:
+        raise ValidationError(f"node id {node} out of range 1..{code.n}")
     if alpha != code.alpha:
         raise ValidationError(f"node {node}: header says alpha={alpha}, the code has {code.alpha}")
     width = code.field.hex_width
@@ -401,6 +413,10 @@ def node_contents_from_text(text: str, code: LayeredCode,
         raise ValidationError(f"node {node}: payload holds a character other than 0-9a-f")
     if zlib.crc32(payload.encode()) != int(crc, 16):
         raise IntegrityError(f"node {node}: payload fails its checksum crc={crc}")
+    expected = _header_kappa(code)
+    if kappa != expected:
+        who = f"node {node}:" if path is None else path
+        raise ValidationError(f"{who} kappa header {kappa} disagrees with the code ({expected})")
     symbols = bytes.fromhex(payload) if width == 2 else code.field.column(
         int(payload[i : i + width], 16) for i in range(0, len(payload), width))
-    return NodeContents(node, symbols), kappa
+    return NodeContents(node, symbols)

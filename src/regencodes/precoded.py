@@ -227,6 +227,8 @@ def build_precoded(
     if not k <= d <= n - e:
         raise ValidationError(f"need k <= d <= n-e, got k={k} d={d} n-e={n - e}")
     inner_k = n - m
+    if d < inner_k:  # a repair decodes each group from the inner code's n-m nodes
+        raise ValidationError(f"repair needs d >= n-m = {inner_k} helpers, got d={d}")
     if inner_k < 2:
         raise ValidationError("m = n-1 collapses the inner code to one node; unsupported")
     if w is None:

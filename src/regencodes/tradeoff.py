@@ -354,7 +354,7 @@ def csv_rows(
                 str(pt.beta_bar.denominator),
                 repr(float(pt.alpha_bar)),
                 repr(float(pt.beta_bar)),
-                "1" if pt.coords() in corner_coords else "0",
+                "1" if corner_coords and pt.coords() in corner_coords else "0",
             ]
         )
     return rows

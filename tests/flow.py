@@ -145,6 +145,12 @@ class Case:
             head = " ".join(tokens)
         path.write_text(f"{head}\n{payload}\n")
 
+    def edit_header(self, node_dir: str, node: int, edit) -> None:
+        """Replace one node file's header line by edit(header); the payload and crc stay."""
+        path = self.root / node_dir / f"node_{node:03d}.txt"
+        head, payload = path.read_text().splitlines()
+        path.write_text(f"{edit(head)}\n{payload}\n")
+
 
 # -- the cases -----------------------------------------------------------------------
 
@@ -309,6 +315,37 @@ def _invalid(case: Case) -> None:
     case.run("reconstruct", "--node-dir", "nodes", "--nodes", "1,2,3")
 
 
+def _node_headers(case: Case) -> None:
+    """Node files whose headers disagree with their directory under a valid crc: a wrong,
+    missing or extra kappa token, and a file copied under another node's name."""
+    case.data("data.bin", 9, 20)
+    case.run("encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
+             "--e", "1", "--m", "1", "--r", "2", "--data", "data.bin", "--out-dir", "pre")
+    case.data("plain.bin", 8, 8)
+    case.run("encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+             "--data", "plain.bin", "--out-dir", "lay")
+    edits = [
+        ("pre", "kappa11", 2, lambda head: head.replace("kappa=10", "kappa=11"), "1,2,3"),
+        ("pre", "nokappa", 3, lambda head: head.rsplit(" ", 1)[0], "1,2,3"),
+        ("lay", "extra", 2, lambda head: head + " kappa=4", "1,2,4"),
+    ]
+    for src, bad, node, edit, nodes in edits:
+        case.copy(src, bad)
+        case.edit_header(bad, node, edit)
+        case.run("reconstruct", "--node-dir", bad, "--nodes", nodes, "--out", "back.bin")
+    case.copy("lay", "swapped")
+    shutil.copyfile(case.root / "swapped" / "node_001.txt", case.root / "swapped" / "node_003.txt")
+    case.run("reconstruct", "--node-dir", "swapped", "--nodes", "1,2,3", "--out", "back.bin")
+
+
+def _domain_edges(case: Case) -> None:
+    """A precoded code with d < n-m, and compare with k < 1."""
+    case.data("data.bin", 36, 80)
+    case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "4",
+             "--e", "1", "--m", "1", "--r", "3", "--data", "data.bin", "--out-dir", "nodes")
+    case.run("compare", "--n", "5", "--k", "0", "--d", "2")
+
+
 CASES = {
     "help": _help,
     "complete": _layered(["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"],
@@ -335,6 +372,8 @@ CASES = {
     "verify": _verify,
     "pre-v2": _pre_v2,
     "invalid": _invalid,
+    "node-headers": _node_headers,
+    "domain-edges": _domain_edges,
 }
 
 

@@ -45,10 +45,10 @@ def rewrite_flipped(out_dir, node, which=0):
     so that its checksum holds and only a decode can see the change."""
     code = build_code(SystemParams(n=4, k=3, d=3, e=1, m=1, r=3, t=3))
     path = out_dir / f"node_{node:03d}.txt"
-    nc, _ = node_contents_from_text(path.read_text(), code)
+    nc = node_contents_from_text(path.read_text(), code)
     symbols = bytearray(nc.symbols)
     symbols[which] ^= 1
-    path.write_text(node_contents_to_text(NodeContents(node, bytes(symbols)), hex_width=2))
+    path.write_text(node_contents_to_text(NodeContents(node, bytes(symbols)), code))
 
 
 def dir_digest(dirpath, skip=("manifest.json",)):
@@ -393,6 +393,25 @@ def test_out_dir_env_prefixes_relative_outputs(tmp_path, capsys, monkeypatch):
     assert (out_abs / "code.json").exists()
 
 
+def test_out_dir_env_resolves_node_dirs_like_outputs(tmp_path, capsys, monkeypatch):
+    # commands both write and read node directories, so --node-dir sits under the prefix too
+    monkeypatch.setenv("REGENCODES_OUT_DIR", str(tmp_path / "prefix"))
+    monkeypatch.chdir(tmp_path)
+    Path("data.bin").write_bytes(DATA8)  # an input path, used as given
+    assert main(["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+                 "--data", "data.bin", "--out-dir", "nodes"]) == 0
+    nodes = tmp_path / "prefix" / "nodes"
+    before = (nodes / "node_002.txt").read_bytes()
+    (nodes / "node_002.txt").unlink()
+    assert main(["repair", "--node-dir", "nodes", "--failed", "2", "--helpers", "1,3,4"]) == 0
+    assert (nodes / "node_002.txt").read_bytes() == before
+    assert main(["reconstruct", "--node-dir", "nodes", "--nodes", "1,2,3",
+                 "--out", "back.bin"]) == 0
+    assert (tmp_path / "prefix" / "back.bin").read_bytes() == DATA8
+    assert not (tmp_path / "nodes").exists() and not (tmp_path / "back.bin").exists()
+    capsys.readouterr()
+
+
 def test_design_generate_and_load(tmp_path, capsys):
     out = tmp_path / "pairs.design"
     code, text = run(capsys, "design", "--n", "5", "--r", "2", "--out", str(out))
@@ -557,6 +576,11 @@ def test_node_file_faults_before_the_node_id_name_the_file(tmp_path, capsys):
         path.write_text(text)
         assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    # a kappa token on a layered node file is refused, once its checksum has passed
+    path.write_text(f"{head} kappa=4\n{payload}\n")
+    assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} kappa header 4 disagrees with the code (None)\n")
     # a fault found after the node id names the node, as before
     path.write_text(f"{head}\n{payload[:-2]}\n")
     assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4"]) == 2
@@ -635,6 +659,63 @@ def test_precoded_round_trip(tmp_path, capsys):
     assert back.read_bytes() == data.read_bytes()
 
 
+def test_precoded_kappa_header_must_match_the_code(tmp_path, capsys):
+    data = tmp_path / "pdata.bin"
+    data.write_bytes(bytes(27))
+    out_dir = tmp_path / "pnodes"
+    assert main(["encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
+                 "--e", "1", "--m", "1", "--r", "2", "--data", str(data),
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    path = out_dir / "node_002.txt"
+    head, payload = path.read_text().splitlines()
+    bare = head.rsplit(" ", 1)[0]
+    reconstruct = ["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3"]
+    for header, kappa in ((f"{bare} kappa=11", 11), (bare, None)):
+        path.write_text(f"{header}\n{payload}\n")
+        assert main(reconstruct) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} kappa header {kappa} disagrees with the code (10)\n")
+    # a bad crc is still an integrity failure first, whatever the kappa token says
+    flipped = ("1" if payload[0] == "0" else "0") + payload[1:]
+    for header in (head, f"{bare} kappa=11", bare):
+        path.write_text(f"{header}\n{flipped}\n")
+        assert main(reconstruct) == 3
+        assert "payload fails its checksum" in capsys.readouterr().err
+    # a file that names the wrong node and carries a wrong kappa reports the kappa
+    path.write_text((out_dir / "node_001.txt").read_text().replace("kappa=10", "kappa=11"))
+    assert main(reconstruct) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} kappa header 11 disagrees with the code (10)\n")
+    path.write_text((out_dir / "node_001.txt").read_text())
+    assert main(reconstruct) == 2
+    assert capsys.readouterr().err == f"error: {path} names node 1, expected 2\n"
+
+
+def test_precoded_code_with_d_below_n_minus_m_exits_2(tmp_path, capsys):
+    # helpers below n-m could never repair it; encode and every load refuse it
+    data = tmp_path / "pdata.bin"
+    data.write_bytes(bytes(36 * 10))
+    message = "error: repair needs d >= n-m = 5 helpers, got d=4\n"
+    encode = ["encode", "--construction", "precoded", "--n", "6", "--k", "4", "--e", "1",
+              "--m", "1", "--r", "3", "--data", str(data), "--out-dir"]
+    assert main(encode + [str(tmp_path / "short"), "--d", "4"]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "short").exists()
+    out_dir = tmp_path / "pnodes"
+    assert main(encode + [str(out_dir), "--d", "5"]) == 0
+    capsys.readouterr()
+    meta = json.loads((out_dir / "code.json").read_text())
+    meta["params"]["d"] = 4
+    (out_dir / "code.json").write_text(json.dumps(meta))
+    before = dir_digest(out_dir, skip=())
+    for argv in (["repair", "--node-dir", str(out_dir), "--failed", "1", "--helpers", "2,3,4,5"],
+                 ["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3,4"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == message
+    assert dir_digest(out_dir, skip=()) == before
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == CSV_HEADER
@@ -690,6 +771,14 @@ def test_compare_csv(tmp_path, capsys):
     assert all(msmr[r] <= naive[r] for r in msmr)
     assert any(msmr[r] < naive[r] for r in msmr)
     assert msmr[4] == naive[4] == Fraction(2, 35)
+
+
+def test_compare_refuses_k_below_1_before_any_row(capsys):
+    for n, k, d in ((5, 0, 2), (5, -2, -1), (1, 0, 0)):
+        assert main(["compare", "--n", str(n), "--k", str(k), "--d", str(d)]) == 2
+        assert capsys.readouterr() == ("", f"error: compare needs k >= 1, got k={k}\n")
+    assert main(["compare", "--n", "5", "--k", "5", "--d", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: compare needs k < n, got n=5 k=5\n")
 
 
 def test_verify_runs_clean(capsys):

@@ -274,16 +274,26 @@ def test_extend_rejects_non_field_new_data():
 # -- node text format -------------------------------------------------------------
 
 
+def assert_kappa_refused(text, code, token, expected):
+    """A node file of the code with its header's kappa token replaced by token ("" drops
+    it) is refused for that token, after its checksum has passed."""
+    head, payload = text.splitlines()
+    tokens = head.split()[:4] + ([token] if token else [])
+    got = token.partition("=")[2] or None
+    with pytest.raises(ValidationError, match=rf"^node {tokens[1]}: kappa header {got} "
+                                              rf"disagrees with the code \({expected}\)$"):
+        node_contents_from_text(f"{' '.join(tokens)}\n{payload}\n", code)
+
+
 def test_node_text_round_trip(example_code, example_state):
     _, state = example_state
     for nc in state:
-        text = node_contents_to_text(nc, hex_width=2)
+        text = node_contents_to_text(nc, example_code)
         head, payload = text.splitlines()
         assert head == f"v2 {nc.node} 7 crc={zlib.crc32(payload.encode()):08x}"
         assert payload == "".join(f"{sym:02x}" for sym in nc.symbols)
-        parsed, kappa = node_contents_from_text(text, example_code)
-        assert parsed == nc
-        assert kappa is None
+        assert node_contents_from_text(text, example_code) == nc
+        assert_kappa_refused(text, example_code, "kappa=1", None)
 
 
 def test_node_text_odd_hex_widths():
@@ -293,27 +303,48 @@ def test_node_text_odd_hex_widths():
                           field=binary_field(w))
         state = code.encode([(7 * i + 5) % (1 << w) for i in range(code.data_len)])
         for nc in state:
-            text = node_contents_to_text(nc, hex_width=width)
+            text = node_contents_to_text(nc, code)
+            assert len(text.splitlines()) == 2 and len(text.split()) == 5  # no kappa token
             assert len(text.splitlines()[1]) == 3 * width
-            assert node_contents_from_text(text, code) == (nc, None)
+            assert node_contents_from_text(text, code) == nc
+            assert_kappa_refused(text, code, "kappa=4", None)
 
 
 def test_node_text_precoded_header():
     code = build_precoded(n=5, k=3, d=4, e=1, m=1, r=2)
     nc = code.encode(list(range(1, code.data_len + 1)))[2]
-    text = node_contents_to_text(nc, hex_width=code.field.hex_width, kappa=code.field.kappa)
+    text = node_contents_to_text(nc, code)
     head, payload = text.splitlines()
     assert head == f"v2 3 4 crc={zlib.crc32(payload.encode()):08x} kappa=10"
     assert len(payload) == 4 * code.field.hex_width
-    parsed, kappa = node_contents_from_text(text, code.inner)
-    assert parsed == nc
-    assert kappa == 10
+    for owner in (code, code.inner):  # the inner code's files are the precoded code's
+        assert node_contents_to_text(nc, owner) == text
+        assert node_contents_from_text(text, owner) == nc
+        for token in ("kappa=11", "kappa=0", ""):
+            assert_kappa_refused(text, owner, token, 10)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_code(SystemParams(n=5, k=4, d=4, e=1, m=1, r=3, t=3), field=binary_field(4)),
+    lambda: build_code(SystemParams(n=5, k=4, d=4, e=1, m=1, r=3, t=3)),
+    lambda: build_code(SystemParams(n=5, k=4, d=4, e=1, m=1, r=3, t=3), field=binary_field(12)),
+    lambda: build_precoded(n=5, k=3, d=4, e=1, m=1, r=2),
+    lambda: build_precoded(n=5, k=3, d=4, e=1, m=1, r=2).inner,
+], ids=["GF(2^4)", "GF(2^8)", "GF(2^12)", "precoded F=9", "precoded F=9 inner"])
+def test_node_text_round_trips_for_every_code(make):
+    code = make()
+    state = code.encode([(7 * i + 5) % code.field.order for i in range(code.data_len)])
+    assert len(state) == code.n
+    for nc in state:
+        text = node_contents_to_text(nc, code)
+        assert node_contents_from_text(text, code, path="f") == nc
+        assert node_contents_to_text(node_contents_from_text(text, code), code) == text
 
 
 def test_node_text_parse_errors(example_code, example_state):
     # anything but a v2 header, the pre-v2 layout's included, meets one refusal
     _, state = example_state
-    v2 = node_contents_to_text(state[0], hex_width=2)
+    v2 = node_contents_to_text(state[0], example_code)
     pre_v2 = "".join([f"1 {state[0].alpha}\n"] + [f"1 {s:02x}\n" for s in state[0].symbols])
     for text in ("", "\n", "1\n", "1 2\n1 aa\n", "1 1 precoded=1 kappa=4\n1 aa\n", pre_v2,
                  v2.replace("v2", "v1", 1), v2.replace("v2", "V2", 1), " " + v2[2:]):
@@ -325,7 +356,7 @@ def test_node_text_parse_errors(example_code, example_state):
 def test_v2_node_text_refuses_structural_faults(example_code, example_state):
     # each fault is refused before the checksum is compared, and so exits 2
     _, state = example_state
-    head, payload = node_contents_to_text(state[0], hex_width=2).splitlines()
+    head, payload = node_contents_to_text(state[0], example_code).splitlines()
     crc = head.split()[3]
 
     def v2(payload, alpha=7, crc_token=None):
@@ -353,10 +384,13 @@ def test_v2_node_text_refuses_structural_faults(example_code, example_state):
 
 def test_v2_node_text_checksum_names_the_node(example_code, example_state):
     _, state = example_state
-    head, payload = node_contents_to_text(state[4], hex_width=2).splitlines()
+    head, payload = node_contents_to_text(state[4], example_code).splitlines()
     flipped = payload[:5] + ("0" if payload[5] != "0" else "1") + payload[6:]
     with pytest.raises(IntegrityError, match=r"^node 5: payload fails its checksum crc="):
         node_contents_from_text(f"{head}\n{flipped}\n", example_code)
+    # the checksum is compared before the kappa token
+    with pytest.raises(IntegrityError, match=r"^node 5: payload fails its checksum crc="):
+        node_contents_from_text(f"{head} kappa=4\n{flipped}\n", example_code)
 
 
 def _first_mismatch_pair(code, given_nodes, blocks):

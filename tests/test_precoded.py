@@ -314,6 +314,18 @@ def test_build_validation(monkeypatch):
         build_precoded(n=40, k=30, d=31, e=1, m=10, r=20)
 
 
+def test_build_refuses_d_below_n_minus_m():
+    # every group is decoded from the inner code's n-m nodes, so d >= k alone is not enough
+    with pytest.raises(ValidationError, match=r"^repair needs d >= n-m = 5 helpers, got d=4$"):
+        build_precoded(n=6, k=4, d=4, e=1, m=1, r=3)
+    with pytest.raises(ValidationError, match=r"^repair needs d >= n-m = 4 helpers, got d=3$"):
+        build_precoded(n=6, k=3, d=3, e=1, m=2, r=3)
+    code = build_precoded(n=6, k=4, d=5, e=1, m=1, r=3)  # d = n-m repairs from d helpers
+    state = code.encode([3 * i + 1 for i in range(code.data_len)])
+    repaired, _ = code.repair(state[1:], failed=[1], helpers=range(2, 2 + code.d))
+    assert repaired == state[:1]
+
+
 # -- reconstruct against the two-pass reference ---------------------------------------
 
 
