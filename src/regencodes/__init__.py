@@ -51,6 +51,7 @@ from .tradeoff import (
     achievable_point_c1,
     achievable_points_c1,
     achievable_points_general,
+    compare_points,
     corner_points,
     functional_bound_check,
     hull_oracle,

@@ -42,12 +42,10 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .bandwidth import beta_layered_naive_e1
 from .designs import (
     BlockDesign,
     complete_design,
@@ -65,11 +63,12 @@ from .layered import (
     node_contents_from_text,
     node_contents_to_text,
 )
-from .precoded import build_precoded, rho
+from .precoded import build_precoded
 from .tradeoff import (
     CSV_HEADER,
     achievable_points_general,
     achievable_points_c1,
+    compare_points,
     corner_points,
     csv_rows,
     mbcr_point,
@@ -512,20 +511,8 @@ def _cmd_points(args) -> int:
 
 def _cmd_compare(args) -> int:
     n, k, d = args.n, args.k, args.d
-    m = n - k
-    if k < 1:
-        raise ValidationError(f"compare needs k >= 1, got k={k}")
-    if m < 1:
-        raise ValidationError(f"compare needs k < n, got n={n} k={k}")
-    if not k <= d <= n - 1:
-        raise ValidationError(f"need k <= d <= n-1, got d={d}")
-    points = []
-    for pt in achievable_points_general(n, k, d, 1, [m]):  # msmr: one failure, one per r
-        naive = beta_layered_naive_e1(n, m, pt.r, d) / rho(n, k, m, pt.r)
-        points.append(replace(pt, label=f"msmr(r={pt.r})"))
-        points.append(replace(pt, beta_bar=naive, label=f"layered-naive(r={pt.r})"))
-    rows = csv_rows(points)
-    _emit_csv(rows, args.out, "compare", {"n": n, "k": k, "d": d, "m": m})
+    rows = csv_rows(compare_points(n, k, d))
+    _emit_csv(rows, args.out, "compare", {"n": n, "k": k, "d": d, "m": n - k})
     return 0
 
 

@@ -152,6 +152,24 @@ class LayeredCode:
 
     # -- repair ----------------------------------------------------------------
 
+    def _repair_nodes(
+        self, failed: Iterable[int], helpers: Iterable[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The failed and helper ids, sorted and distinct, checked against n and m."""
+        p = self.params
+        failed_t = tuple(sorted(set(failed)))
+        helpers_t = tuple(sorted(set(helpers)))
+        nodes = set(range(1, p.n + 1))
+        if not failed_t:
+            raise ValidationError("no failed nodes to repair")
+        if not set(failed_t) <= nodes or not set(helpers_t) <= nodes:
+            raise ValidationError("failed and helper nodes must lie in 1..n")
+        if set(failed_t) & set(helpers_t):
+            raise ValidationError("helpers cannot include failed nodes")
+        if len(failed_t) > p.m:
+            raise ValidationError(f"cannot repair {len(failed_t)} nodes; budget is m={p.m}")
+        return failed_t, helpers_t
+
     def repair(
         self,
         state: Iterable[NodeContents],
@@ -165,17 +183,7 @@ class LayeredCode:
         1 <= |failed| <= m, helpers disjoint from failed, |helpers| >= k.
         """
         p = self.params
-        failed_t = tuple(sorted(set(failed)))
-        helpers_t = tuple(sorted(set(helpers)))
-        nodes = set(range(1, p.n + 1))
-        if not failed_t:
-            raise ValidationError("no failed nodes to repair")
-        if not set(failed_t) <= nodes or not set(helpers_t) <= nodes:
-            raise ValidationError("failed and helper nodes must lie in 1..n")
-        if set(failed_t) & set(helpers_t):
-            raise ValidationError("helpers cannot include failed nodes")
-        if len(failed_t) > p.m:
-            raise ValidationError(f"cannot repair {len(failed_t)} nodes; budget is m={p.m}")
+        failed_t, helpers_t = self._repair_nodes(failed, helpers)
         if len(helpers_t) < p.k:
             raise ValidationError(f"need at least d >= k = {p.k} helpers, got {len(helpers_t)}")
         by_node = self._index_contents(state)

@@ -10,7 +10,10 @@ the inner code stores for data theta), so any symbol set whose columns have
 full rank over GF(q) pins f down. Reconstruction recovers f by Newton
 interpolation of the linearized polynomial, in O(F^2) field operations and
 one inverse per point taken, and checks every symbol it did not take in the
-same pass (linearized_interpolate).
+same pass (linearized_interpolate). The precode and the interpolation run
+their multiplies in the extension field's lane form (extfield.py), where a
+product is one int multiply; linearized_eval, one point at a time through
+mul and frobenius, stays as their closed-form reference.
 
 F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
 recomputes subset ranks by eliminating an explicit generator matrix and
@@ -111,11 +114,30 @@ def linearized_eval(field: BinaryExtensionField, coeffs: Sequence[int], point: i
 
 
 def linearized_precode(field: BinaryExtensionField, data: Sequence[int]) -> list[int]:
-    """Evaluate the data's linearized polynomial at the field's basis theta."""
+    """Evaluate the data's linearized polynomial at the field's basis theta.
+
+    theta is the power basis x^l, so f(x^l) = sum_i c_i z_i^l with z_i =
+    x^(q^i): F-1 Frobenius steps give the z_i, and each next point multiplies
+    every term c_i z_i^l by its z_i once, in the lane form (extfield.py).
+    """
     if len(data) > field.kappa:
         raise ValidationError(f"{len(data)} coefficients but only kappa={field.kappa} points")
     check_symbols(field, data, "{!r} is not a field element")
-    return [linearized_eval(field, data, pt) for pt in field.theta]
+    lanes, mul = field._lanes_in, field._lane_mul
+    z = [2]  # x, whose powers are theta
+    while len(z) < len(data):
+        z.append(field.frobenius(z[-1]))
+    z = [lanes(v) for v in z]
+    terms = [lanes(c) for c in data]  # c_i z_i^l, here at l = 0
+    evals = []
+    for l in range(field.kappa):
+        if l:
+            terms = [mul(t, zi) for t, zi in zip(terms, z)]
+        acc = 0
+        for t in terms:
+            acc ^= t
+        evals.append(field._lanes_out(acc))
+    return evals
 
 
 def linearized_interpolate(
@@ -131,37 +153,42 @@ def linearized_interpolate(
     inverse. Every other pair must have e = 0: a skipped point lies in the
     span, on which all linearized f through the points taken agree, and
     after the size-th point f is final. Raises IntegrityError when fewer than size
-    points are taken, else when a checked pair disagrees.
+    points are taken, else when a checked pair disagrees. f and ann are held in
+    the lane form (extfield.py); the powers of nu are taken before they enter
+    it, and the inverse is taken outside it.
     """
-    mul, frob = field.mul, field.frobenius
+    lanes, mul, frob = field._lanes_in, field._lane_mul, field.frobenius
     f: list[int] = []
-    ann = [field.one]  # the polynomial x
+    ann = [lanes(field.one)]  # the polynomial x
     misfit = False
     for nu, y in pairs:
         taking = len(f) < size
-        pows = [nu]  # nu^(q^i) for i < len(ann) while taking, i < len(f) after
+        pows = [lanes(nu)]  # nu^(q^i) for i < len(ann) while taking, i < len(f) after
+        power = nu
         for _ in range(len(f) - 1 + taking):
-            pows.append(frob(pows[-1]))
-        e = y
+            power = frob(power)
+            pows.append(lanes(power))
+        e = lanes(y)
         for c, p in zip(f, pows):
             e ^= mul(c, p)
-        delta = field.zero
+        delta = 0  # zero in the lane form too
         if taking:
             for c, p in zip(ann, pows):
                 delta ^= mul(c, p)
-        if delta == field.zero:  # nu lies in the span, or f is final
-            misfit |= e != field.zero
+        if not delta:  # nu lies in the span, or f is final
+            misfit |= e != 0
             continue
-        inv = field.inv(delta)
-        s, dq1 = mul(e, inv), mul(frob(delta), inv)  # e / delta and delta^(q-1)
+        d = field._lanes_out(delta)
+        inv = lanes(field.inv(d))
+        s, dq1 = mul(e, inv), mul(lanes(frob(d)), inv)  # e / delta and delta^(q-1)
         f = [c ^ mul(s, a) for c, a in zip(f, ann)] + [s]  # ann is monic
-        lifted = [field.zero] + [frob(c) for c in ann]  # ann^q
+        lifted = [0] + [field._lane_frobenius(c) for c in ann]  # ann^q
         ann = [c ^ mul(dq1, a) for c, a in zip(lifted, ann)] + lifted[-1:]
     if len(f) < size:
         raise IntegrityError(f"only {len(f)} independent columns among {len(pairs)}; need {size}")
     if misfit:
         raise IntegrityError("stored symbols are inconsistent with the recovered data")
-    return f
+    return [field._lanes_out(c) for c in f]
 
 
 @dataclass(frozen=True)
@@ -213,8 +240,13 @@ class PrecodedCode:
         failed: Iterable[int],
         helpers: Iterable[int],
     ):
-        """Group-local repair, exactly the inner layered code's."""
-        return self.inner.repair(state, failed, helpers)
+        """Group-local repair, exactly the inner layered code's, from at least n-m helpers."""
+        failed_t, helpers_t = self.inner._repair_nodes(failed, helpers)
+        if len(helpers_t) < self.n - self.m:
+            raise ValidationError(
+                f"repair needs at least n-m = {self.n - self.m} helpers, got {len(helpers_t)}"
+            )
+        return self.inner.repair(state, failed_t, helpers_t)
 
 
 def build_precoded(

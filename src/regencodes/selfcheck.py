@@ -55,13 +55,22 @@ def _suite_gf(rng: random.Random) -> None:
         every = f.column(range(f.order))
         for c in range(f.order):
             assert f.lincomb([c], [every]) == f.column(f.mul(c, v) for v in every), c
-    # the extension field's windowed multiply and Frobenius tables against
-    # bit-serial products; frobenius is w reference squarings
+    # the extension field's windowed multiply and Frobenius tables, and the
+    # lane form's multiply and Frobenius, against bit-serial products;
+    # frobenius is w reference squarings; lane results are compared in the
+    # lane form, so a malformed one fails the comparison
     ext = extension_field(2, 40)
     top = 1 << ext.degree
+    lanes = ext._lanes_in
     for _ in range(200):
         a, b = rng.randrange(top), rng.randrange(top)
-        assert ext.mul(a, b) == _clmul_reference(a, b, ext.modulus, ext.degree), (a, b)
+        want = _clmul_reference(a, b, ext.modulus, ext.degree)
+        assert ext.mul(a, b) == want, (a, b)
+        assert ext._lane_mul(lanes(a), lanes(b)) == lanes(want), (a, b)
+    # all-ones operands fill every lane of a lane product
+    ones = top - 1
+    want = _clmul_reference(ones, ones, ext.modulus, ext.degree)
+    assert ext._lane_mul(lanes(ones), lanes(ones)) == lanes(want)
     # every byte of these operands runs through all 256 values, so each
     # Frobenius table entry is read
     offsets = [rng.randrange(256) for _ in range(0, ext.degree, 8)]
@@ -71,6 +80,7 @@ def _suite_gf(rng: random.Random) -> None:
         for _ in range(ext.subfield.w):
             want = _clmul_reference(want, want, ext.modulus, ext.degree)
         assert ext.frobenius(a) == want, a
+        assert ext._lane_frobenius(lanes(a)) == lanes(want), a
 
 
 def _suite_mds(rng: random.Random) -> None:

@@ -9,7 +9,8 @@ The module computes:
   one per group size r, and their corner subset (which r are hull vertices);
 - a from-scratch convex hull oracle used to cross-check the corner formulas;
 - achievable (alpha_bar, beta_bar) curves for general (n, k, d) systems with
-  a precode, one curve per erasure budget m.
+  a precode, one curve per erasure budget m, and the msmr/layered_naive
+  comparison of one failure at m = n-k.
 
 Every value is an exact rational. The bandwidth sums (beta_formula) add exact
 integers over one common denominator, with one Fraction per returned value;
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .bandwidth import beta_formula
+from .bandwidth import beta_formula, beta_layered_naive_e1
 from .errors import IntegrityError, ValidationError
 
 
@@ -278,6 +279,14 @@ def hull_oracle(points: Sequence[TradeoffPoint]) -> list[TradeoffPoint]:
 # -- general (n, k, d) achievable curves -----------------------------------------
 
 
+def _precoded_axis(n: int, k: int, m: int, r: int) -> tuple[int, Fraction]:
+    """rho = rho(n, k, m, r) and alpha_bar = C(n-1, r-1) / rho of one (m, r) point."""
+    from .precoded import rho  # deferred: precoded imports layered machinery
+
+    denom = rho(n, k, m, r)
+    return denom, Fraction(comb(n - 1, r - 1), denom)
+
+
 def achievable_points_general(
     n: int, k: int, d: int, e: int, m_values: Optional[Sequence[int]] = None
 ) -> list[TradeoffPoint]:
@@ -286,10 +295,8 @@ def achievable_points_general(
     alpha_bar = alpha / rho and beta_bar = beta_formula / rho with
     rho = rho(n, k, m, r) the retained data size. m defaults to every value
     in e..n-k whose whole curve stays in the formula domain (d >= n-m-e+1);
-    passing an explicit out-of-domain m raises instead.
+    passing an explicit out-of-domain or repeated m raises instead.
     """
-    from .precoded import rho  # deferred: precoded imports layered machinery
-
     if not 1 <= e <= n - k or not k <= d <= n - e:
         raise ValidationError(
             f"need 1 <= e <= n-k and k <= d <= n-e, got n={n} k={k} d={d} e={e}"
@@ -298,26 +305,39 @@ def achievable_points_general(
     if m_values is None:
         m_values = [m for m in range(e, n - k + 1) if d >= n - m - e + 1]
     out: list[TradeoffPoint] = []
-    for m in m_values:
+    for i, m in enumerate(m_values):
+        if m in m_values[:i]:
+            raise ValidationError(f"m={m} is listed more than once")
         if not e <= m <= n - k:
             raise ValidationError(f"need e <= m <= n-k, got m={m}")
         if d < n - m - e + 1:
             raise ValidationError(f"m={m} puts d={d} outside the formula domain")
         for r in range(m + 1, n + 1):
-            denom = rho(n, k, m, r)
-            alpha = comb(n - 1, r - 1)
+            denom, alpha_bar = _precoded_axis(n, k, m, r)
             beta = beta_formula(n, e, m, r, d)
-            out.append(
-                TradeoffPoint(
-                    Fraction(alpha, denom),
-                    beta / denom,
-                    f"precoded(m={m},r={r})",
-                    r=r,
-                    m=m,
-                )
-            )
+            out.append(TradeoffPoint(alpha_bar, beta / denom, f"precoded(m={m},r={r})", r=r, m=m))
     if explicit and not out:
         raise ValidationError("no (m, r) pairs to evaluate")
+    return out
+
+
+def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
+    """Per r, for one failure with m = n-k: the precoded point under the msmr
+    accounting (achievable_points_general's e = 1 curve), then the same code's
+    layered_naive point, both normalized by one rho."""
+    m = n - k
+    if k < 1:
+        raise ValidationError(f"compare needs k >= 1, got k={k}")
+    if m < 1:
+        raise ValidationError(f"compare needs k < n, got n={n} k={k}")
+    if not k <= d <= n - 1:
+        raise ValidationError(f"need k <= d <= n-1, got d={d}")
+    out: list[TradeoffPoint] = []
+    for r in range(m + 1, n + 1):
+        denom, alpha_bar = _precoded_axis(n, k, m, r)
+        msmr, naive = beta_formula(n, 1, m, r, d), beta_layered_naive_e1(n, m, r, d)
+        out.append(TradeoffPoint(alpha_bar, msmr / denom, f"msmr(r={r})", r=r, m=m))
+        out.append(TradeoffPoint(alpha_bar, naive / denom, f"layered-naive(r={r})", r=r, m=m))
     return out
 
 

@@ -265,6 +265,7 @@ def _tradeoff(case: Case) -> None:
     case.run("compare", "--n", "5", "--k", "5", "--d", "5")
     case.run("points", "--n", "30", "--k", "20", "--d", "22", "--e", "4")
     case.run("compare", "--n", "20", "--k", "14", "--d", "15")
+    case.run("points", "--n", "5", "--k", "3", "--d", "4", "--e", "1", "--m-values", "1,1")
 
 
 def _design(case: Case) -> None:
@@ -339,11 +340,15 @@ def _node_headers(case: Case) -> None:
 
 
 def _domain_edges(case: Case) -> None:
-    """A precoded code with d < n-m, and compare with k < 1."""
+    """A precoded code with d < n-m, compare with k < 1, and a precoded repair from fewer
+    than n-m helpers."""
     case.data("data.bin", 36, 80)
     case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "4",
              "--e", "1", "--m", "1", "--r", "3", "--data", "data.bin", "--out-dir", "nodes")
     case.run("compare", "--n", "5", "--k", "0", "--d", "2")
+    case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "5",
+             "--e", "1", "--m", "1", "--r", "3", "--data", "data.bin", "--out-dir", "ok")
+    case.run("repair", "--node-dir", "ok", "--failed", "1", "--helpers", "2,3,4,5")
 
 
 CASES = {

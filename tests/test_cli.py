@@ -716,6 +716,25 @@ def test_precoded_code_with_d_below_n_minus_m_exits_2(tmp_path, capsys):
     assert dir_digest(out_dir, skip=()) == before
 
 
+def test_precoded_repair_names_the_n_minus_m_bound(tmp_path, capsys):
+    # the code's k is 4; each group decodes from the n-m = 5 helpers of the inner code
+    data = tmp_path / "pdata.bin"
+    data.write_bytes(bytes(range(36)) * 10)
+    out_dir = tmp_path / "pnodes"
+    assert main(["encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "5",
+                 "--e", "1", "--m", "1", "--r", "3", "--data", str(data),
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    (out_dir / "node_001.txt").unlink()
+    before = dir_digest(out_dir, skip=())
+    assert main(["repair", "--node-dir", str(out_dir), "--failed", "1",
+                 "--helpers", "2,3,4,5"]) == 2
+    assert capsys.readouterr() == ("", "error: repair needs at least n-m = 5 helpers, got 4\n")
+    assert dir_digest(out_dir, skip=()) == before
+    assert main(["repair", "--node-dir", str(out_dir), "--failed", "1",
+                 "--helpers", "2,3,4,5,6"]) == 0
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == CSV_HEADER
@@ -771,6 +790,14 @@ def test_compare_csv(tmp_path, capsys):
     assert all(msmr[r] <= naive[r] for r in msmr)
     assert any(msmr[r] < naive[r] for r in msmr)
     assert msmr[4] == naive[4] == Fraction(2, 35)
+
+
+def test_points_refuses_a_repeated_m(tmp_path, capsys):
+    out = tmp_path / "points.csv"
+    assert main(["points", "--n", "5", "--k", "3", "--d", "4", "--e", "1",
+                 "--m-values", "1,1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: m=1 is listed more than once\n")
+    assert not out.exists()
 
 
 def test_compare_refuses_k_below_1_before_any_row(capsys):

@@ -265,3 +265,35 @@ def test_wide_field_builds_quickly():
     assert f.degree == 80
     a = (1 << 79) | 0x1234
     assert f.mul(a, f.inv(a)) == 1
+
+
+def dense_operands(f, rng):
+    """All-ones, near-all-ones and seeded elements: all-ones fills every lane of a product."""
+    ones = f.order - 1
+    near = [ones ^ 1, ones ^ (1 << (f.degree - 1)), ones >> 1, ones ^ (1 << (f.degree // 2))]
+    return [ones, *near, 0, 1] + [rng.randrange(f.order) for _ in range(6)]
+
+
+# one int multiply per product up to D = 254; from D = 256 the second operand is
+# split into 255-lane pieces: two at 256 and 280, five at 1024
+@pytest.mark.parametrize("w,kappa", [(2, 5), (2, 40), (2, 112), (2, 127), (2, 128), (2, 140),
+                                     (2, 512)])
+def test_lane_kernel_matches_mul_and_frobenius_on_dense_operands(w, kappa, rng):
+    f = extension_field(w, kappa)
+    lanes, unlanes = f._lanes_in, f._lanes_out
+    elems = dense_operands(f, rng)
+    for a in elems:
+        assert unlanes(lanes(a)) == a
+        assert unlanes(f._lane_frobenius(lanes(a))) == f.frobenius(a), a
+        for b in elems:
+            assert unlanes(f._lane_mul(lanes(a), lanes(b))) == f.mul(a, b), (a, b)
+    ones = f.order - 1
+    assert unlanes(f._lane_mul(lanes(ones), lanes(ones))) == reference_mul(f, ones, ones)
+
+
+def test_lane_form_refuses_what_is_not_a_field_element():
+    f = extension_field(2, 40)
+    for bad in (f.order, f.order + 5, -1, None, "1"):
+        with pytest.raises(ValidationError, match="is not a field element"):
+            f._lanes_in(bad)
+    assert f._lanes_in(0) == 0 and f._lanes_in(1) == 1

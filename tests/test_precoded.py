@@ -193,6 +193,34 @@ def test_linearized_interpolate_checks_every_pair_it_does_not_take(w, kappa, rng
         )
 
 
+def test_lane_loops_match_linearized_eval_on_dense_operands():
+    # GF((2^2)^140), D = 280: each lane product takes its second operand in two pieces
+    f = extension_field(2, 140)
+    ones = f.order - 1
+    size = 24
+    coeffs = [ones] * size
+    assert linearized_precode(f, coeffs) == [linearized_eval(f, coeffs, pt) for pt in f.theta]
+    # ones and ones ^ 1 span theta[0], so theta[0] and the last point are checked, not taken
+    points = [ones, ones ^ 1, *f.theta[:size]]
+    pairs = [(z, linearized_eval(f, coeffs, z)) for z in points]
+    assert linearized_interpolate(f, pairs, size) == coeffs
+    for i in (2, len(pairs) - 1):
+        z, y = pairs[i]
+        flipped = pairs[:i] + [(z, y ^ ones)] + pairs[i + 1:]
+        with pytest.raises(IntegrityError) as err:
+            linearized_interpolate(f, flipped, size)
+        assert str(err.value) == INCONSISTENT
+        # one more coefficient than the points' rank: the rank verdict comes first
+        with pytest.raises(IntegrityError) as err:
+            linearized_interpolate(f, flipped, size + 2)
+        assert str(err.value) == (
+            f"only {size + 1} independent columns among {len(pairs)}; need {size + 2}"
+        )
+    for bad in ((f.order, 0), (-1, 0), (f.theta[1], f.order), (f.theta[1], -1)):
+        with pytest.raises(ValidationError, match="is not a field element"):
+            linearized_interpolate(f, pairs[:3] + [bad], size)
+
+
 # -- full codec ---------------------------------------------------------------------
 
 
@@ -252,6 +280,20 @@ def test_repair_single_failure(small_code, small_state):
     want = beta_formula(5, 1, 1, 2, 4)
     assert set(report.msmr.values()) == {want}
     assert want == 1
+
+
+def test_repair_names_the_n_minus_m_bound(small_code, small_state):
+    # k = 3 here; a repair decodes each group from n-m = 4 helpers
+    _, state = small_state
+    for helpers in ([1, 3, 4], [1, 3, 4, 4]):
+        with pytest.raises(ValidationError) as err:
+            small_code.repair(state, failed=[2], helpers=helpers)
+        assert str(err.value) == "repair needs at least n-m = 4 helpers, got 3"
+    # the node checks still come first
+    with pytest.raises(ValidationError, match="helpers cannot include failed nodes"):
+        small_code.repair(state, failed=[2], helpers=[2, 3])
+    with pytest.raises(ValidationError, match="budget is m=1"):
+        small_code.repair(state, failed=[1, 2], helpers=[3])
 
 
 def test_deeper_group_code_round_trips():

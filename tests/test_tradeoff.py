@@ -8,6 +8,8 @@ from math import comb
 import pytest
 
 from regencodes import IntegrityError, ValidationError
+from regencodes.bandwidth import beta_layered_naive_e1
+from regencodes.precoded import rho
 from regencodes.tradeoff import (
     CSV_HEADER,
     BoundParams,
@@ -17,6 +19,7 @@ from regencodes.tradeoff import (
     achievable_point_c1,
     achievable_points_c1,
     achievable_points_general,
+    compare_points,
     corner_points,
     csv_rows,
     functional_bound_check,
@@ -226,6 +229,26 @@ def test_general_points_validation():
     with pytest.raises(ValidationError):
         # in range but outside the formula domain for this d
         achievable_points_general(19, 13, 13, 3, m_values=[3])
+
+
+def test_general_points_refuse_a_repeated_m():
+    with pytest.raises(ValidationError, match="m=2 is listed more than once"):
+        achievable_points_general(9, 6, 7, 2, m_values=[2, 3, 2])
+    assert len(achievable_points_general(9, 6, 7, 2, m_values=[3, 2])) == 13
+
+
+@pytest.mark.parametrize("n,k,d", [(8, 5, 6), (10, 7, 7), (16, 11, 12), (20, 14, 15)])
+def test_compare_points_pair_the_msmr_curve_with_layered_naive(n, k, d):
+    m = n - k
+    pts = compare_points(n, k, d)
+    msmr, naive = pts[0::2], pts[1::2]
+    curve = achievable_points_general(n, k, d, 1, [m])
+    assert [p.coords() for p in msmr] == [p.coords() for p in curve]
+    for a, b, r in zip(msmr, naive, range(m + 1, n + 1)):
+        assert (a.label, a.r, a.m) == (f"msmr(r={r})", r, m)
+        assert (b.label, b.r, b.m) == (f"layered-naive(r={r})", r, m)
+        assert b.alpha_bar == a.alpha_bar
+        assert b.beta_bar == beta_layered_naive_e1(n, m, r, d) / rho(n, k, m, r)
 
 
 def test_csv_rows_shape():
