@@ -13,18 +13,10 @@
     regencodes compare --n 10 --k 7 --d 7 [--out FILE]
     regencodes verify [--seed N]
 
-Node directories are self-describing. code.json carries format_version 2,
-the construction, parameters, field and design: a complete design as
-{"n", "r", "t", "complete": true}, rebuilt on load, any other as its block
-list, one "p1 p2 ..." block line per JSON line. One node_XXX.txt per node
-holds the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and one line of the
-node's symbols as fixed-width hex in slot order; crc is zlib.crc32 of that
-payload line, so a node file changed on disk fails with exit 3 naming the
-node before any decode. Header, alpha, payload length and hex digits are
-checked first (exit 2), and the kappa token only a precoded code's node
-files carry after the checksum (exit 2).
-All file writes are atomic (write to a temp name, then rename) and every
-command that writes files also writes a JSON run manifest next to them.
+Node directories are read and written by nodedir.py, whose docstring gives
+their format. All file writes are atomic (write to a temp name, then rename)
+and every command that writes files also writes a JSON run manifest next to
+them.
 Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
 when it is set (commands both write and read node directories); other
 input paths are used as given.
@@ -38,31 +30,16 @@ import argparse
 import csv
 import io
 import json
-import operator
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
-from .designs import (
-    BlockDesign,
-    complete_design,
-    design_stats,
-    load_design,
-    serialize_design,
-    verify_steiner,
-)
+from . import __version__, nodedir
+from .designs import complete_design, design_stats, load_design, serialize_design, verify_steiner
 from .errors import IntegrityError, ValidationError
 from .gf import binary_field
-from .layered import (
-    NodeContents,
-    SystemParams,
-    build_code,
-    node_contents_from_text,
-    node_contents_to_text,
-)
+from .layered import LayeredCode, SystemParams, build_code
 from .precoded import build_precoded
 from .tradeoff import (
     CSV_HEADER,
@@ -77,8 +54,6 @@ from .tradeoff import (
 
 DEFAULT_SEED = 12345
 OUT_DIR_ENV = "REGENCODES_OUT_DIR"
-CODE_JSON_FORMAT = "regencodes-node-dir"
-CODE_JSON_VERSION = 2  # the only code.json layout read or written
 
 
 # -- small shared helpers -----------------------------------------------------
@@ -90,32 +65,6 @@ def _resolve(path: str) -> Path:
     if base and not p.is_absolute():
         return Path(base) / p
     return p
-
-
-def _prepare_target(path: Path) -> None:
-    # refuse what the rename would replace, a directory or a device node; make the parents
-    if path.exists() and not path.is_file():
-        raise ValidationError(f"cannot write {path}: it is not a regular file")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ValidationError(f"cannot write {path}: a parent is not a directory") from None
-
-
-def _atomic_write(path: Path, data) -> None:
-    _prepare_target(path)
-    blob = data if isinstance(data, bytes) else data.encode()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _write_manifest(target: Path, command: str, parameters: dict,
@@ -133,7 +82,7 @@ def _write_manifest(target: Path, command: str, parameters: dict,
         path = target / "manifest.json"
     else:
         path = target.with_name(target.name + ".manifest.json")
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    nodedir.atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -182,10 +131,6 @@ def _data_to_bytes(symbols: Sequence[int], field) -> bytes:
     return b"".join(int(v).to_bytes(nbytes, "big") for v in symbols)
 
 
-def _node_path(dirpath: Path, node: int) -> Path:
-    return dirpath / f"node_{node:03d}.txt"
-
-
 def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -201,140 +146,12 @@ def _emit_csv(rows: list[list[str]], out: Optional[str], command: str,
         sys.stdout.write(text)
         return
     path = _resolve(out)
-    _atomic_write(path, text)
+    nodedir.atomic_write(path, text)
     _write_manifest(path, command, parameters, inputs=[], outputs=[str(path)])
     payload = {"out": str(path), "rows": len(rows)}
     if summary:
         payload.update(summary)
     _print_json(payload)
-
-
-# -- node directories ----------------------------------------------------------
-
-
-def _write_nodes(dirpath: Path, code, state: list[NodeContents]) -> list[str]:
-    written = []
-    for nc in state:
-        path = _node_path(dirpath, nc.node)
-        _atomic_write(path, node_contents_to_text(nc, code))
-        written.append(str(path))
-    return written
-
-
-def _save_node_dir(dirpath: Path, meta: dict, code, state: list[NodeContents]) -> list[str]:
-    code_path = dirpath / "code.json"
-    _atomic_write(code_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return [str(code_path)] + _write_nodes(dirpath, code, state)
-
-
-def _load_code_meta(dirpath: Path) -> dict:
-    code_path = dirpath / "code.json"
-    try:
-        meta = json.loads(code_path.read_text())
-    except (OSError, UnicodeDecodeError) as ex:
-        raise ValidationError(f"cannot read {code_path}: {ex}") from None
-    except json.JSONDecodeError as ex:
-        raise ValidationError(f"{code_path} is not valid JSON: {ex}") from None
-    if not isinstance(meta, dict) or meta.get("format") != CODE_JSON_FORMAT:
-        raise ValidationError(f"{code_path} is not a regencodes node directory descriptor")
-    return meta
-
-
-def _design_from_meta(dd: dict) -> BlockDesign:
-    n, r, t = int(dd["n"]), int(dd["r"]), int(dd["t"])
-    if dd.get("complete") is True:
-        if t != r:
-            raise ValidationError(f"a complete design has t = r, code.json says t={t} r={r}")
-        return complete_design(n, r)  # refuses C(n, r) > MAX_BLOCKS before building
-    blocks = tuple(tuple(int(x) for x in b.split()) for b in dd["blocks"])
-    return BlockDesign(n=n, r=r, t=t, blocks=blocks)
-
-
-def _code_from_meta(meta: dict):
-    if "format_version" not in meta:
-        raise ValidationError(
-            "code.json has no format_version; the pre-v2 layout is no longer read"
-        )
-    version = meta["format_version"]
-    if version != CODE_JSON_VERSION:
-        raise ValidationError(
-            f"code.json format_version {version!r} is not supported (expected {CODE_JSON_VERSION})"
-        )
-    construction = meta.get("construction")
-    params = meta.get("params", {})
-    fieldspec = meta.get("field", {})
-    try:
-        if construction == "layered":
-            sp = SystemParams(**{key: int(params[key]) for key in ("n", "k", "d", "e", "m", "r", "t")})
-            design = _design_from_meta(meta["design"])
-            field = binary_field(int(fieldspec["w"]))
-            return build_code(sp, design, field)
-        if construction == "precoded":
-            code = build_precoded(
-                n=int(params["n"]), k=int(params["k"]), d=int(params["d"]),
-                e=int(params["e"]), m=int(params["m"]), r=int(params["r"]),
-                w=int(fieldspec["w"]),
-            )
-            stored = fieldspec.get("modulus")
-            if stored != hex(code.field.modulus):
-                raise ValidationError(
-                    f"stored field modulus {stored} disagrees with the rebuilt field"
-                )
-            return code
-    except KeyError as ex:
-        raise ValidationError(f"code.json is missing {ex}") from None
-    except ValidationError:
-        raise
-    except (AttributeError, TypeError, ValueError) as ex:
-        raise ValidationError(f"malformed code.json: {ex}") from None
-    raise ValidationError(f"unknown construction {construction!r} in code.json")
-
-
-def _load_nodes(dirpath: Path, nodes: Sequence[int], code) -> list[NodeContents]:
-    out = []
-    for x in nodes:
-        path = _node_path(dirpath, x)
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as ex:
-            raise ValidationError(f"cannot read node file {path}: {ex}") from None
-        nc = node_contents_from_text(text, code, path)
-        if nc.node != x:
-            raise ValidationError(f"{path} names node {nc.node}, expected {x}")
-        out.append(nc)
-    return out
-
-
-def _code_meta(construction: str, **rest) -> dict:
-    """code.json for either construction: the shared keys, then its own."""
-    return {"format": CODE_JSON_FORMAT, "format_version": CODE_JSON_VERSION,
-            "version": __version__, "construction": construction, **rest}
-
-
-def _layered_meta(code) -> dict:
-    p, design = code.params, code.design
-    stored = {"n": design.n, "r": design.r, "t": design.t}
-    # the code's design is Steiner: with t = r it holds every r-subset once, in lexicographic
-    # order exactly when its blocks ascend
-    if design.t == design.r and all(map(operator.lt, design.blocks, design.blocks[1:])):
-        stored["complete"] = True
-    else:
-        stored["blocks"] = [" ".join(map(str, b)) for b in design.blocks]
-    return _code_meta(
-        "layered",
-        params={"n": p.n, "k": p.k, "d": p.d, "e": p.e, "m": p.m, "r": p.r, "t": p.t},
-        field={"w": code.field.w},
-        design=stored,
-    )
-
-
-def _precoded_meta(code) -> dict:
-    return _code_meta(
-        "precoded",
-        params={"n": code.n, "k": code.k, "d": code.d, "e": code.e, "m": code.m, "r": code.r},
-        field={"w": code.field.subfield.w, "kappa": code.field.kappa,
-               "modulus": hex(code.field.modulus)},
-    )
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -364,7 +181,7 @@ def _cmd_design(args) -> int:
     })
     if args.out:
         path = _resolve(args.out)
-        _atomic_write(path, serialize_design(design))
+        nodedir.atomic_write(path, serialize_design(design))
         _write_manifest(path, "design",
                         {"n": design.n, "r": design.r, "t": design.t},
                         inputs=[args.load] if args.load else [],
@@ -389,7 +206,6 @@ def _cmd_encode(args) -> int:
                               e=args.e, m=args.m, r=r, t=t)
         field = binary_field(8 if args.field_width is None else args.field_width)
         code = build_code(params, design, field)
-        meta = _layered_meta(code)
     else:
         for name in ("n", "k", "m", "e", "d", "r"):
             if getattr(args, name) is None and not (name == "m" and args.k is not None):
@@ -397,13 +213,11 @@ def _cmd_encode(args) -> int:
         m = args.m if args.m is not None else args.n - args.k
         code = build_precoded(n=args.n, k=args.k, d=args.d, e=args.e,
                               m=m, r=args.r, w=args.field_width)
-        meta = _precoded_meta(code)
 
     data = _read_data_file(Path(args.data), code.data_len, code.field)
     state = code.encode(data)
-    written = _save_node_dir(out_dir, meta, code, state)
-    params_json = dict(meta["params"])
-    params_json["construction"] = args.construction
+    written = nodedir.save(out_dir, code, state)
+    params_json = {**nodedir.code_params(code), "construction": args.construction}
     manifest = _write_manifest(out_dir, "encode", params_json,
                                inputs=[args.data], outputs=written)
     _print_json({
@@ -420,23 +234,22 @@ def _cmd_encode(args) -> int:
 
 def _cmd_repair(args) -> int:
     dirpath = _resolve(args.node_dir)
-    meta = _load_code_meta(dirpath)
-    code = _code_from_meta(meta)
+    code = nodedir.load_code(dirpath)
     failed = _int_list(args.failed, "--failed")
     helpers = _int_list(args.helpers, "--helpers")
     if not set(failed + helpers) <= set(range(1, code.n + 1)):  # before any file is read
         raise ValidationError("failed and helper nodes must lie in 1..n")
-    state = _load_nodes(dirpath, sorted(set(helpers)), code)
+    state = nodedir.load_nodes(dirpath, code, sorted(set(helpers)))
     repaired, report = code.repair(state, failed, helpers)
     rpath = _resolve(args.report) if args.report else None
     if rpath:
-        _prepare_target(rpath)  # a refused report leaves the node directory as it was
-    written = _write_nodes(dirpath, code, repaired)
+        nodedir.prepare_target(rpath)  # a refused report leaves the node directory as it was
+    written = nodedir.save_nodes(dirpath, code, repaired)
     payload = report.to_json_dict()
     payload["written"] = written
     _print_json(payload)
     if rpath:
-        _atomic_write(rpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        nodedir.atomic_write(rpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         _write_manifest(rpath, "repair",
                         {"failed": failed, "helpers": helpers},
                         inputs=[str(dirpath)], outputs=written + [str(rpath)])
@@ -445,18 +258,17 @@ def _cmd_repair(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     dirpath = _resolve(args.node_dir)
-    meta = _load_code_meta(dirpath)
-    code = _code_from_meta(meta)
+    code = nodedir.load_code(dirpath)
     nodes = sorted(set(_int_list(args.nodes, "--nodes")))
     for x in nodes:  # before any file is read
         if not 1 <= x <= code.n:
             raise ValidationError(f"node id {x} out of range 1..{code.n}")
-    state = _load_nodes(dirpath, nodes, code)
+    state = nodedir.load_nodes(dirpath, code, nodes)
     data = code.reconstruct(state)
     blob = _data_to_bytes(data, code.field)
     if args.out:
         path = _resolve(args.out)
-        _atomic_write(path, blob)
+        nodedir.atomic_write(path, blob)
         _write_manifest(path, "reconstruct", {"nodes": nodes},
                         inputs=[str(dirpath)], outputs=[str(path)])
         _print_json({"out": str(path), "data_symbols": len(data), "bytes": len(blob)})
@@ -468,16 +280,14 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_extend(args) -> int:
     dirpath = _resolve(args.node_dir)
     out_dir = _resolve(args.out_dir)
-    meta = _load_code_meta(dirpath)
-    if meta.get("construction") != "layered":
+    code = nodedir.load_code(dirpath)
+    if not isinstance(code, LayeredCode):
         raise ValidationError("only layered node directories can be extended")
-    code = _code_from_meta(meta)
-    state = _load_nodes(dirpath, range(1, code.n + 1), code)
+    state = nodedir.load_nodes(dirpath, code, range(1, code.n + 1))
     new_data = _read_data_file(Path(args.new_data), code.codec.dimension, code.field)
     new_code, new_state = code.extend(state, new_data)
-    new_meta = _layered_meta(new_code)
-    written = _save_node_dir(out_dir, new_meta, new_code, new_state)
-    manifest = _write_manifest(out_dir, "extend", new_meta["params"],
+    written = nodedir.save(out_dir, new_code, new_state)
+    manifest = _write_manifest(out_dir, "extend", nodedir.code_params(new_code),
                                inputs=[str(dirpath), args.new_data], outputs=written)
     _print_json({
         "out_dir": str(out_dir),

@@ -1,0 +1,190 @@
+"""Node directories: code.json and one node file per node, read and written.
+
+A node directory is self-describing. code.json carries format_version 2, the
+construction, parameters, field and design: a complete design as
+{"n", "r", "t", "complete": true}, rebuilt on load, any other as its block
+list, one "p1 p2 ..." block line per JSON line. One node_XXX.txt per node
+holds the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and one line of the
+node's symbols as fixed-width hex in slot order (layered.py formats and
+parses it); crc is zlib.crc32 of that payload line, so a node file changed
+on disk fails with exit 3 naming the node before any decode. Header, alpha,
+payload length and hex digits are checked first (exit 2), and the kappa
+token only a precoded code's node files carry after the checksum (exit 2).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import operator
+import os
+import tempfile
+from pathlib import Path
+from typing import Iterable, Sequence
+
+from . import __version__
+from .designs import BlockDesign, complete_design
+from .errors import ValidationError
+from .gf import binary_field
+from .layered import (LayeredCode, NodeContents, SystemParams, build_code,
+                      node_contents_from_text, node_contents_to_text)
+from .precoded import build_precoded
+
+CODE_JSON_FORMAT = "regencodes-node-dir"
+CODE_JSON_VERSION = 2  # the only code.json layout read or written
+_PRECODED_PARAMS = ("n", "k", "d", "e", "m", "r")
+_LAYERED_PARAMS = _PRECODED_PARAMS + ("t",)  # SystemParams' fields
+
+
+def node_path(dirpath: Path, node: int) -> Path:
+    return dirpath / f"node_{node:03d}.txt"
+
+
+def prepare_target(path: Path) -> None:
+    # refuse what the rename would replace, a directory or a device node; make the parents
+    if path.exists() and not path.is_file():
+        raise ValidationError(f"cannot write {path}: it is not a regular file")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValidationError(f"cannot write {path}: a parent is not a directory") from None
+
+
+def _write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
+    """Write each (path, text or bytes) to a temp name, then rename it over the path; returns
+    the paths. Every target is prepared first, so a refused one leaves them all as they were."""
+    for path, _ in files:
+        prepare_target(path)
+    for path, data in files:
+        blob = data if isinstance(data, bytes) else data.encode()
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    return [str(path) for path, _ in files]
+
+
+def atomic_write(path: Path, data) -> None:
+    """Write one file (text or bytes) through a temp name and a rename."""
+    _write_files([(path, data)])
+
+
+def _node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:
+    dirpath = Path(dirpath)
+    return [(node_path(dirpath, nc.node), node_contents_to_text(nc, code)) for nc in state]
+
+
+def code_params(code) -> dict:
+    """The parameters code.json stores: n, k, d, e, m, r and, for a layered code, t."""
+    if isinstance(code, LayeredCode):
+        return {key: getattr(code.params, key) for key in _LAYERED_PARAMS}
+    return {key: getattr(code, key) for key in _PRECODED_PARAMS}
+
+
+def _code_json(code) -> dict:
+    meta = {"format": CODE_JSON_FORMAT, "format_version": CODE_JSON_VERSION,
+            "version": __version__, "params": code_params(code)}
+    if not isinstance(code, LayeredCode):
+        field = code.field
+        meta.update(construction="precoded", field={
+            "w": field.subfield.w, "kappa": field.kappa, "modulus": hex(field.modulus)})
+        return meta
+    design = code.design
+    stored = {"n": design.n, "r": design.r, "t": design.t}
+    # the code's design is Steiner: with t = r it holds every r-subset once, in lexicographic
+    # order exactly when its blocks ascend
+    if design.t == design.r and all(map(operator.lt, design.blocks, design.blocks[1:])):
+        stored["complete"] = True
+    else:
+        stored["blocks"] = [" ".join(map(str, b)) for b in design.blocks]
+    meta.update(construction="layered", field={"w": code.field.w}, design=stored)
+    return meta
+
+
+def save(dirpath, code, state: Iterable[NodeContents]) -> list[str]:
+    """Write code.json and the nodes' files (an encode's or an extend's); returns their paths."""
+    meta = json.dumps(_code_json(code), indent=2, sort_keys=True) + "\n"
+    return _write_files([(Path(dirpath) / "code.json", meta), *_node_files(dirpath, code, state)])
+
+
+def save_nodes(dirpath, code, state: Iterable[NodeContents]) -> list[str]:
+    """Write the nodes' files only (a repair's); returns their paths."""
+    return _write_files(_node_files(dirpath, code, state))
+
+
+def _design(dd: dict) -> BlockDesign:
+    n, r, t = int(dd["n"]), int(dd["r"]), int(dd["t"])
+    if dd.get("complete") is True:
+        if t != r:
+            raise ValidationError(f"a complete design has t = r, code.json says t={t} r={r}")
+        return complete_design(n, r)  # refuses C(n, r) > MAX_BLOCKS before building
+    blocks = tuple(tuple(int(x) for x in b.split()) for b in dd["blocks"])
+    return BlockDesign(n=n, r=r, t=t, blocks=blocks)
+
+
+def load_code(dirpath):
+    """The code a node directory's code.json describes, rebuilt; ValidationError if it cannot be."""
+    code_path = Path(dirpath) / "code.json"
+    try:
+        meta = json.loads(code_path.read_text())
+    except (OSError, UnicodeDecodeError) as ex:
+        raise ValidationError(f"cannot read {code_path}: {ex}") from None
+    except json.JSONDecodeError as ex:
+        raise ValidationError(f"{code_path} is not valid JSON: {ex}") from None
+    if not isinstance(meta, dict) or meta.get("format") != CODE_JSON_FORMAT:
+        raise ValidationError(f"{code_path} is not a regencodes node directory descriptor")
+    if "format_version" not in meta:
+        raise ValidationError("code.json has no format_version; "
+                              "the pre-v2 layout is no longer read")
+    version = meta["format_version"]
+    if version != CODE_JSON_VERSION:
+        raise ValidationError(
+            f"code.json format_version {version!r} is not supported (expected {CODE_JSON_VERSION})"
+        )
+    construction, params = meta.get("construction"), meta.get("params", {})
+    fieldspec = meta.get("field", {})
+    try:
+        if construction == "layered":
+            sp = SystemParams(**{key: int(params[key]) for key in _LAYERED_PARAMS})
+            design = _design(meta["design"])
+            return build_code(sp, design, binary_field(int(fieldspec["w"])))
+        if construction == "precoded":
+            code = build_precoded(**{key: int(params[key]) for key in _PRECODED_PARAMS},
+                                  w=int(fieldspec["w"]))
+            stored = fieldspec.get("modulus")
+            if stored != hex(code.field.modulus):
+                raise ValidationError(
+                    f"stored field modulus {stored} disagrees with the rebuilt field")
+            return code
+    except KeyError as ex:
+        raise ValidationError(f"code.json is missing {ex}") from None
+    except ValidationError:
+        raise
+    except (AttributeError, TypeError, ValueError) as ex:
+        raise ValidationError(f"malformed code.json: {ex}") from None
+    raise ValidationError(f"unknown construction {construction!r} in code.json")
+
+
+def load_nodes(dirpath, code, nodes: Iterable[int]) -> list[NodeContents]:
+    """The listed nodes' contents, each parsed and checked against the code.
+
+    ValidationError if a file cannot be read, is malformed or names another node;
+    IntegrityError if its payload fails its checksum.
+    """
+    out, dirpath = [], Path(dirpath)
+    for x in nodes:
+        path = node_path(dirpath, x)
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as ex:
+            raise ValidationError(f"cannot read node file {path}: {ex}") from None
+        nc = node_contents_from_text(text, code, path)
+        if nc.node != x:
+            raise ValidationError(f"{path} names node {nc.node}, expected {x}")
+        out.append(nc)
+    return out

@@ -204,12 +204,12 @@ def run_suites(seed: int, out) -> int:
         rng = random.Random(seed)
         try:
             suite(rng)
-        except AssertionError as ex:
+        except Exception as ex:  # a crash fails its own suite; the others still run
             failures += 1
-            print(f"FAIL {name}: {ex}", file=out)
-        except IntegrityError as ex:
-            failures += 1
-            print(f"FAIL {name}: integrity: {ex}", file=out)
+            kind = ("" if isinstance(ex, AssertionError)
+                    else "integrity: " if isinstance(ex, IntegrityError)
+                    else f"{type(ex).__name__}: ")
+            print(f"FAIL {name}: {kind}{ex}", file=out)
         else:
             print(f"ok {name}", file=out)
     return failures

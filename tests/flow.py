@@ -351,6 +351,32 @@ def _domain_edges(case: Case) -> None:
     case.run("repair", "--node-dir", "ok", "--failed", "1", "--helpers", "2,3,4,5")
 
 
+def _refused_writes(case: Case) -> None:
+    """An extend, a re-encode and a two-node repair into directories that already hold an
+    encode, each refused because one of its later node files is a directory; then a
+    reconstruct from the refused re-encode's directory."""
+    layered = ["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"]
+    case.data("data.bin", 8, 8)
+    case.data("other.bin", 8, 8)
+    case.data("extra.bin", 2, 8)
+    case.data("extra2.bin", 2, 8)
+    case.run("encode", *layered, "--data", "data.bin", "--out-dir", "nodes")
+    case.run("extend", "--node-dir", "nodes", "--new-data", "extra.bin", "--out-dir", "ext")
+    case.drop("ext", "3")
+    (case.root / "ext" / "node_003.txt").mkdir()
+    case.run("extend", "--node-dir", "nodes", "--new-data", "extra2.bin", "--out-dir", "ext")
+    case.drop("nodes", "3")
+    (case.root / "nodes" / "node_003.txt").mkdir()
+    case.run("encode", *layered, "--data", "other.bin", "--out-dir", "nodes")
+    case.run("reconstruct", "--node-dir", "nodes", "--nodes", "1,2,4", "--out", "back.bin")
+    case.data("data6.bin", 30, 8)
+    case.run("encode", "--n", "6", "--m", "2", "--e", "2", "--d", "4", "--r", "4",
+             "--data", "data6.bin", "--out-dir", "six")
+    case.drop("six", "1,4")
+    (case.root / "six" / "node_004.txt").mkdir()
+    case.run("repair", "--node-dir", "six", "--failed", "1,4", "--helpers", "2,3,5,6")
+
+
 CASES = {
     "help": _help,
     "complete": _layered(["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"],
@@ -379,6 +405,7 @@ CASES = {
     "invalid": _invalid,
     "node-headers": _node_headers,
     "domain-edges": _domain_edges,
+    "refused-writes": _refused_writes,
 }
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from regencodes import NodeContents, SystemParams, build_code
+from regencodes import NodeContents, SystemParams, ValidationError, build_code
 from regencodes.cli import _build_parser, main
 from regencodes.designs import bundled_design, serialize_design
 from regencodes.layered import LayeredCode, node_contents_from_text, node_contents_to_text
@@ -309,6 +309,46 @@ def test_refused_report_path_leaves_the_node_dir_unchanged(tmp_path, capsys):
         assert not (out_dir / "node_001.txt").exists()
         assert dir_digest(out_dir, skip=()) == before
     assert list(taken.iterdir()) == []
+
+
+def test_refused_node_file_write_leaves_the_node_dir_unchanged(tmp_path, capsys):
+    # an extend, a re-encode and a two-node repair, each into a directory whose later node
+    # file is a directory: every target is checked before the first file is replaced
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    extra, other, data6 = tmp_path / "extra.bin", tmp_path / "other.bin", tmp_path / "data6.bin"
+    extra.write_bytes(b"\xaa\xbb")
+    other.write_bytes(bytes(range(11, 19)))
+    data6.write_bytes(bytes(range(30)))
+    bigger, six = tmp_path / "bigger", tmp_path / "six"
+    extend = ["extend", "--node-dir", str(out_dir), "--new-data", str(extra),
+              "--out-dir", str(bigger)]
+    assert main(extend) == 0
+    assert main(["encode", "--n", "6", "--m", "2", "--e", "2", "--d", "4", "--r", "4",
+                 "--data", str(data6), "--out-dir", str(six)]) == 0
+    (six / "node_001.txt").unlink()
+    extra.write_bytes(b"\xcc\xdd")
+    capsys.readouterr()
+    for dirpath, node, argv in (
+        (bigger, 3, extend),
+        (out_dir, 3, ["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+                      "--data", str(other), "--out-dir", str(out_dir)]),
+        (six, 4, ["repair", "--node-dir", str(six), "--failed", "1,4",
+                  "--helpers", "2,3,5,6"]),
+    ):
+        taken = dirpath / f"node_{node:03d}.txt"
+        taken.unlink()
+        taken.mkdir()
+        before = dir_digest(dirpath, skip=(taken.name,))
+        assert main(argv) == 2, argv
+        refusal = f"error: cannot write {taken}: it is not a regular file\n"
+        assert capsys.readouterr() == ("", refusal)
+        assert dir_digest(dirpath, skip=(taken.name,)) == before
+        assert list(taken.iterdir()) == []
+    # what the refused re-encode left is still the first encode
+    back = tmp_path / "back.bin"
+    assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,4",
+                 "--out", str(back)]) == 0
+    assert back.read_bytes() == DATA8
 
 
 def test_manifest_sits_beside_a_suffix_less_output(tmp_path, capsys):
@@ -814,6 +854,25 @@ def test_verify_runs_clean(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7
     assert all(ln.startswith("ok ") for ln in lines)
+
+
+def test_verify_fails_a_crashing_suite_and_runs_the_rest(capsys, monkeypatch):
+    from regencodes import selfcheck
+
+    def overflow(rng):
+        raise OverflowError("int too big to convert")
+
+    def invalid(rng):
+        raise ValidationError("need e <= m")
+
+    monkeypatch.setattr(selfcheck, "_SUITES", [("overflow", overflow), ("invalid", invalid),
+                                               selfcheck._SUITES[0]])
+    code, out = run(capsys, "verify", "--seed", "1")
+    assert code == 3
+    assert out == ("FAIL overflow: OverflowError: int too big to convert\n"
+                   "FAIL invalid: ValidationError: need e <= m\n"
+                   "ok gf-tables\n"
+                   "FAILED 2 suite(s)\n")
 
 
 def test_version_flag(capsys):
