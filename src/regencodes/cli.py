@@ -197,6 +197,8 @@ def _cmd_encode(args) -> int:
                 raise ValidationError(f"layered encode needs --{name}")
         if args.design:
             design = load_design(args.design)
+            if args.r is not None and design.r != args.r:
+                raise ValidationError(f"file has r={design.r}, asked for r={args.r}")
             r, t = design.r, design.t
         elif args.r is not None:
             design, r, t = None, args.r, args.r
@@ -207,6 +209,8 @@ def _cmd_encode(args) -> int:
         field = binary_field(8 if args.field_width is None else args.field_width)
         code = build_code(params, design, field)
     else:
+        if args.design:
+            raise ValidationError("precoded encode takes no --design; it uses the complete design")
         for name in ("n", "k", "m", "e", "d", "r"):
             if getattr(args, name) is None and not (name == "m" and args.k is not None):
                 raise ValidationError(f"precoded encode needs --{name}")

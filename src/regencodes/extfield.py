@@ -17,38 +17,29 @@ The embedding is a field homomorphism from the table-driven GF(2^w) in
 gf.py: it maps the table field's generator to a root (the smallest, for
 determinism) of the same primitive polynomial inside the big field.
 
-Arithmetic is table-driven (Plank, Greenan and Miller, "Screaming Fast
-Galois Field Arithmetic", FAST 2013, without SIMD); each field builds two
-tables from its modulus alone, once, in the constructor:
+Every multiply runs in a lane form of the field: a is held as one int in
+which coefficient i sits alone in byte lane i (a's binary digits as ASCII
+text, less b"0" in every lane). One int multiply then sums every lane's
+coefficient products at C speed. A lane must not sum more than 255 of
+them, so the second operand is taken 255 lanes at a time: one multiply
+below D = 256, two at D = 280, five at D = 1024. A parity mask keeps each
+sum mod 2, and the lanes from D up are folded down by the modulus' low
+terms until none is left (twice for the searched moduli). mul(a, b)
+converts both operands in, multiplies and converts the product out; the
+precode and the interpolation in precoded.py multiply long chains of
+elements and hold them in the lane form throughout, converting once on
+the way in and once on the way out. Going in refuses an int outside the
+field.
 
-- a reduction table of 16 entries, red[t] = (t << D) ^ ((t << D) mod
-  modulus) for degree D. mul(a, b) makes the 16 unreduced multiples of a
-  (each below 2^(D+3)) and walks b four bits at a time from the top:
-  p = (p << 4) ^ multiple[nibble] stays below 2^(D+4), then
-  p ^= red[p >> D] clears the bits above D, about D/4 table steps instead
-  of D bit steps.
-- Frobenius tables. z -> z^q is GF(2)-linear, so the images of the D unit
-  monomials x^i (w squarings each) fix it; they are summed into ceil(D/8)
-  tables of up to 256 entries, one per byte of the operand, and
-  frobenius(a) is the XOR of ceil(D/8) lookups.
+Frobenius is table-driven (Plank, Greenan and Miller, "Screaming Fast
+Galois Field Arithmetic", FAST 2013, without SIMD). z -> z^q is
+GF(2)-linear, so the images of the D unit monomials x^i (w squarings
+each) fix it; the constructor sums them into ceil(D/8) tables of up to
+256 entries, one per byte of the operand, and frobenius(a) is the XOR of
+ceil(D/8) lookups. The lane form leaves for the tables and comes back.
 
 The tables take about 4 D^2 bytes and the modulus search grows faster
 still, so a degree above MAX_EXTENSION_DEGREE is refused up front.
-
-The precode and the interpolation in precoded.py multiply long chains of
-elements; they hold their operands in a private lane form instead, which
-is converted once on the way in and once on the way out. The lane form of
-a is one int in which coefficient i sits alone in byte lane i: a's binary
-digits as ASCII text, less b"0" in every lane. One int multiply then sums
-every lane's coefficient products at C speed. A lane must not sum more
-than 255 of them, so the second operand is taken 255 lanes at a time: one
-multiply below D = 256, two at D = 280, five at D = 1024. A parity mask
-keeps each sum mod 2, and the lanes from D up are folded down by the
-modulus' low terms until none is left (twice for the searched moduli).
-Frobenius leaves the lane form, takes the tables above and comes back.
-Going in refuses an int outside the field. A lane multiply costs about a quarter
-of mul at D = 80, a third to a half at D = 280, and about as much at
-D = 1024 (2-core x86-64 VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -83,16 +74,6 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _polyrem(a, b)
     return a
-
-
-def _reduction_table(modulus: int) -> tuple[int, ...]:
-    """red[t] = (t << D) ^ ((t << D) mod modulus) for each nibble t, D the degree."""
-    d = modulus.bit_length() - 1
-    red = [0]
-    for j in range(4):  # red is GF(2)-linear in t: double it one bit of t at a time
-        unit = (1 << d + j) ^ _polyrem(1 << d + j, modulus)
-        red += [v ^ unit for v in red]
-    return tuple(red)
 
 
 def _sqrmod(a: int, modulus: int) -> int:
@@ -198,9 +179,8 @@ class BinaryExtensionField:
             raise ValidationError("GF(2) needs no extension machinery; use BinaryField")
         self.modulus = find_modulus(self.degree)
         self.order = 1 << self.degree
+        # every multiply, construction included, goes through the lane form
         self._lane_constants()
-        # every multiply, construction included, goes through _red
-        self._red = _reduction_table(self.modulus)
         images = self._frobenius_images()
         self._frob = self._frobenius_tables(images)
         beta_pows = self._embed_subfield(images)
@@ -294,19 +274,8 @@ class BinaryExtensionField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        """a * b by a 4-bit window over b and the reduction table."""
-        a2, a4, a8 = a << 1, a << 2, a << 3
-        a3, a12 = a2 ^ a, a8 ^ a4
-        multiples = (
-            0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
-            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3,
-        )
-        red, d = self._red, self.degree
-        p = 0
-        for s in range((b.bit_length() - 1) & -4, -1, -4):
-            p = (p << 4) ^ multiples[b >> s & 15]
-            p ^= red[p >> d]
-        return p
+        """a * b through the lane form; refuses an operand outside the field."""
+        return self._lanes_out(self._lane_mul(self._lanes_in(a), self._lanes_in(b)))
 
     def frobenius(self, a: int) -> int:
         """a -> a^q, the subfield-fixing field automorphism, by table lookups."""

@@ -10,10 +10,10 @@ the inner code stores for data theta), so any symbol set whose columns have
 full rank over GF(q) pins f down. Reconstruction recovers f by Newton
 interpolation of the linearized polynomial, in O(F^2) field operations and
 one inverse per point taken, and checks every symbol it did not take in the
-same pass (linearized_interpolate). The precode and the interpolation run
-their multiplies in the extension field's lane form (extfield.py), where a
-product is one int multiply; linearized_eval, one point at a time through
-mul and frobenius, stays as their closed-form reference.
+same pass (linearized_interpolate). The precode and the interpolation hold
+their operands in the extension field's lane form (extfield.py), the form
+every multiply runs in, across their loops; linearized_eval, one point at a
+time through mul and frobenius, stays as their closed-form reference.
 
 F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
 recomputes subset ranks by eliminating an explicit generator matrix and

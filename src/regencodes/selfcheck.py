@@ -55,8 +55,8 @@ def _suite_gf(rng: random.Random) -> None:
         every = f.column(range(f.order))
         for c in range(f.order):
             assert f.lincomb([c], [every]) == f.column(f.mul(c, v) for v in every), c
-    # the extension field's windowed multiply and Frobenius tables, and the
-    # lane form's multiply and Frobenius, against bit-serial products;
+    # the extension field's multiply and Frobenius tables, from plain ints and
+    # in the lane form, against bit-serial products;
     # frobenius is w reference squarings; lane results are compared in the
     # lane form, so a malformed one fails the comparison
     ext = extension_field(2, 40)

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .bandwidth import beta_formula, beta_layered_naive_e1
 from .errors import IntegrityError, ValidationError
+from .precoded import rho
 
 
 @dataclass(frozen=True)
@@ -281,8 +282,6 @@ def hull_oracle(points: Sequence[TradeoffPoint]) -> list[TradeoffPoint]:
 
 def _precoded_axis(n: int, k: int, m: int, r: int) -> tuple[int, Fraction]:
     """rho = rho(n, k, m, r) and alpha_bar = C(n-1, r-1) / rho of one (m, r) point."""
-    from .precoded import rho  # deferred: precoded imports layered machinery
-
     denom = rho(n, k, m, r)
     return denom, Fraction(comb(n - 1, r - 1), denom)
 

@@ -351,6 +351,22 @@ def _domain_edges(case: Case) -> None:
     case.run("repair", "--node-dir", "ok", "--failed", "1", "--helpers", "2,3,4,5")
 
 
+def _encode_design(case: Case) -> None:
+    """A layered encode whose --r contradicts its --design, one whose --r agrees and one that
+    also passes --k, and a precoded encode given a --design."""
+    case.write("s_3_4_8.design", serialize_design(bundled_design("s_3_4_8")))
+    case.data("data.bin", 28, 8)
+    layered = ["--n", "8", "--m", "2", "--e", "2", "--d", "6", "--design", "s_3_4_8.design",
+               "--data", "data.bin"]
+    case.run("encode", *layered, "--r", "5", "--out-dir", "r5")
+    case.run("encode", *layered, "--r", "4", "--out-dir", "r4")
+    case.run("encode", *layered, "--k", "6", "--out-dir", "k6")
+    case.data("wide.bin", 36, 80)
+    case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "5",
+             "--e", "1", "--m", "1", "--r", "3", "--design", "s_3_4_8.design",
+             "--data", "wide.bin", "--out-dir", "pre")
+
+
 def _refused_writes(case: Case) -> None:
     """An extend, a re-encode and a two-node repair into directories that already hold an
     encode, each refused because one of its later node files is a directory; then a
@@ -406,6 +422,7 @@ CASES = {
     "node-headers": _node_headers,
     "domain-edges": _domain_edges,
     "refused-writes": _refused_writes,
+    "encode-design": _encode_design,
 }
 
 

@@ -536,6 +536,28 @@ def test_encode_with_design_file(tmp_path, capsys):
     assert back.read_bytes() == bytes(range(28))
 
 
+def test_encode_refuses_options_that_contradict_the_design(tmp_path, capsys):
+    dpath = tmp_path / "s348.design"
+    dpath.write_text(serialize_design(bundled_design("s_3_4_8")))
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(28)))
+    layered = ["encode", "--n", "8", "--m", "2", "--e", "2", "--d", "6", "--design", str(dpath),
+               "--data", str(data)]
+    assert main([*layered, "--r", "5", "--out-dir", str(tmp_path / "r5")]) == 2
+    assert "file has r=4, asked for r=5" in capsys.readouterr().err
+    wide = tmp_path / "wide.bin"
+    wide.write_bytes(bytes(360))
+    precoded = ["encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "5",
+                "--e", "1", "--m", "1", "--r", "3", "--data", str(wide)]
+    assert main([*precoded, "--design", str(dpath), "--out-dir", str(tmp_path / "pre")]) == 2
+    assert "precoded encode takes no --design" in capsys.readouterr().err
+    assert not (tmp_path / "r5").exists() and not (tmp_path / "pre").exists()
+    # an --r that agrees with the file, and layered k = n-m given as --k, still encode
+    assert main([*layered, "--r", "4", "--k", "6", "--out-dir", str(tmp_path / "r4")]) == 0
+    assert json.loads((tmp_path / "r4" / "code.json").read_text())["params"]["r"] == 4
+    assert main([*precoded, "--out-dir", str(tmp_path / "pre")]) == 0
+
+
 def test_extend_chain(tmp_path, capsys):
     data, out_dir, _ = encode_small(tmp_path, capsys)
     extra = tmp_path / "extra.bin"

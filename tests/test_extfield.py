@@ -27,7 +27,7 @@ def gf2_polymul(a, b):
 
 def reference_mul(f, a, b):
     # bit-serial carry-less product, then long division by the modulus;
-    # shares no table with the field's windowed multiply
+    # shares nothing with the field's lane-form multiply
     prod = gf2_polymul(a, b)
     for i in range(prod.bit_length() - 1, f.degree - 1, -1):
         if prod >> i & 1:
@@ -149,7 +149,7 @@ def test_arithmetic(rng):
 
 @pytest.mark.parametrize("w,kappa", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 2), (8, 1)])
 def test_small_field_kernels_match_reference_on_every_element(w, kappa):
-    # degree <= 8: the 4-bit window is as wide as, or wider than, the field
+    # degree <= 8: few enough elements to multiply every pair
     f = extension_field(w, kappa)
     elems = range(1 << f.degree)
     for a in elems:
@@ -275,7 +275,8 @@ def dense_operands(f, rng):
 
 
 # one int multiply per product up to D = 254; from D = 256 the second operand is
-# split into 255-lane pieces: two at 256 and 280, five at 1024
+# split into 255-lane pieces: two at 256 and 280, five at 1024. mul is the lane
+# kernel with a conversion at each end, so both are held to the bit-serial reference.
 @pytest.mark.parametrize("w,kappa", [(2, 5), (2, 40), (2, 112), (2, 127), (2, 128), (2, 140),
                                      (2, 512)])
 def test_lane_kernel_matches_mul_and_frobenius_on_dense_operands(w, kappa, rng):
@@ -284,11 +285,11 @@ def test_lane_kernel_matches_mul_and_frobenius_on_dense_operands(w, kappa, rng):
     elems = dense_operands(f, rng)
     for a in elems:
         assert unlanes(lanes(a)) == a
-        assert unlanes(f._lane_frobenius(lanes(a))) == f.frobenius(a), a
+        assert unlanes(f._lane_frobenius(lanes(a))) == reference_frobenius(f, a), a
         for b in elems:
-            assert unlanes(f._lane_mul(lanes(a), lanes(b))) == f.mul(a, b), (a, b)
-    ones = f.order - 1
-    assert unlanes(f._lane_mul(lanes(ones), lanes(ones))) == reference_mul(f, ones, ones)
+            want = reference_mul(f, a, b)
+            assert unlanes(f._lane_mul(lanes(a), lanes(b))) == want, (a, b)
+            assert f.mul(a, b) == want, (a, b)
 
 
 def test_lane_form_refuses_what_is_not_a_field_element():
@@ -297,3 +298,8 @@ def test_lane_form_refuses_what_is_not_a_field_element():
         with pytest.raises(ValidationError, match="is not a field element"):
             f._lanes_in(bad)
     assert f._lanes_in(0) == 0 and f._lanes_in(1) == 1
+    # mul goes in through the lane form, so it refuses the same operands, either side
+    for bad, good in ((f.order, 3), (-1, 5), (1 << 90, 1 << 90), (None, 1), ("1", 1)):
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ValidationError, match="is not a field element"):
+                f.mul(a, b)
