@@ -253,6 +253,19 @@ def _precoded(params: list[str], count: int, degree: int, alpha: int,
     return case_fn
 
 
+def _precoded_low_k(case: Case) -> None:
+    """A precoded code whose k-node reconstruct leaves many evaluations undetermined: from k
+    nodes, from k+1, then from k+1 with one symbol flipped under a recomputed crc."""
+    case.data("data.bin", 20, 80)
+    case.run("encode", "--construction", "precoded", "--n", "6", "--k", "2", "--d", "5",
+             "--e", "1", "--m", "1", "--r", "3", "--data", "data.bin", "--out-dir", "nodes")
+    case.run("reconstruct", "--node-dir", "nodes", "--nodes", "2,5", "--out", "back.bin")
+    case.run("reconstruct", "--node-dir", "nodes", "--nodes", "1,3,6", "--out", "back3.bin")
+    case.copy("nodes", "bad")
+    case.flip("bad", int(case.rng.choice("136")), case.rng.randrange(10), True)
+    case.run("reconstruct", "--node-dir", "bad", "--nodes", "1,3,6", "--out", "bad.bin")
+
+
 def _tradeoff(case: Case) -> None:
     case.run("region", "--k", "4", "--e", "2")
     case.run("region", "--k", "6", "--e", "3", "--out", "region.csv")
@@ -266,6 +279,7 @@ def _tradeoff(case: Case) -> None:
     case.run("points", "--n", "30", "--k", "20", "--d", "22", "--e", "4")
     case.run("compare", "--n", "20", "--k", "14", "--d", "15")
     case.run("points", "--n", "5", "--k", "3", "--d", "4", "--e", "1", "--m-values", "1,1")
+    case.run("points", "--n", "8", "--k", "5", "--d", "6", "--e", "2", "--m-values", "")
 
 
 def _design(case: Case) -> None:
@@ -414,6 +428,7 @@ CASES = {
                              9, 20, 4, ["2,4,5", "1,2,3", "1,2,3,5"], [("2", "1,3,4,5")]),
     "precoded-f36": _precoded(["--n", "6", "--k", "4", "--d", "5", "--e", "1", "--m", "1", "--r", "3"],
                               36, 80, 10, ["1,3,4,6", "2,3,4,5,6"], [("5", "1,2,3,4,6")]),
+    "precoded-low-k": _precoded_low_k,
     "tradeoff": _tradeoff,
     "design": _design,
     "verify": _verify,
