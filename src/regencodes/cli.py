@@ -313,7 +313,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    m_values = _int_list(args.m_values, "--m-values") if args.m_values else None
+    m_values = None if args.m_values is None else _int_list(args.m_values, "--m-values")
     points = achievable_points_general(args.n, args.k, args.d, args.e, m_values)
     points = points + [msmr_point(args.k, args.d, args.e), mbcr_point(args.k, args.d, args.e)]
     rows = csv_rows(points)

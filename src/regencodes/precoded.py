@@ -7,10 +7,20 @@ q = 2^w, with kappa = F_c = (r-m) C(n,r) the inner code's data size; the
 inner code stores f evaluated at a basis of GF(q^kappa) over GF(q). Every
 stored symbol is then itself an evaluation of f at a known point (the symbol
 the inner code stores for data theta), so any symbol set whose columns have
-full rank over GF(q) pins f down. Reconstruction recovers f by Newton
-interpolation of the linearized polynomial, in O(F^2) field operations and
-one inverse per point taken, and checks every symbol it did not take in the
-same pass (linearized_interpolate). The precode and the interpolation hold
+full rank over GF(q) pins f down.
+
+Reconstruction has two exact methods and takes the one that needs fewer
+field operations for the nodes it is given (interpolation_method). Newton
+interpolation of the linearized polynomial takes O(F^2) multiplies and
+O(F^2) Frobenius steps and checks every symbol it did not take in the same
+pass (linearized_interpolate). The other decodes the inner code block by
+block into the evaluations u_l = f(x^l), with one free direction for each
+symbol a block lacks below r-m, and inverts the precode as a Vandermonde
+map in the conjugates of x, through x's minimal polynomial
+(vandermonde_interpolate): about kappa^2 multiplies and no Frobenius step,
+plus kappa Frobenius steps and a small elimination per free direction.
+Newton wins when the nodes leave many evaluations free, as k nodes of a
+code with small k do. The precode and both methods hold
 their operands in the extension field's lane form (extfield.py), the form
 every multiply runs in, across their loops; linearized_eval, one point at a
 time through mul and frobenius, stays as their closed-form reference.
@@ -30,7 +40,7 @@ from .designs import check_block_count, complete_design
 from .errors import IntegrityError, ValidationError
 from .extfield import BinaryExtensionField, extension_field
 from .gf import binary_field, check_symbols
-from .layered import LayeredCode, NodeContents, SystemParams, build_code
+from .layered import GIVEN, LayeredCode, NodeContents, SystemParams, build_code
 from .mds import mds_codec
 
 
@@ -140,6 +150,14 @@ def linearized_precode(field: BinaryExtensionField, data: Sequence[int]) -> list
     return evals
 
 
+_INCONSISTENT = "stored symbols are inconsistent with the recovered data"
+
+
+def _rank_verdict(rank: int, given: int, size: int) -> None:
+    if rank < size:
+        raise IntegrityError(f"only {rank} independent columns among {given}; need {size}")
+
+
 def linearized_interpolate(
     field: BinaryExtensionField, pairs: Sequence[tuple[int, int]], size: int
 ) -> list[int]:
@@ -184,11 +202,99 @@ def linearized_interpolate(
         f = [c ^ mul(s, a) for c, a in zip(f, ann)] + [s]  # ann is monic
         lifted = [0] + [field._lane_frobenius(c) for c in ann]  # ann^q
         ann = [c ^ mul(dq1, a) for c, a in zip(lifted, ann)] + lifted[-1:]
-    if len(f) < size:
-        raise IntegrityError(f"only {len(f)} independent columns among {len(pairs)}; need {size}")
+    _rank_verdict(len(f), len(pairs), size)
     if misfit:
-        raise IntegrityError("stored symbols are inconsistent with the recovered data")
+        raise IntegrityError(_INCONSISTENT)
     return [field._lanes_out(c) for c in f]
+
+
+def interpolation_method(kappa: int, size: int, free: int, given: int) -> str:
+    """"newton" or "vandermonde": the reconstruct that takes fewer field operations.
+
+    Multiplies and Frobenius steps count one each. Newton through `given`
+    points takes about 4j + 4 multiplies and 2j + 1 Frobenius steps for the
+    j-th of the `size` points it takes, and 2 size - 1 for each further one.
+    The Vandermonde inverse evaluates W at the kappa conjugates of x (kappa - 1
+    multiplies each), divides size of them, lifts each of the `free`
+    directions kappa times and solves for them among the kappa - size
+    checks.
+    """
+    newton = 2 * size * (size + 1) + size * size + (given - size) * (2 * size - 1)
+    vandermonde = (kappa * (kappa - 1) + size + free * (kappa + size)
+                   + (kappa - size) * free * (free + 1) // 2)
+    return "newton" if newton < vandermonde else "vandermonde"
+
+
+def _combine(tabs: Sequence[Sequence[int]], coeffs: Iterable[int]) -> int:
+    """sum_i coeffs[i] a_i for subfield coefficients, where tabs[i] is a_i's table of multiples
+    (extfield.py's _lane_multiples), in the lane form."""
+    acc = 0
+    for tab, c in zip(tabs, coeffs):
+        acc ^= tab[c]
+    return acc
+
+
+def vandermonde_interpolate(
+    field: BinaryExtensionField, evals: Sequence[int], size: int,
+    free: Sequence[tuple[int, Sequence[int]]] = (),
+) -> list[int]:
+    """Coefficients of the f of q-degree < size with f(x^l) = u_l for every l < kappa, checked.
+
+    u = evals + sum_t lambda_t v_t for some lambdas: evals is in the lane
+    form, and each free direction v_t = (start, vec) is the subfield vector
+    holding vec from index start. f(x^l) = sum_i c_i z_i^l is a Vandermonde
+    map in the conjugates z_i = x^(q^i), the roots of x's minimal polynomial
+    g(Y) = Y^kappa + sum g_l Y^l, with the closed-form inverse c_i = W(z_i) /
+    g'(z_i), W(Y) = sum_s w_s Y^s, w_s = sum_l u_l g_(l+s+1) (Kaltofen and
+    Lakshman, ISSAC 1988): one Horner pass per conjugate. g' has subfield
+    coefficients, so 1 / g'(z_i) = (1 / g'(x))^(q^i), a constant of the
+    field; so is z_i. A direction's h_t = W of v_t has subfield
+    coefficients too, so it adds lambda_t h_t(x)^(q^i) to W(z_i). The
+    lambdas come from c_i = 0 for size <= i < kappa, by elimination; the
+    equations left over are checks, and IntegrityError is raised when one
+    fails. The directions must be independent on those equations, which
+    holds when the given symbols' rank reaches size (the rank verdict).
+    """
+    lanes, mul, horner = field._lanes_in, field._lane_mul, field._lane_horner
+    kappa, g, conj = field.kappa, field.minpoly, field._lane_conjugates
+    tabs = [field._lane_multiples(u) for u in evals]
+    w = [_combine(tabs, g[s + 1 :]) for s in range(kappa)]
+    smul = field.subfield.mul
+    shapes = []  # each direction's h_t
+    for start, vec in free:
+        h = [0] * kappa
+        for s in range(max(0, kappa - start)):
+            for c, gl in zip(vec, g[start + s + 1 :]):
+                h[s] ^= smul(c, gl)
+        shapes.append(h)
+    # rows i = size..kappa-1 of sum_t lambda_t h_t(x)^(q^i) = W(z_i), augmented
+    rows = [[] for _ in range(size, kappa)]
+    for h in shapes:
+        lift = field._subfield_poly_at_x(h)
+        for i in range(kappa):
+            if i >= size:
+                rows[i - size].append(lanes(lift))
+            lift = field.frobenius(lift)
+    for i, row in enumerate(rows, size):
+        row.append(horner(w, conj[i]))
+    solved = []
+    for t in range(len(free)):
+        # a pivot exists, as the directions are independent on these rows
+        row = rows.pop(next(i for i, row in enumerate(rows) if row[t]))
+        inv = lanes(field.inv(field._lanes_out(row[t])))
+        row = [mul(c, inv) if c else 0 for c in row]
+        for other in rows + solved:
+            factor = other[t]
+            if factor:
+                other[:] = [a ^ mul(factor, b) if b else a for a, b in zip(other, row)]
+        solved.append(row)
+    if any(row[-1] for row in rows):
+        raise IntegrityError(_INCONSISTENT)
+    for row, h in zip(solved, shapes):
+        tab = field._lane_multiples(row[-1])  # lambda_t
+        w = [acc ^ tab[c] for acc, c in zip(w, h)]
+    inv_slopes = field._lane_inv_slopes
+    return [field._lanes_out(mul(horner(w, conj[i]), inv_slopes[i])) for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -217,15 +323,30 @@ class PrecodedCode:
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents.
 
-        Walks the provided symbols in node order, then slot order, once:
-        interpolates f through the first F whose evaluation points are
-        independent over the subfield, and checks every other symbol
-        against it (linearized_interpolate).
+        The given symbols' evaluation points span rank = sum over blocks of
+        min(given positions, r-m) over the subfield; fewer than F raises
+        IntegrityError before anything is decoded. Then f is recovered by
+        whichever of two exact methods takes fewer field operations
+        (interpolation_method). Newton interpolation walks the symbols in
+        node order, then slot order, once, through the first F independent
+        points, and checks every other symbol against them
+        (linearized_interpolate). The Vandermonde route decodes the inner
+        code block by block into the evaluations u_l = f(x^l), with the
+        kappa - rank directions the missing symbols leave free, and inverts
+        the precode's Vandermonde structure (vandermonde_interpolate). Both
+        raise IntegrityError when a stored symbol disagrees with the rest.
         """
         by_node = self.inner._index_contents(contents)
         if len(by_node) < self.k:
             raise ValidationError(f"need at least k={self.k} distinct nodes, got {len(by_node)}")
-        f = self.field
+        f, km = self.field, self.inner.codec.dimension
+        groups = self.inner._groups(dict.fromkeys(by_node, GIVEN))
+        rank = sum(len(blocks) * min(key.count(GIVEN), km) for key, blocks in groups.items())
+        given = len(by_node) * self.alpha
+        _rank_verdict(rank, given, self.data_len)
+        if interpolation_method(f.kappa, self.data_len, f.kappa - rank, given) == "vandermonde":
+            evals, free = self._inner_decode(by_node, groups)
+            return vandermonde_interpolate(f, evals, self.data_len, free)
         # the inner code combines with subfield weights, over which f is
         # linear, so each slot holds f at what it stores for data theta
         stored_theta = self.inner.encode(f.theta)
@@ -233,6 +354,43 @@ class PrecodedCode:
             pair for x in sorted(by_node) for pair in zip(stored_theta[x - 1].symbols, by_node[x])
         ]
         return linearized_interpolate(f, pairs, self.data_len)
+
+    def _inner_decode(self, by_node, groups) -> tuple[list[int], list[tuple[int, list[int]]]]:
+        """The evaluations u = f(theta) the given symbols fix, in the lane form, and the free
+        directions (vandermonde_interpolate) that the missing ones leave.
+
+        The nodes store exactly inner.encode(u). A block with at least r-m given
+        positions decodes its r-m evaluations through the lowest r-m of them and
+        checks the others, raising IntegrityError on a mismatch. A block with fewer
+        also takes its lowest missing positions, as zeros, and each of those adds
+        the direction of its generator column. Every weight is a subfield element,
+        so each symbol taken is multiplied through its table of multiples.
+        """
+        f, inner = self.field, self.inner
+        r, km = inner.params.r, inner.codec.dimension
+        codec = mds_codec(f.subfield, r, km)
+        full = inner._to_blocks(inner._node_major(by_node))
+        lanes, multiples = f._lanes_in, f._lane_multiples
+        evals = [0] * f.kappa
+        free = []
+        misfit = False
+        for key, blocks in groups.items():
+            known = [pos for pos, role in enumerate(key) if role == GIVEN]
+            zeros = [pos for pos, role in enumerate(key) if role != GIVEN][: max(0, km - len(known))]
+            chosen = sorted(known[:km] + zeros)
+            rows = codec.generator(chosen)
+            taken = [i for i, pos in enumerate(chosen) if pos not in zeros]
+            weights = [[row[i] for i in taken] for row in rows]
+            for b in blocks:
+                tabs = [multiples(lanes(full[b * r + chosen[i]])) for i in taken]
+                evals[b * km : (b + 1) * km] = [_combine(tabs, weights[j]) for j in range(km)]
+                for pos in known[km:]:
+                    misfit |= _combine(tabs, weights[pos]) != lanes(full[b * r + pos])
+                for pos in zeros:
+                    free.append((b * km, [row[chosen.index(pos)] for row in rows[:km]]))
+        if misfit:
+            raise IntegrityError(_INCONSISTENT)
+        return evals, free
 
     def repair(
         self,

@@ -171,6 +171,12 @@ def _suite_precoded(rng: random.Random) -> None:
     state = code.encode(data)
     sub = sorted(rng.sample(range(1, 7), 4))
     assert code.reconstruct([state[x - 1] for x in sub]) == data, sub
+    # F=20 from k=2 nodes leaves 20 evaluations free, and Newton interpolation takes it
+    code = build_precoded(6, 2, 5, 1, 1, 3)
+    data = [rng.randrange(1 << code.field.degree) for _ in range(code.data_len)]
+    state = code.encode(data)
+    sub = sorted(rng.sample(range(1, 7), 2))
+    assert code.reconstruct([state[x - 1] for x in sub]) == data, sub
 
 
 def _suite_extend(rng: random.Random) -> None:

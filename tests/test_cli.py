@@ -856,10 +856,12 @@ def test_compare_csv(tmp_path, capsys):
 
 def test_points_refuses_a_repeated_m(tmp_path, capsys):
     out = tmp_path / "points.csv"
-    assert main(["points", "--n", "5", "--k", "3", "--d", "4", "--e", "1",
-                 "--m-values", "1,1", "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: m=1 is listed more than once\n")
-    assert not out.exists()
+    for m_values, error in (("1,1", "m=1 is listed more than once"),
+                            ("", "no (m, r) pairs to evaluate")):
+        assert main(["points", "--n", "5", "--k", "3", "--d", "4", "--e", "1",
+                     "--m-values", m_values, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
 
 
 def test_compare_refuses_k_below_1_before_any_row(capsys):

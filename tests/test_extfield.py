@@ -222,6 +222,34 @@ def test_theta_is_an_independent_basis(subfield_rank):
     assert subfield_rank(f, f.theta[:2] + (f.zero,)) == 2
 
 
+def _subfield_poly_at(f, coeffs, z):
+    """sum_s embed(coeffs[s]) z^s by the bit-serial reference multiply."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = reference_mul(f, acc, z) ^ f.embed(c)
+    return acc
+
+
+@pytest.mark.parametrize("w,kappa", [(2, 5), (3, 4), (2, 40), (2, 140)])
+def test_minimal_polynomial_of_x(w, kappa):
+    f = extension_field(w, kappa)
+    g = f.minpoly
+    assert len(g) == kappa + 1 and g[-1] == 1  # monic of degree kappa
+    assert all(f.subfield.contains(c) for c in g)
+    assert _subfield_poly_at(f, g, 2) == 0  # g(x)
+    assert _subfield_poly_at(f, g, reference_frobenius(f, 2)) == 0  # g(x^q)
+    if kappa <= 5:  # every conjugate is a root, and the slope constants invert g' there
+        lanes, unlanes = f._lanes_in, f._lanes_out
+        slope = [c if s % 2 == 0 else 0 for s, c in enumerate(g[1:])]
+        z = 2
+        for i in range(kappa):
+            assert unlanes(f._lane_conjugates[i]) == z
+            assert _subfield_poly_at(f, g, z) == 0
+            assert reference_mul(f, _subfield_poly_at(f, slope, z), unlanes(f._lane_inv_slopes[i])) == 1
+            z = reference_frobenius(f, z)
+        assert z == 2  # kappa steps go round
+
+
 def test_element_points_are_embedded_subfield():
     f = extension_field(4, 3)
     pts = [f.element(i) for i in range(16)]

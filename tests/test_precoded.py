@@ -428,6 +428,8 @@ DIFFERENTIAL_CODES = [
     ((5, 2, 3, 1, 2, 3), None),  # F=9
     ((6, 4, 5, 1, 1, 3), 3),  # F=36
     ((7, 4, 5, 1, 2, 4), 1),  # F=66
+    ((6, 2, 5, 1, 1, 3), 4),  # F=20: 2 or 3 nodes leave 20 or 11 evaluations free, Newton's side
+    ((5, 3, 3, 2, 2, 3), None),  # F=kappa=10: nothing left free, the Vandermonde side
 ]
 
 
@@ -465,6 +467,42 @@ def differential_verdicts(params, sample=None):
 def test_reconstruct_matches_the_two_pass_reference(params, sample):
     verdicts = differential_verdicts(params, sample)
     assert verdicts["data"] and verdicts["raised"], verdicts
+
+
+# (n, k, d, e, m, r) -> the method a reconstruct from k nodes takes
+METHOD_AT_K = {
+    (6, 2, 5, 1, 1, 3): "newton",  # kappa=40, F=20, 20 free
+    (5, 3, 3, 2, 2, 3): "vandermonde",  # kappa=F=10, none free
+    (6, 4, 5, 1, 1, 3): "vandermonde",  # kappa=40, F=36, 4 free
+}
+
+
+@pytest.mark.parametrize("params", METHOD_AT_K, ids=str)
+def test_interpolation_method_at_k_nodes(params):
+    n, k, d, e, m, r = params
+    kappa = (r - m) * comb(n, r)
+    alpha = comb(n - 1, r - 1)
+    for nodes in itertools.combinations(range(1, n + 1), k):
+        free = kappa - rank_oracle(n, k, m, r, nodes)
+        got = precoded.interpolation_method(kappa, rho(n, k, m, r), free, k * alpha)
+        assert got == METHOD_AT_K[params], nodes
+
+
+# (n, k, d, e, m, r) and how many node lists to sample; (7,4,5,1,3,5) has blocks with more
+# than r-m given positions and some missing, and blocks with fewer
+BOTH_METHODS = [((6, 2, 5, 1, 1, 3), 3), ((5, 3, 4, 1, 1, 2), 3), ((7, 4, 5, 1, 3, 5), 1)]
+
+
+@pytest.mark.parametrize("params,sample", BOTH_METHODS, ids=[str(c[0]) for c in BOTH_METHODS])
+def test_both_methods_give_the_same_outcome(params, sample, monkeypatch):
+    """Whatever interpolation_method would choose, each method decides every case alike."""
+    cases = list(differential_cases(params, sample))
+    outcomes = {}
+    for method in ("newton", "vandermonde"):
+        monkeypatch.setattr(precoded, "interpolation_method", lambda *args: method)
+        outcomes[method] = [outcome(code.reconstruct, contents) for code, _, contents in cases]
+    assert outcomes["newton"] == outcomes["vandermonde"]
+    assert {type(o) for o in outcomes["newton"]} == {list, str}
 
 
 if __name__ == "__main__":
