@@ -262,33 +262,22 @@ class BinaryExtensionField:
         return a ^ self.modulus if a >> self.degree else a
 
     def _minimal_polynomial(self, beta_pows: list[int]) -> tuple[int, ...]:
-        # x^kappa in the GF(2) basis beta^j x^l (l < kappa, j < w): bit l*w + j of the solution
-        # is bit j of g_l, the coefficient of Y^l, as embed reads a subfield element's bits
+        # x^kappa in the GF(2) basis beta^j x^l (l < kappa, j < w), as the one kernel vector of
+        # the basis and x^kappa together: bit l*w + j of it is bit j of g_l, the coefficient of
+        # Y^l, as embed reads a subfield element's bits
         w, kappa = self.subfield.w, self.kappa
-        basis = [0] * self.degree
-        for j, b in enumerate(beta_pows):
-            for l in range(kappa):
-                basis[l * w + j] = b
+        columns = []  # columns[j][l] = beta^j x^l
+        for b in beta_pows:
+            columns.append([])
+            for _ in range(kappa):
+                columns[-1].append(b)
                 b = self._times_x(b)
-        pivots: dict[int, tuple[int, int]] = {}  # lead bit -> (vector, its basis elements)
-        for i, vec in enumerate(basis):
-            pre = 1 << i
-            while vec.bit_length() - 1 in pivots:
-                pvec, ppre = pivots[vec.bit_length() - 1]
-                vec ^= pvec
-                pre ^= ppre
-            if not vec:
-                raise IntegrityError("the powers of x are dependent over the subfield")
-            pivots[vec.bit_length() - 1] = (vec, pre)
-        target, combo = 1, 0
-        for _ in range(kappa):
-            target = self._times_x(target)
-        while target:
-            pvec, ppre = pivots[target.bit_length() - 1]
-            target ^= pvec
-            combo ^= ppre
+        x_kappa = self._times_x(columns[0][-1])
+        kern = _kernel([col[l] for l in range(kappa) for col in columns] + [x_kappa])
+        if len(kern) != 1:
+            raise IntegrityError(f"x has degree other than kappa={kappa} over the subfield")
         mask = self.subfield.order - 1
-        return tuple(combo >> (l * w) & mask for l in range(kappa)) + (self.subfield.one,)
+        return tuple(kern[0] >> (l * w) & mask for l in range(kappa)) + (self.subfield.one,)
 
     def _vandermonde_constants(self) -> None:
         # the conjugates z_i = x^(q^i), the roots of minpoly, and 1 / g'(z_i) = (1 / g'(x))^(q^i)

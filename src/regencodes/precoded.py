@@ -236,7 +236,7 @@ def _combine(tabs: Sequence[Sequence[int]], coeffs: Iterable[int]) -> int:
 
 def vandermonde_interpolate(
     field: BinaryExtensionField, evals: Sequence[int], size: int,
-    free: Sequence[tuple[int, Sequence[int]]] = (),
+    free: Sequence[tuple[int, Sequence[int]]],
 ) -> list[int]:
     """Coefficients of the f of q-degree < size with f(x^l) = u_l for every l < kappa, checked.
 
@@ -270,10 +270,11 @@ def vandermonde_interpolate(
     # rows i = size..kappa-1 of sum_t lambda_t h_t(x)^(q^i) = W(z_i), augmented
     rows = [[] for _ in range(size, kappa)]
     for h in shapes:
-        lift = field._subfield_poly_at_x(h)
-        for i in range(kappa):
-            if i >= size:
-                rows[i - size].append(lanes(lift))
+        lift = field._subfield_poly_at_x(h)  # h_t(x), raised to the q^i for row i
+        for _ in range(size):
+            lift = field.frobenius(lift)
+        for row in rows:
+            row.append(lanes(lift))
             lift = field.frobenius(lift)
     for i, row in enumerate(rows, size):
         row.append(horner(w, conj[i]))
