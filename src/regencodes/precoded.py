@@ -377,7 +377,8 @@ class PrecodedCode:
         misfit = False
         for key, blocks in groups.items():
             known = [pos for pos, role in enumerate(key) if role == GIVEN]
-            zeros = [pos for pos, role in enumerate(key) if role != GIVEN][: max(0, km - len(known))]
+            missing = [pos for pos, role in enumerate(key) if role != GIVEN]
+            zeros = missing[: max(0, km - len(known))]
             chosen = sorted(known[:km] + zeros)
             rows = codec.generator(chosen)
             taken = [i for i, pos in enumerate(chosen) if pos not in zeros]

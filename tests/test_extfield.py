@@ -239,13 +239,14 @@ def test_minimal_polynomial_of_x(w, kappa):
     assert _subfield_poly_at(f, g, 2) == 0  # g(x)
     assert _subfield_poly_at(f, g, reference_frobenius(f, 2)) == 0  # g(x^q)
     if kappa <= 5:  # every conjugate is a root, and the slope constants invert g' there
-        lanes, unlanes = f._lanes_in, f._lanes_out
-        slope = [c if s % 2 == 0 else 0 for s, c in enumerate(g[1:])]
+        unlanes = f._lanes_out
+        slope = [c if s % 2 == 0 else 0 for s, c in enumerate(g[1:])]  # g'
         z = 2
         for i in range(kappa):
             assert unlanes(f._lane_conjugates[i]) == z
             assert _subfield_poly_at(f, g, z) == 0
-            assert reference_mul(f, _subfield_poly_at(f, slope, z), unlanes(f._lane_inv_slopes[i])) == 1
+            inv_slope = unlanes(f._lane_inv_slopes[i])
+            assert reference_mul(f, _subfield_poly_at(f, slope, z), inv_slope) == 1
             z = reference_frobenius(f, z)
         assert z == 2  # kappa steps go round
 
