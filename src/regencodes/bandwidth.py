@@ -7,8 +7,10 @@ Fractions. Three accountings of the same repair:
   helper holding a symbol of a group with s lost symbols and h helper
   members contributes s / (h - (r-m) + s) of a symbol for that group.
 - naive: each affected group is decoded outright from r-m whole symbols,
-  taken from the group's lowest-numbered helper members (the same symbols
-  the executable repair path reads).
+  taken from the group's lowest-numbered helper members. The executable
+  repair path decodes from those same symbols, but it also reads every
+  further helper member of the group and checks it against the decode, so
+  it reads more than naive prices.
 - layered_naive: every lost symbol is regenerated independently at cost
   r-m whole symbols; simultaneous failures in one group share nothing.
 

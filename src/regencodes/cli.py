@@ -195,6 +195,9 @@ def _cmd_encode(args) -> int:
         for name in ("n", "m", "e", "d"):
             if getattr(args, name) is None:
                 raise ValidationError(f"layered encode needs --{name}")
+        if args.k is not None and args.k != args.n - args.m:
+            raise ValidationError(f"layered encode has k = n-m = {args.n - args.m}, "
+                                  f"asked for k={args.k}")
         if args.design:
             design = load_design(args.design)
             if args.r is not None and design.r != args.r:

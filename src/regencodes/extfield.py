@@ -37,15 +37,18 @@ GF(2)-linear, so the images of the D unit monomials x^i (w squarings
 each) fix it; the constructor sums them into ceil(D/8) tables of up to
 256 entries, one per byte of the operand, and frobenius(a) is the XOR of
 ceil(D/8) lookups. The lane form leaves for the tables and comes back.
+A byte's table spans its eight images: entry v XORs those of v's set bits.
+One helper, _span, builds every such table of subset sums: these, the
+embedding table, the subfield's copy, and an element's subfield multiples.
 
 The constructor also finds minpoly, the minimal polynomial g(Y) = Y^kappa
 + sum g_l Y^l of x over the subfield, by one D x D GF(2) solve: x^kappa in
 the basis embed(beta^j) x^l (l < kappa, j < w). Its roots are the
 conjugates z_i = x^(q^i), and precoded.py inverts the precode's Vandermonde
 map through it; the field keeps z_i and 1 / g'(z_i) = (1 / g'(x))^(q^i) for
-every i < kappa, in the lane form. On a 2-core x86-64 VM (Python 3.11) the
-solve takes about 0.2 ms at D = 80 and 30 ms at D = 1024, the constants
-about 0.4 and 70 ms.
+every i < kappa, in the lane form; the precode reads its points' z_i from
+there. On a 2-core x86-64 VM (Python 3.11), at w = 2, the solve takes about
+0.1 ms at D = 80 and 14 ms at D = 1024, the constants about 0.2 and 35 ms.
 
 The tables take about 4 D^2 bytes and the modulus search grows faster
 still, so a degree above MAX_EXTENSION_DEGREE is refused up front.
@@ -151,6 +154,14 @@ def find_modulus(degree: int) -> int:
     raise IntegrityError(f"no irreducible polynomial of degree {degree} found")
 
 
+def _span(basis: Sequence[int]) -> list[int]:
+    """[v] is the XOR of basis[j] over the set bits j of v: every subset sum, one XOR each."""
+    tab = [0]
+    for b in basis:
+        tab += [t ^ b for t in tab]
+    return tab
+
+
 def _kernel(images: list[int]) -> list[int]:
     # kernel basis of the GF(2)-linear map taking unit vector i to images[i]
     pivots: dict[int, tuple[int, int]] = {}
@@ -191,9 +202,11 @@ class BinaryExtensionField:
         # every multiply, construction included, goes through the lane form
         self._lane_constants()
         images = self._frobenius_images()
-        self._frob = self._frobenius_tables(images)
+        # (table, shift) per byte of an operand; table[v] is the image of the byte v << shift
+        self._frob = tuple((tuple(_span(images[shift : shift + 8])), shift)
+                           for shift in range(0, self.degree, 8))
         beta_pows = self._embed_subfield(images)
-        self._emb = [self._combine(beta_pows, a) for a in range(subfield.order)]
+        self._emb = _span(beta_pows)
         # x has degree kappa over the subfield (module docstring)
         self.theta = tuple(1 << i for i in range(kappa))
         self._lane_beta_pows = [self._lanes_in(b) for b in beta_pows]
@@ -211,19 +224,6 @@ class BinaryExtensionField:
                 z = _sqrmod(z, self.modulus)
             images.append(z)
         return images
-
-    @staticmethod
-    def _frobenius_tables(images: list[int]) -> tuple[tuple[tuple[int, ...], int], ...]:
-        # (table, shift) per byte of an operand; table[v] is the image of
-        # the byte v << shift, built from the image of v's lowest set bit
-        tables = []
-        for shift in range(0, len(images), 8):
-            size = 1 << min(8, len(images) - shift)
-            tab = [0] * size
-            for v in range(1, size):
-                tab[v] = tab[v & (v - 1)] ^ images[shift + (v & -v).bit_length() - 1]
-            tables.append((tuple(tab), shift))
-        return tuple(tables)
 
     def _lane_constants(self) -> None:
         # the lane form (module docstring), one byte per coefficient
@@ -246,11 +246,10 @@ class BinaryExtensionField:
         kern = _kernel([img ^ (1 << i) for i, img in enumerate(images)])
         if len(kern) != w:
             raise IntegrityError(f"subfield of size 2^{w} has rank {len(kern)}")
-        elems = sorted(
-            {self._combine(kern, mask) for mask in range(1 << w)}
-        )
-        g = self.subfield.poly
-        beta = next((z for z in elems if self._eval_gf2_poly(g, z) == 0), None)
+        # the subfield's polynomial has GF(2) coefficients, and 0 and 1 are their own lane forms
+        g = [self.subfield.poly >> j & 1 for j in range(w + 1)]
+        copy = sorted(_span(kern))
+        beta = next((z for z in copy if not self._lane_horner(g, self._lanes_in(z))), None)
         if beta is None:
             raise IntegrityError("subfield generator polynomial has no root in its own copy")
         pows = [1]
@@ -283,38 +282,20 @@ class BinaryExtensionField:
     def _vandermonde_constants(self) -> None:
         # the conjugates z_i = x^(q^i), the roots of minpoly, and 1 / g'(z_i) = (1 / g'(x))^(q^i)
         # (g' has subfield coefficients), both in the lane form
-        g = self.minpoly
+        self._lane_conjugates = self._lane_orbit(2)  # x
+        emb = self._lane_multiples(1)  # the embedded subfield elements in the lane form
         # in characteristic 2 the derivative keeps the odd-degree terms, each one degree down
-        inv_slope = self.inv(self._subfield_poly_at_x([c if s % 2 == 0 else 0
-                                                       for s, c in enumerate(g[1:])]))
-        conj, inv_slopes = [], []
-        z = 2  # x
-        for _ in range(self.kappa):
-            conj.append(self._lanes_in(z))
-            inv_slopes.append(self._lanes_in(inv_slope))
-            z, inv_slope = self.frobenius(z), self.frobenius(inv_slope)
-        self._lane_conjugates, self._lane_inv_slopes = tuple(conj), tuple(inv_slopes)
+        slope = [emb[c] if s % 2 == 0 else 0 for s, c in enumerate(self.minpoly[1:])]
+        slope = self._lane_horner(slope, self._lane_conjugates[0])  # g'(x)
+        self._lane_inv_slopes = self._lane_orbit(self.inv(self._lanes_out(slope)))
 
-    @staticmethod
-    def _combine(basis: list[int], mask: int) -> int:
-        acc = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                acc ^= basis[i]
-            mask >>= 1
-            i += 1
-        return acc
-
-    def _eval_gf2_poly(self, g: int, z: int) -> int:
-        acc = 0
-        p = 1
-        while g:
-            if g & 1:
-                acc ^= p
-            g >>= 1
-            p = self.mul(p, z)
-        return acc
+    def _lane_orbit(self, a: int) -> tuple[int, ...]:
+        # a^(q^i) for every i < kappa, in the lane form
+        orbit = [self._lanes_in(a)]
+        for _ in range(self.kappa - 1):
+            a = self.frobenius(a)
+            orbit.append(self._lanes_in(a))
+        return tuple(orbit)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -362,14 +343,8 @@ class BinaryExtensionField:
 
     def _lane_multiples(self, s: int) -> list[int]:
         """[a] is embed(a) * s for every subfield element a, all in the lane form: w - 1
-        multiplies by the powers of the subfield generator, then sums of those."""
-        tab = [0] * self.subfield.order
-        for j, b in enumerate(self._lane_beta_pows):
-            tab[1 << j] = self._lane_mul(s, b) if j else s
-        for v in range(3, len(tab)):
-            if v & (v - 1):
-                tab[v] = tab[v & (v - 1)] ^ tab[v & -v]
-        return tab
+        multiplies by the powers of the subfield generator, then the span of those."""
+        return _span([s] + [self._lane_mul(s, b) for b in self._lane_beta_pows[1:]])
 
     def _lane_horner(self, coeffs: Sequence[int], s: int) -> int:
         """sum_j coeffs[j] s^j, all in the lane form."""
@@ -414,13 +389,6 @@ class BinaryExtensionField:
             u ^= v << j
             g1 ^= g2 << j
         return g1
-
-    def _subfield_poly_at_x(self, coeffs: Sequence[int]) -> int:
-        """sum_s embed(coeffs[s]) x^s for subfield coefficients, by Horner in x."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self._times_x(acc) ^ self.embed(c)
-        return acc
 
     def contains(self, a: object) -> bool:
         return isinstance(a, int) and 0 <= a < self.order

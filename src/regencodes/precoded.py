@@ -18,7 +18,8 @@ block into the evaluations u_l = f(x^l), with one free direction for each
 symbol a block lacks below r-m, and inverts the precode as a Vandermonde
 map in the conjugates of x, through x's minimal polynomial
 (vandermonde_interpolate): about kappa^2 multiplies and no Frobenius step,
-plus kappa Frobenius steps and a small elimination per free direction.
+plus about kappa multiplies, kappa - F Frobenius steps and a small
+elimination per free direction.
 Newton wins when the nodes leave many evaluations free, as k nodes of a
 code with small k do. The precode and both methods hold
 their operands in the extension field's lane form (extfield.py), the form
@@ -127,17 +128,13 @@ def linearized_precode(field: BinaryExtensionField, data: Sequence[int]) -> list
     """Evaluate the data's linearized polynomial at the field's basis theta.
 
     theta is the power basis x^l, so f(x^l) = sum_i c_i z_i^l with z_i =
-    x^(q^i): F-1 Frobenius steps give the z_i, and each next point multiplies
-    every term c_i z_i^l by its z_i once, in the lane form (extfield.py).
+    x^(q^i), which the field holds; each next point multiplies every term
+    c_i z_i^l by its z_i once, in the lane form (extfield.py).
     """
     if len(data) > field.kappa:
         raise ValidationError(f"{len(data)} coefficients but only kappa={field.kappa} points")
     check_symbols(field, data, "{!r} is not a field element")
-    lanes, mul = field._lanes_in, field._lane_mul
-    z = [2]  # x, whose powers are theta
-    while len(z) < len(data):
-        z.append(field.frobenius(z[-1]))
-    z = [lanes(v) for v in z]
+    lanes, mul, z = field._lanes_in, field._lane_mul, field._lane_conjugates
     terms = [lanes(c) for c in data]  # c_i z_i^l, here at l = 0
     evals = []
     for l in range(field.kappa):
@@ -215,12 +212,13 @@ def interpolation_method(kappa: int, size: int, free: int, given: int) -> str:
     points takes about 4j + 4 multiplies and 2j + 1 Frobenius steps for the
     j-th of the `size` points it takes, and 2 size - 1 for each further one.
     The Vandermonde inverse evaluates W at the kappa conjugates of x (kappa - 1
-    multiplies each), divides size of them, lifts each of the `free`
-    directions kappa times and solves for them among the kappa - size
-    checks.
+    multiplies each) and divides size of them; each of the `free` directions
+    takes kappa - 1 multiplies to evaluate at the first check's conjugate and
+    kappa - size Frobenius steps to lift, and the directions are solved for
+    among the kappa - size checks.
     """
     newton = 2 * size * (size + 1) + size * size + (given - size) * (2 * size - 1)
-    vandermonde = (kappa * (kappa - 1) + size + free * (kappa + size)
+    vandermonde = (kappa * (kappa - 1) + size + free * (2 * kappa - size - 1)
                    + (kappa - size) * free * (free + 1) // 2)
     return "newton" if newton < vandermonde else "vandermonde"
 
@@ -267,12 +265,12 @@ def vandermonde_interpolate(
             for c, gl in zip(vec, g[start + s + 1 :]):
                 h[s] ^= smul(c, gl)
         shapes.append(h)
-    # rows i = size..kappa-1 of sum_t lambda_t h_t(x)^(q^i) = W(z_i), augmented
+    # rows i = size..kappa-1 of sum_t lambda_t h_t(z_i) = W(z_i), augmented
     rows = [[] for _ in range(size, kappa)]
+    emb = field._lane_multiples(1)  # the embedded subfield elements in the lane form
     for h in shapes:
-        lift = field._subfield_poly_at_x(h)  # h_t(x), raised to the q^i for row i
-        for _ in range(size):
-            lift = field.frobenius(lift)
+        # h_t(z_size), raised to the q once per further row: h_t(z_i) = h_t(x)^(q^i)
+        lift = field._lanes_out(horner([emb[c] for c in h], conj[size]))
         for row in rows:
             row.append(lanes(lift))
             lift = field.frobenius(lift)

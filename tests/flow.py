@@ -367,7 +367,8 @@ def _domain_edges(case: Case) -> None:
 
 def _encode_design(case: Case) -> None:
     """A layered encode whose --r contradicts its --design, one whose --r agrees and one that
-    also passes --k, and a precoded encode given a --design."""
+    also passes --k, a precoded encode given a --design, and layered encodes whose --k is
+    below, above and equal to n-m."""
     case.write("s_3_4_8.design", serialize_design(bundled_design("s_3_4_8")))
     case.data("data.bin", 28, 8)
     layered = ["--n", "8", "--m", "2", "--e", "2", "--d", "6", "--design", "s_3_4_8.design",
@@ -379,6 +380,10 @@ def _encode_design(case: Case) -> None:
     case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "5",
              "--e", "1", "--m", "1", "--r", "3", "--design", "s_3_4_8.design",
              "--data", "wide.bin", "--out-dir", "pre")
+    case.data("five.bin", 20, 8)
+    for k in ("2", "9", "4"):
+        case.run("encode", "--n", "5", "--k", k, "--m", "1", "--e", "1", "--d", "4", "--r", "3",
+                 "--data", "five.bin", "--out-dir", f"k{k}")
 
 
 def _refused_writes(case: Case) -> None:

@@ -551,6 +551,13 @@ def test_encode_refuses_options_that_contradict_the_design(tmp_path, capsys):
                 "--e", "1", "--m", "1", "--r", "3", "--data", str(wide)]
     assert main([*precoded, "--design", str(dpath), "--out-dir", str(tmp_path / "pre")]) == 2
     assert "precoded encode takes no --design" in capsys.readouterr().err
+    five = tmp_path / "five.bin"
+    five.write_bytes(bytes(20))
+    for k in ("2", "9"):  # n-m = 4
+        assert main(["encode", "--n", "5", "--k", k, "--m", "1", "--e", "1", "--d", "4",
+                     "--r", "3", "--data", str(five), "--out-dir", str(tmp_path / f"k{k}")]) == 2
+        assert f"layered encode has k = n-m = 4, asked for k={k}" in capsys.readouterr().err
+        assert not (tmp_path / f"k{k}").exists()
     assert not (tmp_path / "r5").exists() and not (tmp_path / "pre").exists()
     # an --r that agrees with the file, and layered k = n-m given as --k, still encode
     assert main([*layered, "--r", "4", "--k", "6", "--out-dir", str(tmp_path / "r4")]) == 0

@@ -321,6 +321,16 @@ def test_lane_kernel_matches_mul_and_frobenius_on_dense_operands(w, kappa, rng):
             assert f.mul(a, b) == want, (a, b)
 
 
+@pytest.mark.parametrize("w,kappa", [(2, 40), (3, 70), (8, 16)])
+def test_lane_multiples_are_the_embedded_subfield_times_s(w, kappa, rng):
+    f = extension_field(w, kappa)
+    for s in [1, f.order - 1] + [rng.randrange(f.order) for _ in range(3)]:
+        tab = f._lane_multiples(f._lanes_in(s))
+        assert len(tab) == f.subfield.order
+        for a in range(f.subfield.order):
+            assert tab[a] == f._lanes_in(reference_mul(f, f.embed(a), s)), (s, a)
+
+
 def test_lane_form_refuses_what_is_not_a_field_element():
     f = extension_field(2, 40)
     for bad in (f.order, f.order + 5, -1, None, "1"):
