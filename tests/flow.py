@@ -282,6 +282,16 @@ def _tradeoff(case: Case) -> None:
     case.run("points", "--n", "8", "--k", "5", "--d", "6", "--e", "2", "--m-values", "")
 
 
+def _ladder(case: Case) -> None:
+    """The benchmark's analysis commands not pinned above, and the e=1 region, whose shared
+    mbcr/r=2 corner carries both names in the corner chain but not in the CSV."""
+    for k, e in (("14", "3"), ("30", "3"), ("60", "5"), ("100", "5")):
+        case.run("region", "--k", k, "--e", e)
+    case.run("points", "--n", "19", "--k", "13", "--d", "14", "--e", "3")
+    case.run("region", "--k", "5", "--e", "1")
+    case.run("region", "--k", "5", "--e", "1", "--out", "region.csv")
+
+
 def _design(case: Case) -> None:
     case.run("design", "--n", "8", "--r", "4")
     case.run("design", "--n", "7", "--r", "3", "--out", "c73.design")
@@ -435,6 +445,7 @@ CASES = {
                               36, 80, 10, ["1,3,4,6", "2,3,4,5,6"], [("5", "1,2,3,4,6")]),
     "precoded-low-k": _precoded_low_k,
     "tradeoff": _tradeoff,
+    "ladder": _ladder,
     "design": _design,
     "verify": _verify,
     "pre-v2": _pre_v2,
