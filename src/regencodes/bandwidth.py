@@ -17,14 +17,16 @@ Fractions. Three accountings of the same repair:
 beta_formula is the closed form of the msmr total per helper for complete
 designs (t = r); beta_oracle recounts all three from an explicit design and
 explicit failed/helper sets, sharing no code with the formula. The closed
-forms sum exact integers, over one common denominator where the shares are
-fractional, and build one Fraction per returned value; the oracle adds its
-shares as Fractions, block by block.
+forms sum exact integers and build one Fraction per returned value. The
+msmr sum is held as a table per (n, e, r, d), one integer numerator per
+denominator m - j (beta_table), which does not depend on m: beta_formula
+evaluates it at one m over one common denominator (beta_at), and a curve
+builds it once per r and evaluates it at every m. The oracle adds its shares
+as Fractions, block by block.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -96,12 +98,30 @@ def beta_formula(n: int, e: int, m: int, r: int, d: int) -> Fraction:
     needs d >= n-m, but the analytic curve extends below that.
     """
     _check_formula_args(n, e, m, r, d)
-    nums: defaultdict[int, int] = defaultdict(int)  # integer numerator per denominator m-p+s
-    for s in range(1, e + 1):
-        for p in range(max(s, r - d), min(n - d - e + s, r - 1) + 1):
-            nums[m - p + s] += comb(d - 1, r - p - 1) * comb(n - d - e, p - s) * comb(e, s) * s
-    den = lcm(*nums)  # every term over one common denominator, one Fraction at the end
-    return Fraction(sum(num * (den // q) for q, num in nums.items()), den)
+    return Fraction(*beta_at(beta_table(n, e, r, d), m))
+
+
+def beta_table(n: int, e: int, r: int, d: int, binom=comb) -> list[tuple[int, int]]:
+    """beta_formula's sum grouped by j = p - s: the pairs (j, N_j) with N_j nonzero, where
+    N_j is the integer numerator of every term over m - j. Since s C(e,s) = e C(e-1,s-1),
+    Vandermonde's identity sums the terms of one j over s:
+
+        N_j = C(n-d-e, j) sum_s s C(e,s) C(d-1, r-1-s-j) = e C(n-d-e, j) C(d+e-2, r-2-j)
+
+    No N_j depends on m, so beta_formula(n, e, m, r, d) = sum_j N_j / (m - j) for each m
+    of the domain. The caller checks (n, e, r, d); j runs to n-d-e, below m. binom is the
+    binomial coefficient; a curve passes one that keeps its values for the call.
+    """
+    if d < 1:  # p would run from r-d > r-1 up to r-1: the sum is empty
+        return []
+    return [(j, e * binom(n - d - e, j) * binom(d + e - 2, r - 2 - j))
+            for j in range(max(0, r - d - e), min(n - d - e, r - 2) + 1)]
+
+
+def beta_at(table: list[tuple[int, int]], m: int) -> tuple[int, int]:
+    """sum_j N_j / (m - j) of a beta_table, as (numerator, denominator) over the lcm of the m - j."""
+    den = lcm(*[m - j for j, _ in table])
+    return sum(num * (den // (m - j)) for j, num in table), den
 
 
 def _check_formula_args(n: int, e: int, m: int, r: int, d: int) -> None:

@@ -44,12 +44,11 @@ from .precoded import build_precoded
 from .tradeoff import (
     CSV_HEADER,
     achievable_points_general,
-    achievable_points_c1,
     compare_points,
-    corner_points,
     csv_rows,
     mbcr_point,
     msmr_point,
+    region_points,
 )
 
 DEFAULT_SEED = 12345
@@ -307,8 +306,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    region = corner_points(args.k, args.e)
-    points = achievable_points_c1(args.k, args.e) + [mbcr_point(args.k, args.k, args.e)]
+    points, region = region_points(args.k, args.e)
     rows = csv_rows(points, corners=region.corners)
     _emit_csv(rows, args.out, "region", {"k": args.k, "e": args.e},
               summary={"p_star": region.p_star, "n_corners": region.n_corners})

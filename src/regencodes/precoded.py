@@ -53,10 +53,23 @@ def rho(n: int, k: int, m: int, r: int) -> int:
     m = n-k (the plain layered case).
     """
     _check_shape(n, k, m, r)
-    total = 0
-    for p in range(max(1, r - (n - k)), min(k, r) + 1):
-        total += comb(k, p) * comb(n - k, r - p) * min(p, r - m)
-    return total
+    return rho_row(n, k, r)[r - m]
+
+
+def rho_row(n: int, k: int, r: int, binom=comb) -> list[int]:
+    """rho of one (n, k, r) at every t = r - m from 0 to r-1: entry t is
+    sum_p C(k,p) C(n-k,r-p) min(p, t). Raising t by one adds the counts of every
+    p >= t, so the row is one pass over the block counts, none of which depends on m.
+    The caller checks (n, k, r); binom is the binomial coefficient, as in
+    bandwidth.beta_table.
+    """
+    counts = {p: binom(k, p) * binom(n - k, r - p) for p in range(max(1, r - (n - k)), min(k, r) + 1)}
+    row, value, above = [0], 0, sum(counts.values())  # above: the counts of p >= t
+    for t in range(1, r):
+        value += above
+        above -= counts.get(t, 0)
+        row.append(value)
+    return row
 
 
 def _check_shape(n: int, k: int, m: int, r: int) -> None:

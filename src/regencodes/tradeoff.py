@@ -12,21 +12,25 @@ The module computes:
   a precode, one curve per erasure budget m, and the msmr/layered_naive
   comparison of one failure at m = n-k.
 
-Every value is an exact rational. The bandwidth sums (beta_formula) add exact
-integers over one common denominator, with one Fraction per returned value;
-nothing here touches floats.
+Every value is an exact rational. A curve builds its sums once per group size
+r, as integer tables that do not depend on m (bandwidth.beta_table for
+beta_formula, precoded.rho_row for rho), and evaluates them at each m in
+integers, so each coordinate is one Fraction. The corner checks and the CSV
+work on the integer numerators and denominators of those Fractions; floats
+appear only in the CSV's float columns, each one numerator / denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .bandwidth import beta_formula, beta_layered_naive_e1
+from .bandwidth import beta_at, beta_layered_naive_e1, beta_table
 from .errors import IntegrityError, ValidationError
-from .precoded import rho
+from .precoded import rho_row
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,7 @@ class BoundParams:
 def _require_ek(k: int, e: int) -> None:
     if not 1 <= e < k:
         raise ValidationError(f"need 1 <= e < k, got e={e} k={k}")
+
 
 
 # -- extreme points ---------------------------------------------------------------
@@ -198,17 +203,19 @@ class Region:
         pts = self.corners
         if len(pts) < 2:
             raise IntegrityError("a region needs at least its two extreme corners")
-        for a, b in zip(pts, pts[1:]):
-            if not (a.alpha_bar > b.alpha_bar and a.beta_bar < b.beta_bar):
+        ints = [(*pt.alpha_bar.as_integer_ratio(), *pt.beta_bar.as_integer_ratio()) for pt in pts]
+        steps = []  # per segment: d_alpha and d_beta, each as (numerator, positive denominator)
+        for (an, ad, bn, bd), (an2, ad2, bn2, bd2) in zip(ints, ints[1:]):
+            da, db = an2 * ad - an * ad2, bn2 * bd - bn * bd2
+            if not da < 0 < db:
                 raise IntegrityError("corners must strictly trade storage for bandwidth")
+            steps.append((da, ad * ad2, db, bd * bd2))
         # corners run right to left (alpha_bar decreasing), so segment slopes
-        # must strictly steepen along the list for lower convexity
-        slopes = [
-            (b.beta_bar - a.beta_bar) / (b.alpha_bar - a.alpha_bar)
-            for a, b in zip(pts, pts[1:])
-        ]
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if not s1 > s2:
+        # must strictly steepen along the list for lower convexity; with both
+        # d_alpha < 0, slope 1 > slope 2 exactly when d_beta1 d_alpha2 > d_beta2 d_alpha1,
+        # compared here with the four positive denominators multiplied out
+        for (da1, pa1, db1, pb1), (da2, pa2, db2, pb2) in zip(steps, steps[1:]):
+            if not db1 * da2 * pb2 * pa1 > db2 * da1 * pb1 * pa2:
                 raise IntegrityError("corner chain is not strictly convex")
 
 
@@ -219,23 +226,28 @@ def corner_points(k: int, e: int) -> Region:
     up to k+e (descending alpha_bar). For e = 1 the MBCR point coincides
     with the r=2 construction point and opens the chain.
     """
+    return region_points(k, e)[1]
+
+
+def region_points(k: int, e: int) -> tuple[list[TradeoffPoint], Region]:
+    """Every achievable point at n=k+e, d=k (the construction points by r, then MBCR)
+    and the Region whose corners are taken from that same list."""
     _require_ek(k, e)
     ps = p_star(k, e)
     lo = 2 * e + ps
     if lo > k + e:
         raise IntegrityError(f"p_star={ps} leaves no construction corners for k={k} e={e}")
-    pts = [mbcr_point(k, k, e)]
-    for r in range(lo, k + e + 1):
-        pts.append(achievable_point_c1(k, e, r))
+    construction, mbcr = achievable_points_c1(k, e), mbcr_point(k, k, e)
+    corners = [mbcr, *construction[lo - e - 1:]]
     if e == 1:
         # mbcr and the (excluded) r=2 point coincide exactly for e=1; carry
-        # both names on the single opening corner
-        if pts[0].coords() != achievable_point_c1(k, 1, 2).coords():
+        # both names on the single opening corner, and only there
+        if mbcr.coords() != construction[0].coords():
             raise IntegrityError("e=1 expects mbcr to equal the r=2 construction point")
-        pts[0] = TradeoffPoint(
-            pts[0].alpha_bar, pts[0].beta_bar, "mbcr=construction1(r=2)", r=2, m=1
+        corners[0] = TradeoffPoint(
+            mbcr.alpha_bar, mbcr.beta_bar, "mbcr=construction1(r=2)", r=2, m=1
         )
-    return Region(k=k, e=e, corners=tuple(pts), p_star=ps)
+    return construction + [mbcr], Region(k=k, e=e, corners=tuple(corners), p_star=ps)
 
 
 # -- independent hull oracle -------------------------------------------------------
@@ -280,12 +292,6 @@ def hull_oracle(points: Sequence[TradeoffPoint]) -> list[TradeoffPoint]:
 # -- general (n, k, d) achievable curves -----------------------------------------
 
 
-def _precoded_axis(n: int, k: int, m: int, r: int) -> tuple[int, Fraction]:
-    """rho = rho(n, k, m, r) and alpha_bar = C(n-1, r-1) / rho of one (m, r) point."""
-    denom = rho(n, k, m, r)
-    return denom, Fraction(comb(n - 1, r - 1), denom)
-
-
 def achievable_points_general(
     n: int, k: int, d: int, e: int, m_values: Optional[Sequence[int]] = None
 ) -> list[TradeoffPoint]:
@@ -294,30 +300,42 @@ def achievable_points_general(
     alpha_bar = alpha / rho and beta_bar = beta_formula / rho with
     rho = rho(n, k, m, r) the retained data size. m defaults to every value
     in e..n-k whose whole curve stays in the formula domain (d >= n-m-e+1);
-    passing an explicit out-of-domain or repeated m raises instead.
+    passing an explicit out-of-domain or repeated m raises instead. The sums
+    are built once per r and evaluated at every m; the points come out curve
+    by curve, in m_values order.
     """
     if not 1 <= e <= n - k or not k <= d <= n - e:
         raise ValidationError(
             f"need 1 <= e <= n-k and k <= d <= n-e, got n={n} k={k} d={d} e={e}"
         )
-    explicit = m_values is not None
+    if k < 1:  # as rho refuses it
+        raise ValidationError(f"need 1 <= k <= n, got n={n} k={k}")
     if m_values is None:
-        m_values = [m for m in range(e, n - k + 1) if d >= n - m - e + 1]
-    out: list[TradeoffPoint] = []
-    for i, m in enumerate(m_values):
-        if m in m_values[:i]:
-            raise ValidationError(f"m={m} is listed more than once")
-        if not e <= m <= n - k:
-            raise ValidationError(f"need e <= m <= n-k, got m={m}")
-        if d < n - m - e + 1:
-            raise ValidationError(f"m={m} puts d={d} outside the formula domain")
-        for r in range(m + 1, n + 1):
-            denom, alpha_bar = _precoded_axis(n, k, m, r)
-            beta = beta_formula(n, e, m, r, d)
-            out.append(TradeoffPoint(alpha_bar, beta / denom, f"precoded(m={m},r={r})", r=r, m=m))
-    if explicit and not out:
+        m_values = range(max(e, n - d - e + 1), n - k + 1)
+    elif not m_values:
         raise ValidationError("no (m, r) pairs to evaluate")
-    return out
+    else:
+        seen: set[int] = set()
+        for m in m_values:
+            if m in seen:
+                raise ValidationError(f"m={m} is listed more than once")
+            seen.add(m)
+            if not e <= m <= n - k:
+                raise ValidationError(f"need e <= m <= n-k, got m={m}")
+            if d < n - m - e + 1:
+                raise ValidationError(f"m={m} puts d={d} outside the formula domain")
+    binom = cache(comb)  # each binomial once per call; the tables of neighbouring r share them
+    curves: dict[int, list[TradeoffPoint]] = {m: [] for m in m_values}
+    for r in range(min(m_values) + 1, n + 1):
+        alpha = binom(n - 1, r - 1)
+        betas, rhos = beta_table(n, e, r, d, binom), rho_row(n, k, r, binom)
+        for m, curve in curves.items():
+            if m < r:
+                denom = rhos[r - m]
+                num, den = beta_at(betas, m)
+                curve.append(TradeoffPoint(Fraction(alpha, denom), Fraction(num, den * denom),
+                                           f"precoded(m={m},r={r})", r=r, m=m))
+    return [pt for curve in curves.values() for pt in curve]
 
 
 def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
@@ -331,11 +349,14 @@ def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
         raise ValidationError(f"compare needs k < n, got n={n} k={k}")
     if not k <= d <= n - 1:
         raise ValidationError(f"need k <= d <= n-1, got d={d}")
+    binom = cache(comb)
     out: list[TradeoffPoint] = []
     for r in range(m + 1, n + 1):
-        denom, alpha_bar = _precoded_axis(n, k, m, r)
-        msmr, naive = beta_formula(n, 1, m, r, d), beta_layered_naive_e1(n, m, r, d)
-        out.append(TradeoffPoint(alpha_bar, msmr / denom, f"msmr(r={r})", r=r, m=m))
+        denom = rho_row(n, k, r, binom)[r - m]
+        alpha_bar = Fraction(binom(n - 1, r - 1), denom)
+        num, den = beta_at(beta_table(n, 1, r, d, binom), m)
+        naive = beta_layered_naive_e1(n, m, r, d)
+        out.append(TradeoffPoint(alpha_bar, Fraction(num, den * denom), f"msmr(r={r})", r=r, m=m))
         out.append(TradeoffPoint(alpha_bar, naive / denom, f"layered-naive(r={r})", r=r, m=m))
     return out
 
@@ -359,21 +380,27 @@ CSV_HEADER = [
 def csv_rows(
     points: Sequence[TradeoffPoint], corners: Sequence[TradeoffPoint] = ()
 ) -> list[list[str]]:
-    corner_coords = {pt.coords() for pt in corners}
+    """One CSV row per point; a point is a corner when its four integers match a corner's.
+    Each float column is numerator / denominator, which is float(Fraction)."""
+    def ints(pt: TradeoffPoint) -> tuple[int, int, int, int]:
+        return (*pt.alpha_bar.as_integer_ratio(), *pt.beta_bar.as_integer_ratio())
+
+    corner_keys = {ints(pt) for pt in corners}
     rows = []
     for pt in points:
+        key = an, ad, bn, bd = ints(pt)
         rows.append(
             [
                 pt.label,
                 "" if pt.r is None else str(pt.r),
                 "" if pt.m is None else str(pt.m),
-                str(pt.alpha_bar.numerator),
-                str(pt.alpha_bar.denominator),
-                str(pt.beta_bar.numerator),
-                str(pt.beta_bar.denominator),
-                repr(float(pt.alpha_bar)),
-                repr(float(pt.beta_bar)),
-                "1" if corner_coords and pt.coords() in corner_coords else "0",
+                str(an),
+                str(ad),
+                str(bn),
+                str(bd),
+                repr(an / ad),
+                repr(bn / bd),
+                "1" if key in corner_keys else "0",
             ]
         )
     return rows
