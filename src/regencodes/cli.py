@@ -46,6 +46,7 @@ from .tradeoff import (
     achievable_points_general,
     compare_points,
     csv_rows,
+    curve_m_values,
     mbcr_point,
     msmr_point,
     region_points,
@@ -315,8 +316,9 @@ def _cmd_region(args) -> int:
 
 def _cmd_points(args) -> int:
     m_values = None if args.m_values is None else _int_list(args.m_values, "--m-values")
-    points = achievable_points_general(args.n, args.k, args.d, args.e, m_values)
-    points = points + [msmr_point(args.k, args.d, args.e), mbcr_point(args.k, args.d, args.e)]
+    curves = curve_m_values(args.n, args.k, args.d, args.e, m_values)
+    extremes = [msmr_point(args.k, args.d, args.e), mbcr_point(args.k, args.d, args.e)]
+    points = achievable_points_general(args.n, args.k, args.d, args.e, curves) + extremes
     rows = csv_rows(points)
     _emit_csv(rows, args.out, "points",
               {"n": args.n, "k": args.k, "d": args.d, "e": args.e,

@@ -29,6 +29,7 @@ from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .bandwidth import beta_at, beta_layered_naive_e1, beta_table
+from .designs import MAX_BINOMIAL_BITS, MAX_CSV_ROWS
 from .errors import IntegrityError, ValidationError
 from .precoded import rho_row
 
@@ -62,6 +63,16 @@ def _require_ek(k: int, e: int) -> None:
     if not 1 <= e < k:
         raise ValidationError(f"need 1 <= e < k, got e={e} k={k}")
 
+
+def _check_size(rows: int, n: Optional[int] = None) -> None:
+    """Refuse, before any point is built, a curve set of more than MAX_CSV_ROWS points or
+    one whose binomials, all C(N, K) with N <= n, may exceed MAX_BINOMIAL_BITS bits."""
+    if rows > MAX_CSV_ROWS:
+        raise ValidationError(f"{rows} points exceed the limit of {MAX_CSV_ROWS} rows")
+    if n is not None and n > MAX_BINOMIAL_BITS:
+        raise ValidationError(
+            f"n={n} exceeds the limit of {MAX_BINOMIAL_BITS} on the bits of a binomial C(n, .)"
+        )
 
 
 # -- extreme points ---------------------------------------------------------------
@@ -233,6 +244,7 @@ def region_points(k: int, e: int) -> tuple[list[TradeoffPoint], Region]:
     """Every achievable point at n=k+e, d=k (the construction points by r, then MBCR)
     and the Region whose corners are taken from that same list."""
     _require_ek(k, e)
+    _check_size(k + 1)
     ps = p_star(k, e)
     lo = 2 * e + ps
     if lo > k + e:
@@ -292,17 +304,14 @@ def hull_oracle(points: Sequence[TradeoffPoint]) -> list[TradeoffPoint]:
 # -- general (n, k, d) achievable curves -----------------------------------------
 
 
-def achievable_points_general(
+def curve_m_values(
     n: int, k: int, d: int, e: int, m_values: Optional[Sequence[int]] = None
-) -> list[TradeoffPoint]:
-    """Precoded-construction curves: one point per (m, r), normalized by rho.
+) -> Sequence[int]:
+    """The m values of achievable_points_general's curves, checked before any point is built.
 
-    alpha_bar = alpha / rho and beta_bar = beta_formula / rho with
-    rho = rho(n, k, m, r) the retained data size. m defaults to every value
-    in e..n-k whose whole curve stays in the formula domain (d >= n-m-e+1);
-    passing an explicit out-of-domain or repeated m raises instead. The sums
-    are built once per r and evaluated at every m; the points come out curve
-    by curve, in m_values order.
+    m defaults to every value in e..n-k whose whole curve stays in the formula
+    domain (d >= n-m-e+1); an explicit out-of-domain or repeated m raises
+    instead, and so do curves above the size caps (_check_size).
     """
     if not 1 <= e <= n - k or not k <= d <= n - e:
         raise ValidationError(
@@ -311,7 +320,9 @@ def achievable_points_general(
     if k < 1:  # as rho refuses it
         raise ValidationError(f"need 1 <= k <= n, got n={n} k={k}")
     if m_values is None:
-        m_values = range(max(e, n - d - e + 1), n - k + 1)
+        lo, hi = max(e, n - d - e + 1), n - k
+        m_values = range(lo, hi + 1)
+        rows = (hi - lo + 1) * (2 * n - lo - hi) // 2  # sum of n - m over lo..hi
     elif not m_values:
         raise ValidationError("no (m, r) pairs to evaluate")
     else:
@@ -324,6 +335,22 @@ def achievable_points_general(
                 raise ValidationError(f"need e <= m <= n-k, got m={m}")
             if d < n - m - e + 1:
                 raise ValidationError(f"m={m} puts d={d} outside the formula domain")
+        rows = sum(n - m for m in m_values)
+    _check_size(rows, n)
+    return m_values
+
+
+def achievable_points_general(
+    n: int, k: int, d: int, e: int, m_values: Optional[Sequence[int]] = None
+) -> list[TradeoffPoint]:
+    """Precoded-construction curves: one point per (m, r), normalized by rho.
+
+    alpha_bar = alpha / rho and beta_bar = beta_formula / rho with
+    rho = rho(n, k, m, r) the retained data size, for m in
+    curve_m_values(n, k, d, e, m_values). The sums are built once per r and
+    evaluated at every m; the points come out curve by curve, in m order.
+    """
+    m_values = curve_m_values(n, k, d, e, m_values)
     binom = cache(comb)  # each binomial once per call; the tables of neighbouring r share them
     curves: dict[int, list[TradeoffPoint]] = {m: [] for m in m_values}
     for r in range(min(m_values) + 1, n + 1):
@@ -349,6 +376,7 @@ def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
         raise ValidationError(f"compare needs k < n, got n={n} k={k}")
     if not k <= d <= n - 1:
         raise ValidationError(f"need k <= d <= n-1, got d={d}")
+    _check_size(2 * k, n)
     binom = cache(comb)
     out: list[TradeoffPoint] = []
     for r in range(m + 1, n + 1):

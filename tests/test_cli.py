@@ -6,15 +6,16 @@ import hashlib
 import io
 import json
 import os
+import tracemalloc
 import zlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from regencodes import NodeContents, SystemParams, ValidationError, build_code
+from regencodes import NodeContents, SystemParams, ValidationError, build_code, cli, tradeoff
 from regencodes.cli import _build_parser, main
-from regencodes.designs import bundled_design, serialize_design
+from regencodes.designs import MAX_BINOMIAL_BITS, MAX_CSV_ROWS, bundled_design, serialize_design
 from regencodes.layered import LayeredCode, node_contents_from_text, node_contents_to_text
 from regencodes.tradeoff import CSV_HEADER
 
@@ -877,6 +878,53 @@ def test_compare_refuses_k_below_1_before_any_row(capsys):
         assert capsys.readouterr() == ("", f"error: compare needs k >= 1, got k={k}\n")
     assert main(["compare", "--n", "5", "--k", "5", "--d", "5"]) == 2
     assert capsys.readouterr() == ("", "error: compare needs k < n, got n=5 k=5\n")
+
+
+def test_analysis_size_gate_refuses_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["region", "--k", "10000000", "--e", "50"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr() == (
+        "", f"error: 10000001 points exceed the limit of {MAX_CSV_ROWS} rows\n")
+    n = MAX_BINOMIAL_BITS + 1
+    for argv in (["points", "--n", str(n), "--k", str(n - 1), "--d", str(n - 1), "--e", "1"],
+                 ["compare", "--n", str(n), "--k", str(n - 1), "--d", str(n - 1)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: n={n} exceeds the limit of "
+                                           f"{MAX_BINOMIAL_BITS} on the bits of a binomial C(n, .)\n")
+    n = MAX_BINOMIAL_BITS
+    code, out = run(capsys, "compare", "--n", str(n), "--k", str(n - 1), "--d", str(n - 1))
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * (n - 1)
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["region", "--k", "14", "--e", "3"], 15),  # k+1
+    (["points", "--n", "19", "--k", "13", "--d", "14", "--e", "3"], 58),  # sum of n-m, m = 3..6
+    (["points", "--n", "19", "--k", "13", "--d", "14", "--e", "3", "--m-values", "6,4"], 28),
+    (["compare", "--n", "10", "--k", "7", "--d", "7"], 14),  # 2k
+])
+def test_analysis_size_gate_counts_the_rows_it_prints(capsys, monkeypatch, argv, rows):
+    printed = rows + 2 * (argv[0] == "points")  # points adds the msmr and mbcr rows
+    monkeypatch.setattr(tradeoff, "MAX_CSV_ROWS", rows)
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 1 + printed
+    monkeypatch.setattr(tradeoff, "MAX_CSV_ROWS", rows - 1)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {rows} points exceed the limit of {rows - 1} rows\n")
+
+
+def test_points_refuses_bad_extremes_before_any_curve(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("curves built for a refused command")
+
+    monkeypatch.setattr(cli, "achievable_points_general", unreachable)
+    # valid curves (e <= n-k, k <= d <= n-e), but e > k leaves no msmr or mbcr point
+    assert main(["points", "--n", "512", "--k", "15", "--d", "60", "--e", "141"]) == 2
+    assert capsys.readouterr() == ("", "error: need 1 <= e <= k <= d, got e=141 k=15 d=60\n")
 
 
 def test_verify_runs_clean(capsys):

@@ -15,7 +15,11 @@ refused (exit 2); one that stays in the field is encoded.
 """
 
 import json
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +302,105 @@ def test_fuzzed_data_files_exit_cleanly(tmp_path, capsys, w, nbytes):
                                   str(tmp_path / "fuzzed.bin"), "--out-dir", str(tmp_path / "ext")],
                          desc, allowed))
     assert seen == {0, 2}
+
+
+# -- arguments of the analysis commands -------------------------------------------
+
+# run in one subprocess, which limits its own address space; argv lists come on stdin,
+# and each runs through cli.main under a wall-clock limit
+ARGV_RUNNER = """
+import contextlib, io, json, resource, signal, sys, traceback
+sys.path.insert(0, sys.argv[1])
+limit = float(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from regencodes.cli import main
+
+
+class TimeLimit(Exception):
+    pass
+
+
+def expire(signum, frame):
+    raise TimeLimit
+
+
+signal.signal(signal.SIGALRM, expire)
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as ex:  # argparse
+                code = ex.code
+    except TimeLimit:
+        code = "time limit"
+    except BaseException:
+        code = "raised"
+        err.write(traceback.format_exc())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    results.append([argv, code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+ARGV_CASES = 100  # per command
+ARGV_SECONDS = 10  # per case
+
+
+def log_uniform(rng, top=10**9):
+    return int(10 ** rng.uniform(0, math.log10(top))) if top > 1 else 1
+
+
+def odd_value(rng):
+    return rng.choice(["0", f"-{log_uniform(rng)}", "1.5", "2e3", "x", "", "0x10", "7,"])
+
+
+def fuzz_argv(command, rng):
+    """Seeded arguments for one analysis command, drawn log-uniform up to 10^9.
+
+    Half the cases draw each value independently, so most are refused; the other half
+    draw the later values inside the ranges the first one leaves (0 < e < k for region,
+    k <= d <= n-e and e <= n-k otherwise), so many run. Then a value is now and then
+    zero, negative or not an integer, and a flag now and then missing.
+    """
+    n = log_uniform(rng)
+    if rng.random() < 0.5:
+        values = [n] + [log_uniform(rng) for _ in range({"region": 1, "points": 3,
+                                                           "compare": 2}[command])]
+    elif command == "region":
+        values = [n, log_uniform(rng, n)]  # k, e
+    elif command == "compare":
+        k = n - log_uniform(rng, n)
+        values = [n, k, k + log_uniform(rng, n - k) - 1]
+    else:
+        e = log_uniform(rng, n - 1)
+        k = n - e - log_uniform(rng, n - e) + 1
+        values = [n, k, k + log_uniform(rng, n - e - k + 1) - 1, e]
+    names = {"region": ["--k", "--e"], "points": ["--n", "--k", "--d", "--e"],
+             "compare": ["--n", "--k", "--d"]}[command]
+    argv = [command]
+    for name, value in zip(names, values):
+        if rng.random() < 0.97:
+            argv += [name, odd_value(rng) if rng.random() < 0.1 else str(value)]
+    if command == "points" and rng.random() < 0.3:
+        argv += ["--m-values", ",".join(str(log_uniform(rng, n)) for _ in range(rng.randrange(4)))]
+    return argv
+
+
+def test_fuzzed_analysis_arguments_exit_cleanly(tmp_path):
+    rng = random.Random(2121)
+    cases = [fuzz_argv(command, rng) for command in ("region", "points", "compare")
+             for _ in range(ARGV_CASES)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", ARGV_RUNNER, str(src), str(ARGV_SECONDS)],
+                          input=json.dumps(cases), capture_output=True, text=True, cwd=tmp_path,
+                          timeout=ARGV_SECONDS * 12)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases)
+    bad = [(argv, code, err) for argv, code, err in results
+           if code not in ANY or "Traceback" in err]
+    assert bad == []
+    assert {code for _, code, _ in results} == {0, 2}
