@@ -128,6 +128,19 @@ def test_formula_equals_the_per_term_fraction_sum_on_its_domain():
     assert cases == 17340
 
 
+def test_formula_below_one_helper_is_the_empty_sum():
+    # d <= 0 stays in the domain d >= n-m-e+1 when e is large; p would start above r-1
+    cases = 0
+    for n in range(2, 12):
+        for m in range(1, n):
+            for e in range(1, m + 1):
+                for r in range(m + 1, n + 1):
+                    for d in range(n - m - e + 1, 1):
+                        assert beta_formula(n, e, m, r, d) == per_term_fraction_sum(n, e, m, r, d) == 0
+                        cases += 1
+    assert cases > 0
+
+
 def test_formula_in_extended_domain():
     # d below n-m is fine as long as d >= n-m-e+1; the recount must agree
     n, e, m, r, d = 9, 3, 3, 5, 4

@@ -24,6 +24,7 @@ from regencodes.precoded import (
     linearized_precode,
     rank_oracle,
     rho,
+    rho_row,
 )
 
 
@@ -47,6 +48,17 @@ def test_rho_validation():
         rho(5, 5, 1, 3)  # m > n-k
     with pytest.raises(ValidationError):
         rho(5, 3, 2, 2)  # r <= m
+
+
+def test_rho_row_is_rho_at_every_t():
+    for n in range(2, 13):
+        for k in range(1, n + 1):
+            for r in range(1, n + 1):
+                row = rho_row(n, k, r)
+                assert len(row) == r
+                for t in range(r):
+                    assert row[t] == sum(comb(k, p) * comb(n - k, r - p) * min(p, t)
+                                         for p in range(1, min(k, r) + 1))
 
 
 def test_rank_oracle_matches_rho_small():

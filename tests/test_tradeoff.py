@@ -2,6 +2,7 @@
 
 import csv
 import io
+import random
 from fractions import Fraction
 from math import comb
 
@@ -203,6 +204,70 @@ def test_region_rejects_broken_chains():
     # slopes -1 then -1: not strictly convex
     with pytest.raises(IntegrityError):
         Region(k=5, e=2, corners=(a, b, c), p_star=1)
+    # equal slopes -1/2 from segments written over different denominators
+    p = TradeoffPoint(Fraction(3), Fraction(1), "p")
+    q = TradeoffPoint(Fraction(2), Fraction(3, 2), "q")
+    s = TradeoffPoint(Fraction(4, 3), Fraction(11, 6), "s")
+    with pytest.raises(IntegrityError, match="not strictly convex"):
+        Region(k=5, e=2, corners=(p, q, s), p_star=1)
+    Region(k=5, e=2, corners=(p, q, TradeoffPoint(Fraction(4, 3), Fraction(12, 6), "t")), p_star=1)
+    # beta falling along the chain
+    with pytest.raises(IntegrityError, match="strictly trade"):
+        Region(k=5, e=2, corners=(p, TradeoffPoint(Fraction(2), Fraction(1, 2), "low"), s),
+               p_star=1)
+    # a reflex turn deep in a long chain: one corner lifted just above its neighbours' chord,
+    # then one laid exactly on it
+    chain = list(corner_points(60, 5).corners)
+    i = len(chain) // 2
+    lo, hi = chain[i - 1], chain[i + 1]
+    alpha, beta = (lo.alpha_bar + hi.alpha_bar) / 2, (lo.beta_bar + hi.beta_bar) / 2
+    for lift in (Fraction(1, 10**12), Fraction(0)):
+        bent = chain[:i] + [TradeoffPoint(alpha, beta + lift, "bent")] + chain[i + 1:]
+        with pytest.raises(IntegrityError, match="not strictly convex"):
+            Region(k=60, e=5, corners=tuple(bent), p_star=1)
+    dented = chain[:i] + [TradeoffPoint(alpha, beta - Fraction(1, 10**12), "dent")] + chain[i + 1:]
+    Region(k=60, e=5, corners=tuple(dented), p_star=1)
+
+
+def fraction_slope_verdict(corners):
+    """The chain checks in Fraction arithmetic, slope by slope: the error message, or None."""
+    for a, b in zip(corners, corners[1:]):
+        if not (a.alpha_bar > b.alpha_bar and a.beta_bar < b.beta_bar):
+            return "corners must strictly trade storage for bandwidth"
+    slopes = [(b.beta_bar - a.beta_bar) / (b.alpha_bar - a.alpha_bar)
+              for a, b in zip(corners, corners[1:])]
+    if any(not s1 > s2 for s1, s2 in zip(slopes, slopes[1:])):
+        return "corner chain is not strictly convex"
+    return None
+
+
+def test_region_refuses_exactly_what_the_fraction_slopes_refuse():
+    rng = random.Random(2101)
+    verdicts = set()
+    for _ in range(3000):
+        corners = tuple(
+            TradeoffPoint(Fraction(rng.randrange(1, 13), rng.randrange(1, 7)),
+                          Fraction(rng.randrange(1, 13), rng.randrange(1, 7)), "x")
+            for _ in range(rng.randrange(2, 6))
+        )
+        want = fraction_slope_verdict(corners)
+        verdicts.add(want)
+        if want is None:
+            Region(k=5, e=2, corners=corners, p_star=1)
+        else:
+            with pytest.raises(IntegrityError) as info:
+                Region(k=5, e=2, corners=corners, p_star=1)
+            assert str(info.value) == want
+    assert len(verdicts) == 3
+
+
+def test_corner_points_build_across_k_and_e():
+    for k in range(2, 60):
+        for e in range(1, min(k - 1, 8) + 1):
+            region = corner_points(k, e)
+            assert region.n_corners == k - e - region.p_star + 2
+            points = achievable_points_c1(k, e) + [mbcr_point(k, k, e)]
+            assert [p.coords() for p in region.corners] == [p.coords() for p in hull_oracle(points)]
 
 
 def test_general_points_default_m_range():
