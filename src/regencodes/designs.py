@@ -27,8 +27,8 @@ MAX_BLOCKS = 100_000
 # the analysis curves (tradeoff.py: region, points, compare) are refused before any point
 # is built when they would hold more than MAX_CSV_ROWS points, or, for points and compare,
 # when n exceeds MAX_BINOMIAL_BITS: their binomials are C(N, K) with N <= n, below 2^n.
-# At both caps a point costs O(n) work on n-bit integers, so the slowest admitted curves
-# take seconds; CHANGES.md records the measurements
+# A point costs up to O(n) operations on n-bit integers, so at both caps the slowest
+# admitted curves take one to two seconds (measured in CHANGES.md)
 MAX_CSV_ROWS = 20_000
 MAX_BINOMIAL_BITS = 512
 

@@ -45,6 +45,10 @@ class TradeoffPoint:
     def coords(self) -> tuple[Fraction, Fraction]:
         return (self.alpha_bar, self.beta_bar)
 
+    def ints(self) -> tuple[int, int, int, int]:
+        """alpha_bar's numerator and denominator, then beta_bar's; denominators are positive."""
+        return (*self.alpha_bar.as_integer_ratio(), *self.beta_bar.as_integer_ratio())
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -214,7 +218,7 @@ class Region:
         pts = self.corners
         if len(pts) < 2:
             raise IntegrityError("a region needs at least its two extreme corners")
-        ints = [(*pt.alpha_bar.as_integer_ratio(), *pt.beta_bar.as_integer_ratio()) for pt in pts]
+        ints = [pt.ints() for pt in pts]
         steps = []  # per segment: d_alpha and d_beta, each as (numerator, positive denominator)
         for (an, ad, bn, bd), (an2, ad2, bn2, bd2) in zip(ints, ints[1:]):
             da, db = an2 * ad - an * ad2, bn2 * bd - bn * bd2
@@ -410,13 +414,10 @@ def csv_rows(
 ) -> list[list[str]]:
     """One CSV row per point; a point is a corner when its four integers match a corner's.
     Each float column is numerator / denominator, which is float(Fraction)."""
-    def ints(pt: TradeoffPoint) -> tuple[int, int, int, int]:
-        return (*pt.alpha_bar.as_integer_ratio(), *pt.beta_bar.as_integer_ratio())
-
-    corner_keys = {ints(pt) for pt in corners}
+    corner_keys = {pt.ints() for pt in corners}
     rows = []
     for pt in points:
-        key = an, ad, bn, bd = ints(pt)
+        key = an, ad, bn, bd = pt.ints()
         rows.append(
             [
                 pt.label,
