@@ -1,4 +1,4 @@
-"""Seeded fuzzing of node directories and data files through the CLI.
+"""Seeded fuzzing of node directories, data files and analysis arguments through the CLI.
 
 Every mutated node file or code.json must end in one of the documented exit
 codes (0 ok, 2 invalid input, 3 integrity failure), never in an uncaught
@@ -11,7 +11,10 @@ must succeed. A v2 node file whose payload or checksum digits change but
 keep their layout fails its checksum (exit 3) whatever the redundancy; any
 other change to it is refused (exit 2). A data file for encode or extend
 --new-data of the wrong length, or with a symbol of w bits or more, is
-refused (exit 2); one that stays in the field is encoded.
+refused (exit 2); one that stays in the field is encoded. The arguments of
+region, points and compare, drawn up to 10^9, must end in exit 0 or 2 within
+a time limit and a 1 GiB address space: a request too large is refused, not
+run out of memory or time.
 """
 
 import json
