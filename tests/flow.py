@@ -280,6 +280,10 @@ def _tradeoff(case: Case) -> None:
     case.run("compare", "--n", "20", "--k", "14", "--d", "15")
     case.run("points", "--n", "5", "--k", "3", "--d", "4", "--e", "1", "--m-values", "1,1")
     case.run("points", "--n", "8", "--k", "5", "--d", "6", "--e", "2", "--m-values", "")
+    # compare at its edges: the fewest r (m = 1), a single r (k = 1) and d = n-1
+    case.run("compare", "--n", "3", "--k", "2", "--d", "2")
+    case.run("compare", "--n", "8", "--k", "1", "--d", "7")
+    case.run("compare", "--n", "12", "--k", "5", "--d", "11")
 
 
 def _ladder(case: Case) -> None:
@@ -364,8 +368,8 @@ def _node_headers(case: Case) -> None:
 
 
 def _domain_edges(case: Case) -> None:
-    """A precoded code with d < n-m, compare with k < 1, and a precoded repair from fewer
-    than n-m helpers."""
+    """A precoded code with d < n-m, compare with k < 1, and repairs from fewer than n-m
+    distinct helpers: precoded, precoded with a repeated helper, and layered."""
     case.data("data.bin", 36, 80)
     case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "4",
              "--e", "1", "--m", "1", "--r", "3", "--data", "data.bin", "--out-dir", "nodes")
@@ -373,6 +377,11 @@ def _domain_edges(case: Case) -> None:
     case.run("encode", "--construction", "precoded", "--n", "6", "--k", "4", "--d", "5",
              "--e", "1", "--m", "1", "--r", "3", "--data", "data.bin", "--out-dir", "ok")
     case.run("repair", "--node-dir", "ok", "--failed", "1", "--helpers", "2,3,4,5")
+    case.run("repair", "--node-dir", "ok", "--failed", "1", "--helpers", "2,3,4,5,5")
+    case.data("plain.bin", 30, 8)
+    case.run("encode", "--n", "6", "--m", "2", "--e", "2", "--d", "4", "--r", "4",
+             "--data", "plain.bin", "--out-dir", "lay")
+    case.run("repair", "--node-dir", "lay", "--failed", "1", "--helpers", "2,3,5")
 
 
 def _encode_design(case: Case) -> None:
