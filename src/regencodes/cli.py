@@ -5,11 +5,11 @@
         --data FILE --out-dir DIR
     regencodes encode --construction precoded --n 6 --k 4 --d 5 --e 1 \
         --m 1 --r 3 --data FILE --out-dir DIR
-    regencodes repair --node-dir DIR --failed 1,2 --helpers 3,4,5,6,7,8
-    regencodes reconstruct --node-dir DIR --nodes 1,2,4,5,6,8 --out FILE
+    regencodes repair --node-dir DIR --failed 1,2 --helpers 3,4,5,6,7,8 [--report FILE]
+    regencodes reconstruct --node-dir DIR --nodes 1,2,4,5,6,8 [--out FILE]
     regencodes extend --node-dir DIR --new-data FILE --out-dir DIR
     regencodes region --k 14 --e 3 [--out FILE]
-    regencodes points --n 19 --k 13 --d 14 --e 3 [--m-values 3,4,5,6]
+    regencodes points --n 19 --k 13 --d 14 --e 3 [--m-values 3,4,5,6] [--out FILE]
     regencodes compare --n 10 --k 7 --d 7 [--out FILE]
     regencodes verify [--seed N]
 

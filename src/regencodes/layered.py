@@ -152,10 +152,18 @@ class LayeredCode:
 
     # -- repair ----------------------------------------------------------------
 
-    def _repair_nodes(
-        self, failed: Iterable[int], helpers: Iterable[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The failed and helper ids, sorted and distinct, checked against n and m."""
+    def repair(
+        self,
+        state: Iterable[NodeContents],
+        failed: Iterable[int],
+        helpers: Iterable[int],
+    ) -> tuple[list[NodeContents], BandwidthReport]:
+        """Rebuild the failed nodes' exact contents from the helpers.
+
+        Every affected group is decoded from its members among the helpers;
+        the report prices those reads under all three accountings. Needs
+        1 <= |failed| <= m, helpers disjoint from failed, |helpers| >= n-m = k.
+        """
         p = self.params
         failed_t = tuple(sorted(set(failed)))
         helpers_t = tuple(sorted(set(helpers)))
@@ -168,24 +176,8 @@ class LayeredCode:
             raise ValidationError("helpers cannot include failed nodes")
         if len(failed_t) > p.m:
             raise ValidationError(f"cannot repair {len(failed_t)} nodes; budget is m={p.m}")
-        return failed_t, helpers_t
-
-    def repair(
-        self,
-        state: Iterable[NodeContents],
-        failed: Iterable[int],
-        helpers: Iterable[int],
-    ) -> tuple[list[NodeContents], BandwidthReport]:
-        """Rebuild the failed nodes' exact contents from the helpers.
-
-        Every affected group is decoded from its members among the helpers;
-        the report prices those reads under all three accountings. Needs
-        1 <= |failed| <= m, helpers disjoint from failed, |helpers| >= k.
-        """
-        p = self.params
-        failed_t, helpers_t = self._repair_nodes(failed, helpers)
         if len(helpers_t) < p.k:
-            raise ValidationError(f"need at least d >= k = {p.k} helpers, got {len(helpers_t)}")
+            raise ValidationError(f"repair needs at least n-m = {p.k} helpers, got {len(helpers_t)}")
         by_node = self._index_contents(state)
         missing = [h for h in helpers_t if h not in by_node]
         if missing:

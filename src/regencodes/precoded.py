@@ -42,7 +42,7 @@ from .errors import IntegrityError, ValidationError
 from .extfield import BinaryExtensionField, extension_field
 from .gf import binary_field, check_symbols
 from .layered import GIVEN, LayeredCode, NodeContents, SystemParams, build_code
-from .mds import mds_codec
+from .mds import MdsCodec, mds_codec
 
 
 def rho(n: int, k: int, m: int, r: int) -> int:
@@ -320,6 +320,7 @@ class PrecodedCode:
     field: BinaryExtensionField
     inner: LayeredCode
     data_len: int  # F = rho(n, k, m, r)
+    subfield_codec: MdsCodec  # inner.codec over the subfield, which build_precoded checks
 
     @property
     def alpha(self) -> int:
@@ -380,7 +381,7 @@ class PrecodedCode:
         """
         f, inner = self.field, self.inner
         r, km = inner.params.r, inner.codec.dimension
-        codec = mds_codec(f.subfield, r, km)
+        codec = self.subfield_codec
         full = inner._to_blocks(inner._node_major(by_node))
         lanes, multiples = f._lanes_in, f._lane_multiples
         evals = [0] * f.kappa
@@ -412,12 +413,7 @@ class PrecodedCode:
         helpers: Iterable[int],
     ):
         """Group-local repair, exactly the inner layered code's, from at least n-m helpers."""
-        failed_t, helpers_t = self.inner._repair_nodes(failed, helpers)
-        if len(helpers_t) < self.n - self.m:
-            raise ValidationError(
-                f"repair needs at least n-m = {self.n - self.m} helpers, got {len(helpers_t)}"
-            )
-        return self.inner.repair(state, failed_t, helpers_t)
+        return self.inner.repair(state, failed, helpers)
 
 
 def build_precoded(
@@ -447,12 +443,13 @@ def build_precoded(
         raise IntegrityError("inner code size disagrees with kappa")
     # the extension codec must be the embedded image of the subfield codec,
     # or inner.encode(theta) would not give the evaluation points
-    subfield_rows = mds_codec(binary_field(w), r, r - m).generator(range(r - m))
+    subfield_codec = mds_codec(field.subfield, r, r - m)
+    subfield_rows = subfield_codec.generator(range(r - m))
     embedded = tuple(tuple(map(field.embed, row)) for row in subfield_rows)
     if inner.codec.generator(range(r - m)) != embedded:
         raise IntegrityError("extension codec is not the embedded subfield codec")
     return PrecodedCode(
         n=n, k=k, d=d, e=e, m=m, r=r,
         field=field, inner=inner,
-        data_len=rho(n, k, m, r),
+        data_len=rho(n, k, m, r), subfield_codec=subfield_codec,
     )

@@ -28,7 +28,7 @@ from functools import cache
 from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .bandwidth import beta_at, beta_layered_naive_e1, beta_table
+from .bandwidth import beta_at, beta_table
 from .designs import MAX_BINOMIAL_BITS, MAX_CSV_ROWS
 from .errors import IntegrityError, ValidationError
 from .precoded import rho_row
@@ -370,9 +370,10 @@ def achievable_points_general(
 
 
 def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
-    """Per r, for one failure with m = n-k: the precoded point under the msmr
-    accounting (achievable_points_general's e = 1 curve), then the same code's
-    layered_naive point, both normalized by one rho."""
+    """Per r, for one failure with m = n-k: the point of achievable_points_general's
+    e = 1 curve at m, relabelled msmr(r=R), then the same code's layered_naive point.
+    That one's beta_bar is beta_layered_naive_e1 = C(n-1, r-1)(r-m)/d over the same
+    rho, which is alpha_bar (r-m)/d."""
     m = n - k
     if k < 1:
         raise ValidationError(f"compare needs k >= 1, got k={k}")
@@ -381,15 +382,13 @@ def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
     if not k <= d <= n - 1:
         raise ValidationError(f"need k <= d <= n-1, got d={d}")
     _check_size(2 * k, n)
-    binom = cache(comb)
     out: list[TradeoffPoint] = []
-    for r in range(m + 1, n + 1):
-        denom = rho_row(n, k, r, binom)[r - m]
-        alpha_bar = Fraction(binom(n - 1, r - 1), denom)
-        num, den = beta_at(beta_table(n, 1, r, d, binom), m)
-        naive = beta_layered_naive_e1(n, m, r, d)
-        out.append(TradeoffPoint(alpha_bar, Fraction(num, den * denom), f"msmr(r={r})", r=r, m=m))
-        out.append(TradeoffPoint(alpha_bar, naive / denom, f"layered-naive(r={r})", r=r, m=m))
+    for pt in achievable_points_general(n, k, d, 1, [m]):
+        r = pt.r
+        an, ad, _, _ = pt.ints()
+        out.append(TradeoffPoint(pt.alpha_bar, pt.beta_bar, f"msmr(r={r})", r=r, m=m))
+        out.append(TradeoffPoint(pt.alpha_bar, Fraction(an * (r - m), ad * d),
+                                 f"layered-naive(r={r})", r=r, m=m))
     return out
 
 

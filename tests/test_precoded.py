@@ -308,6 +308,42 @@ def test_repair_names_the_n_minus_m_bound(small_code, small_state):
         small_code.repair(state, failed=[1, 2], helpers=[3])
 
 
+@pytest.mark.parametrize("failed,helpers,message", [
+    ([], [1, 3, 4, 5], "no failed nodes to repair"),
+    ([2], [0, 3, 4, 5], "failed and helper nodes must lie in 1..n"),
+    ([6], [1, 3, 4, 5], "failed and helper nodes must lie in 1..n"),
+    ([2], [2, 3, 4, 5], "helpers cannot include failed nodes"),
+    ([1, 2], [3, 4, 5], "cannot repair 2 nodes; budget is m=1"),
+    ([2], [1, 3, 4, 4], "repair needs at least n-m = 4 helpers, got 3"),
+])
+def test_precoded_repair_refuses_as_its_inner_code(small_code, small_state, failed, helpers,
+                                                   message):
+    _, state = small_state
+    seen = []
+    for code in (small_code, small_code.inner):
+        with pytest.raises(ValidationError) as err:
+            code.repair(state, failed=failed, helpers=helpers)
+        seen.append((type(err.value), str(err.value)))
+    assert seen == [(ValidationError, message)] * 2
+
+
+def test_reconstruct_reads_the_codes_subfield_codec(monkeypatch):
+    code = build_precoded(n=6, k=4, d=5, e=1, m=1, r=3)
+    codec = code.subfield_codec
+    assert codec.field is code.field.subfield
+    assert (codec.length, codec.dimension) == (3, 2)
+    data = [(i * 2654435761) % (1 << code.field.degree) for i in range(code.data_len)]
+    state = code.encode(data)
+    nodes = [state[x - 1] for x in (1, 3, 4, 6)]
+    free = code.field.kappa - rank_oracle(6, 4, 1, 3, (1, 3, 4, 6))
+    method = precoded.interpolation_method(code.field.kappa, code.data_len, free, 4 * code.alpha)
+    assert method == "vandermonde"  # the route that decodes through the subfield codec
+    monkeypatch.setattr(precoded, "mds_codec", None)  # a reconstruct builds no codec of its own
+    for _ in range(2):
+        assert code.reconstruct(nodes) == data
+    assert code.subfield_codec is codec
+
+
 def test_deeper_group_code_round_trips():
     code = build_precoded(n=6, k=4, d=5, e=1, m=1, r=3)
     assert code.data_len == 36

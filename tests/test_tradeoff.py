@@ -302,7 +302,12 @@ def test_general_points_refuse_a_repeated_m():
     assert len(achievable_points_general(9, 6, 7, 2, m_values=[3, 2])) == 13
 
 
-@pytest.mark.parametrize("n,k,d", [(8, 5, 6), (10, 7, 7), (16, 11, 12), (20, 14, 15)])
+@pytest.mark.parametrize("n,k,d", [
+    (8, 5, 6), (10, 7, 7), (16, 11, 12), (20, 14, 15),
+    (5, 1, 3), (8, 1, 7),  # k = 1: m = n-1, and d = n-1 in the second
+    (12, 5, 11), (9, 4, 8),  # d = n-1
+    (3, 2, 2), (9, 8, 8),  # m = 1
+])
 def test_compare_points_pair_the_msmr_curve_with_layered_naive(n, k, d):
     m = n - k
     pts = compare_points(n, k, d)
