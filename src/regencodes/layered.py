@@ -8,15 +8,18 @@ keeps >= r-m symbols), and up to m simultaneous failures are repaired
 exactly from any d >= k helpers, group by group.
 
 A node holds its column (gf.py: bytes for w <= 8, else a tuple), one
-symbol per slot, blocks ascending. One slot map takes block-major entries
-(entry b*r + pos is position pos of block b) to node-major ones (node 1's
-column, then node 2's, ...). A command gives each node one role (given,
-lost, or neither when absent); the blocks whose members have the same roles
-are a group, one MdsCodec.decode_many call through its lowest r-m given
-positions that returns only the further given ones, each compared with its
-given column, and the ones the command needs. On a mismatch the lowest such
-block raises "block B: mismatch seen at position P (node X)" for its first
-mismatching position, as a block-by-block decode would.
+symbol per slot, blocks ascending. The codewords sit in one block-major
+list: entry b*r + pos is position pos of block b and belongs to the node
+that the design's members list in that place. Since a node meets its
+entries in block order, one walk over those members moves symbols between
+the nodes' columns and that list in either direction. A command gives each
+node one role (given, lost, or neither when absent); the blocks whose
+members have the same roles are a group, one MdsCodec.decode_many call
+through its lowest r-m given positions that returns only the further given
+ones, each compared with its given symbols, and the ones the command
+needs. On a mismatch the lowest such block raises "block B: mismatch seen
+at position P (node X)" for its first mismatching position, as a
+block-by-block decode would.
 
 A node file is the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and the
 column as one line of fixed-width lowercase hex; crc is zlib.crc32 of that
@@ -33,7 +36,7 @@ import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -107,14 +110,9 @@ class LayeredCode:
         self.codec: MdsCodec = mds_codec(field, params.r, params.r - params.m)
         self.block_count = design.block_count
         self.data_len = design.block_count * (params.r - params.m)
-        self.alpha = alpha = stats.alpha
-        # the slot map: block-major entry j is node-major entry _to_node[j]. Each node numbers
-        # its slots in block order from (node - 1) * alpha; a Steiner design gives it alpha
-        members = list(chain.from_iterable(design.blocks))
-        slot = [count(i) for i in range(-alpha, params.n * alpha, alpha)]
-        self._to_node = list(map(next, map(slot.__getitem__, members)))
-        self._to_blocks = _gather(self._to_node)  # node-major sequence -> block-major tuple
-        self._member_of = _gather(members)  # sequence by node id -> each entry's node's item
+        self.alpha = stats.alpha
+        # block-major entry j (position j % r of block j // r) belongs to node _members[j]
+        self._members = list(chain.from_iterable(design.blocks))
 
     @property
     def n(self) -> int:
@@ -130,11 +128,10 @@ class LayeredCode:
         r, km, column = self.params.r, self.codec.dimension, self.field.column
         # every message sits at positions 0..r-m-1: one batch, nothing to check
         cols = self.codec.decode_many(range(km), [column(data[i::km]) for i in range(km)])
-        node_major = [0] * (self.block_count * r)
+        full = [0] * (self.block_count * r)
         for pos, col in enumerate(cols):
-            for i, symbol in zip(self._to_node[pos::r], col):
-                node_major[i] = symbol
-        return self._contents(node_major, range(1, self.params.n + 1))
+            full[pos::r] = col
+        return self._contents(full, range(1, self.params.n + 1))
 
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents."""
@@ -143,8 +140,7 @@ class LayeredCode:
         if len(by_node) < k:
             raise ValidationError(f"need at least k={k} distinct nodes, got {len(by_node)}")
         groups = self._groups(dict.fromkeys(by_node, GIVEN))
-        node_major = self._decode(self._node_major(by_node), groups, list(groups), keep=range(km))
-        full = self._to_blocks(node_major)
+        full = self._decode(self._block_major(by_node), groups, list(groups), keep=range(km))
         data = [0] * self.data_len
         for i in range(km):
             data[i::km] = full[i::r]
@@ -183,7 +179,7 @@ class LayeredCode:
         if missing:
             raise ValidationError(f"helper contents missing for nodes {missing}")
 
-        km = self.codec.dimension
+        r, km = p.r, self.codec.dimension
         roles = {**dict.fromkeys(helpers_t, GIVEN), **dict.fromkeys(failed_t, LOST)}
         groups = self._groups(roles)
         affected = [key for key in groups if LOST in key]
@@ -191,18 +187,19 @@ class LayeredCode:
         # which naive reads, and the rest, counted per class and priced once
         read: defaultdict[tuple[int, int], list] = defaultdict(list)
         rest: defaultdict[tuple[int, int], list] = defaultdict(list)
+        at_pos = [self._members[pos::r] for pos in range(r)]  # each position's member per block
         for key in affected:  # in order of their lowest blocks
+            blocks = groups[key]
             held = [pos for pos, role in enumerate(key) if role == GIVEN]
             if len(held) < km:
-                raise IntegrityError(f"block {self.design.blocks[groups[key][0]]} holds "
+                raise IntegrityError(f"block {self.design.blocks[blocks[0]]} holds "
                                      f"{len(held)} helper symbols, fewer than r-m={km}")
-            members = list(zip(*map(self.design.blocks.__getitem__, groups[key])))  # by position
             sh = key.count(LOST), len(held)
-            read[sh] += chain.from_iterable(members[pos] for pos in held[:km])
-            rest[sh] += chain.from_iterable(members[pos] for pos in held[km:])
+            members = _gather(blocks)  # a position's members -> those of this group's blocks
+            read[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[:km])
+            rest[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[km:])
 
-        given = self._node_major({h: by_node[h] for h in helpers_t})
-        node_major = self._decode(given, groups, affected)
+        full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), groups, affected)
 
         read_by = {sh: Counter(nodes) for sh, nodes in read.items()}
         held_by = {sh: read_by[sh] + Counter(rest[sh]) for sh in read}
@@ -212,7 +209,7 @@ class LayeredCode:
         naive = {x: Fraction(sum(c[x] for c in read_by.values())) for x in helpers_t}
         lnaive = {x: Fraction(sum(c[x] * s for (s, _), c in read_by.items())) for x in helpers_t}
         report = BandwidthReport(failed_t, helpers_t, msmr=msmr, naive=naive, layered_naive=lnaive)
-        return self._contents(node_major, failed_t), report
+        return self._contents(full, failed_t), report
 
     # -- extension ---------------------------------------------------------------
 
@@ -256,9 +253,9 @@ class LayeredCode:
         given = {x: (*by_node[x], new_data[x - 1] if x <= km else 0) for x in by_node}
         last = bytes(GIVEN if x <= km else 0 for x in range(1, new_node))
         groups = new_code._groups(dict.fromkeys(by_node, GIVEN), last)
-        node_major = new_code._decode(new_code._node_major(given), groups, list(groups),
-                                      keep=range(new_params.r))
-        return new_code, new_code._contents(node_major, range(1, new_node + 1))
+        full = new_code._decode(new_code._block_major(given), groups, list(groups),
+                                keep=range(new_params.r))
+        return new_code, new_code._contents(full, range(1, new_node + 1))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -279,29 +276,28 @@ class LayeredCode:
             by_node[x] = self.field.column(nc.symbols)
         return by_node
 
-    def _node_major(self, by_node) -> list:
-        """The nodes' columns back to back in node order, zeros for absent nodes."""
-        zeros = (0,) * self.alpha
-        return list(chain.from_iterable(by_node.get(x, zeros) for x in range(1, self.params.n + 1)))
+    def _block_major(self, by_node) -> list:
+        """The nodes' columns as one block-major list, zeros for absent nodes."""
+        zeros = repeat(0)
+        slots = [iter(by_node[x]) if x in by_node else zeros for x in range(self.params.n + 1)]
+        return [next(slots[x]) for x in self._members]
 
     def _groups(self, roles: dict[int, int], last: Optional[bytes] = None) -> dict[bytes, list]:
         """Blocks by their members' roles (absent: 0); `last` gives the last block's instead."""
         per_node = [roles.get(x, 0) for x in range(self.params.n + 1)]
-        by_entry, r = bytes(self._member_of(per_node)), self.params.r
+        by_entry, r = bytes([per_node[x] for x in self._members]), self.params.r
         if last is not None:
             by_entry = by_entry[:-r] + last
-        groups: dict[bytes, list[int]] = {}
+        groups: defaultdict[bytes, list[int]] = defaultdict(list)
         for b, key in enumerate([by_entry[i : i + r] for i in range(0, len(by_entry), r)]):
-            groups.setdefault(key, []).append(b)
-        return groups
+            groups[key].append(b)
+        return dict(groups)
 
-    def _decode(self, given: list, groups: dict[bytes, list[int]], wanted,
+    def _decode(self, full: list, groups: dict[bytes, list[int]], wanted,
                 keep: Iterable[int] = ()) -> list:
-        """Decode the wanted groups' LOST and keep positions into the node-major list given,
+        """Decode the wanted groups' LOST and keep positions into the block-major list full,
         checking every GIVEN symbol of those groups (module docstring)."""
-        r, km, to_node = self.params.r, self.codec.dimension, self._to_node
-        column = self.field.column
-        full = self._to_blocks(given)
+        r, km, column = self.params.r, self.codec.dimension, self.field.column
         # the wanted groups' blocks group by group, one tuple per position
         to_order = _gather(list(chain.from_iterable(groups[key] for key in wanted)))
         by_pos = [to_order(full[pos::r]) for pos in range(r)]
@@ -321,18 +317,21 @@ class LayeredCode:
                     mismatches.append((blocks[i], pos))
             for pos in out:
                 for b, v in zip(blocks, cols[pos]):
-                    given[to_node[b * r + pos]] = v
+                    full[b * r + pos] = v
             start = end
         if mismatches:
             b, pos = min(mismatches)
             x = self.design.blocks[b][pos]
             raise IntegrityError(f"block {b + 1}: mismatch seen at position {pos} (node {x})")
-        return given
+        return full
 
-    def _contents(self, node_major: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:
-        """The nodes' contents, read from a completed node-major list."""
-        alpha, column = self.alpha, self.field.column
-        return [NodeContents(x, column(node_major[(x - 1) * alpha : x * alpha])) for x in nodes]
+    def _contents(self, full: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:
+        """The nodes' contents, in the order given, read from a completed block-major list."""
+        cols = [[] for _ in range(self.params.n + 1)]
+        add = [col.append for col in cols]
+        for x, symbol in zip(self._members, full):
+            add[x](symbol)
+        return [NodeContents(x, self.field.column(cols[x])) for x in nodes]
 
 
 def build_code(

@@ -382,7 +382,7 @@ class PrecodedCode:
         f, inner = self.field, self.inner
         r, km = inner.params.r, inner.codec.dimension
         codec = self.subfield_codec
-        full = inner._to_blocks(inner._node_major(by_node))
+        full = inner._block_major(by_node)
         lanes, multiples = f._lanes_in, f._lane_multiples
         evals = [0] * f.kappa
         free = []

@@ -1,11 +1,12 @@
-"""Layered reconstruct, repair and extend against a block-by-block reference.
+"""Layered encode, reconstruct, repair and extend against a block-by-block reference.
 
-The reference decodes one block at a time with MdsCodec.decode, in block
-order, and reads every node's symbols through the design alone: a node's
-slots are the blocks that hold it, ascending. Each operation must return
-what the reference returns, report what beta_oracle counts, and raise the
-reference's first IntegrityError, for clean states and for states with one
-or two flipped symbols.
+The reference encodes and decodes one block at a time with MdsCodec, in
+block order, and reads every node's symbols through the design alone: a
+node's slots are the blocks that hold it, ascending. Each operation must
+return what the reference returns, report what beta_oracle counts, and
+raise the reference's first IntegrityError, for clean states and for states
+with one or two flipped symbols. The walk between node columns and the
+block-major list is checked against the same reading of the design.
 """
 
 import itertools
@@ -129,6 +130,11 @@ CASES = [
      lambda: build_code(SystemParams(n=7, k=6, d=6, e=1, m=1, r=3, t=2),
                         design=bundled_design("s_2_3_7")),
      [((1,), (2, 3, 4, 5, 6, 7)), ((4,), (1, 2, 3, 5, 6, 7))], False),
+    ("Steiner S(3,4,8), t < r",
+     lambda: build_code(SystemParams(n=8, k=6, d=6, e=2, m=2, r=4, t=3),
+                        design=bundled_design("s_3_4_8")),
+     [((1, 2), (3, 4, 5, 6, 7, 8)), ((5,), (1, 2, 3, 4, 6, 7, 8)), ((8,), (1, 2, 3, 4, 5, 6))],
+     False),
     ("GF(2^4)",
      lambda: build_code(SystemParams(n=5, k=3, d=3, e=2, m=2, r=4, t=4), field=binary_field(4)),
      [((1, 2), (3, 4, 5)), ((3,), (1, 2, 4, 5))], True),
@@ -167,3 +173,31 @@ def test_layered_operations_match_the_block_by_block_reference(name, make, repai
             assert (got if isinstance(got, str) else got[1]) == want, flips
             errors += isinstance(want, str)
     assert errors > 0  # the flips reach checked positions
+
+
+@pytest.mark.parametrize("name,make", [c[:2] for c in CASES], ids=[c[0] for c in CASES])
+def test_encode_matches_the_block_by_block_reference(name, make):
+    code = make()
+    data = field_symbols(code, random.Random(name))
+    km = code.codec.dimension
+    codewords = {b: code.codec.encode(data[b * km : (b + 1) * km]) for b in range(code.block_count)}
+    assert code.encode(data) == node_columns(code, codewords, range(1, code.params.n + 1))
+
+
+@pytest.mark.parametrize("name,make", [c[:2] for c in CASES], ids=[c[0] for c in CASES])
+def test_the_members_walk_moves_node_columns_both_ways(name, make):
+    code = make()
+    rng = random.Random(f"walk {name}")
+    n, alpha, column = code.params.n, code.alpha, code.field.column
+    zeros = column([0] * alpha)
+    for present in (range(1, n + 1), rng.sample(range(1, n + 1), code.params.k), [n]):
+        by_node = {x: column(rng.randrange(min(code.field.order, 1 << 30)) for _ in range(alpha))
+                   for x in present}
+        full = code._block_major(by_node)
+        # entry b*r + pos is position pos of block b; absent nodes read as zeros
+        given = symbol_map(code, [NodeContents(x, col) for x, col in by_node.items()])
+        assert full == [given.get((b, x), 0) for b, block in enumerate(code.design.blocks)
+                        for x in block]
+        for nodes in (rng.sample(range(1, n + 1), n), [n, 1], sorted(present)):
+            want = [NodeContents(x, by_node.get(x, zeros)) for x in nodes]
+            assert code._contents(full, nodes) == want, nodes
