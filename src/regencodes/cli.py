@@ -105,13 +105,14 @@ def _symbol_width(field) -> tuple[int, int]:
 
 def _read_data_file(path: Path, count: int, field) -> Sequence[int]:
     bits, nbytes = _symbol_width(field)
-    try:
-        blob = path.read_bytes()
+    try:  # a longer file is not read whole
+        blob, size = nodedir.read_capped(path, count * nbytes)
     except OSError as ex:
         raise ValidationError(f"cannot read data file {path}: {ex}") from None
-    if len(blob) != count * nbytes:
+    if size != count * nbytes:
+        held = size if size is not None else f"more than {count * nbytes}"
         raise ValidationError(
-            f"data file {path} holds {len(blob)} bytes; need exactly "
+            f"data file {path} holds {held} bytes; need exactly "
             f"{count} symbols x {nbytes} bytes = {count * nbytes}"
         )
     if nbytes == 1:

@@ -135,16 +135,10 @@ class LayeredCode:
 
     def reconstruct(self, contents: Iterable[NodeContents]) -> list[int]:
         """Recover the data from any >= k distinct nodes' contents."""
-        by_node = self._index_contents(contents)
-        r, k, km = self.params.r, self.params.k, self.codec.dimension
+        by_node, k = self._index_contents(contents), self.params.k
         if len(by_node) < k:
             raise ValidationError(f"need at least k={k} distinct nodes, got {len(by_node)}")
-        groups = self._groups(dict.fromkeys(by_node, GIVEN))
-        full = self._decode(self._block_major(by_node), groups, list(groups), keep=range(km))
-        data = [0] * self.data_len
-        for i in range(km):
-            data[i::km] = full[i::r]
-        return data
+        return self._data(by_node)
 
     # -- repair ----------------------------------------------------------------
 
@@ -181,15 +175,13 @@ class LayeredCode:
 
         r, km = p.r, self.codec.dimension
         roles = {**dict.fromkeys(helpers_t, GIVEN), **dict.fromkeys(failed_t, LOST)}
-        groups = self._groups(roles)
-        affected = [key for key in groups if LOST in key]
+        affected = {key: blocks for key, blocks in self._groups(roles).items() if LOST in key}
         # helper symbols of the affected blocks per role class (s lost, h held): the r-m lowest,
         # which naive reads, and the rest, counted per class and priced once
         read: defaultdict[tuple[int, int], list] = defaultdict(list)
         rest: defaultdict[tuple[int, int], list] = defaultdict(list)
         at_pos = [self._members[pos::r] for pos in range(r)]  # each position's member per block
-        for key in affected:  # in order of their lowest blocks
-            blocks = groups[key]
+        for key, blocks in affected.items():  # in order of their lowest blocks
             held = [pos for pos, role in enumerate(key) if role == GIVEN]
             if len(held) < km:
                 raise IntegrityError(f"block {self.design.blocks[blocks[0]]} holds "
@@ -199,7 +191,7 @@ class LayeredCode:
             read[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[:km])
             rest[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[km:])
 
-        full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), groups, affected)
+        full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), affected)
 
         read_by = {sh: Counter(nodes) for sh, nodes in read.items()}
         held_by = {sh: read_by[sh] + Counter(rest[sh]) for sh in read}
@@ -218,12 +210,11 @@ class LayeredCode:
     ) -> tuple["LayeredCode", list[NodeContents]]:
         """Grow (k+e, k, k, e) into (k+e+1, k, k, e+1) without touching old symbols.
 
-        Appends node n+1 to every block and one new block over the old nodes;
-        each old codeword gains one evaluation point (stored on the new node)
-        and the new block encodes new_data. Old node contents stay literal
-        prefixes of their new contents. Every stored symbol is checked first,
-        as in reconstruct. Requires the complete layout n = k+e, d = k,
-        t = r = k+e-1.
+        Appends node n+1 to every block and one new block over the old nodes. The
+        reconstruct decode checks every stored symbol, then the new code encodes the
+        old data and new_data: its first r evaluation points are the old ones, so old
+        node contents stay literal prefixes of their new contents. Requires the
+        complete layout n = k+e, d = k, t = r = k+e-1.
         """
         p = self.params
         if not (p.n == p.k + p.e and p.d == p.k and p.t == p.r and p.r == p.k + p.e - 1):
@@ -237,8 +228,7 @@ class LayeredCode:
         if set(by_node) != set(range(1, p.n + 1)):
             raise ValidationError("extension needs the contents of all current nodes")
 
-        new_node = p.n + 1
-        new_blocks = [block + (new_node,) for block in self.design.blocks]
+        new_blocks = [block + (p.n + 1,) for block in self.design.blocks]
         new_blocks.append(tuple(range(1, p.n + 1)))
         new_design = BlockDesign(n=p.n + 1, r=p.r + 1, t=p.t + 1, blocks=tuple(new_blocks))
         new_params = SystemParams(
@@ -246,16 +236,7 @@ class LayeredCode:
         )
         new_code = LayeredCode(new_params, new_design, self.field)
         check_symbols(self.field, new_data, "symbol {!r} is not a field element")
-
-        # old codewords are prefixes of their new ones (same positions, points extended); the
-        # new block, every old node's last slot, carries new_data on nodes 1..r-m. One decode
-        # checks every stored symbol and codes the rest.
-        given = {x: (*by_node[x], new_data[x - 1] if x <= km else 0) for x in by_node}
-        last = bytes(GIVEN if x <= km else 0 for x in range(1, new_node))
-        groups = new_code._groups(dict.fromkeys(by_node, GIVEN), last)
-        full = new_code._decode(new_code._block_major(given), groups, list(groups),
-                                keep=range(new_params.r))
-        return new_code, new_code._contents(full, range(1, new_node + 1))
+        return new_code, new_code.encode([*self._data(by_node), *new_data])
 
     # -- helpers -----------------------------------------------------------------
 
@@ -276,35 +257,41 @@ class LayeredCode:
             by_node[x] = self.field.column(nc.symbols)
         return by_node
 
+    def _data(self, by_node) -> list[int]:
+        """The data that at least k nodes' columns hold, every stored symbol checked."""
+        r, km = self.params.r, self.codec.dimension
+        groups = self._groups(dict.fromkeys(by_node, GIVEN))
+        full = self._decode(self._block_major(by_node), groups, keep=range(km))
+        data = [0] * self.data_len
+        for i in range(km):
+            data[i::km] = full[i::r]
+        return data
+
     def _block_major(self, by_node) -> list:
         """The nodes' columns as one block-major list, zeros for absent nodes."""
         zeros = repeat(0)
         slots = [iter(by_node[x]) if x in by_node else zeros for x in range(self.params.n + 1)]
         return [next(slots[x]) for x in self._members]
 
-    def _groups(self, roles: dict[int, int], last: Optional[bytes] = None) -> dict[bytes, list]:
-        """Blocks by their members' roles (absent: 0); `last` gives the last block's instead."""
+    def _groups(self, roles: dict[int, int]) -> dict[bytes, list]:
+        """Blocks by their members' roles (absent: 0)."""
         per_node = [roles.get(x, 0) for x in range(self.params.n + 1)]
         by_entry, r = bytes([per_node[x] for x in self._members]), self.params.r
-        if last is not None:
-            by_entry = by_entry[:-r] + last
         groups: defaultdict[bytes, list[int]] = defaultdict(list)
         for b, key in enumerate([by_entry[i : i + r] for i in range(0, len(by_entry), r)]):
             groups[key].append(b)
         return dict(groups)
 
-    def _decode(self, full: list, groups: dict[bytes, list[int]], wanted,
-                keep: Iterable[int] = ()) -> list:
-        """Decode the wanted groups' LOST and keep positions into the block-major list full,
+    def _decode(self, full: list, groups: dict[bytes, list[int]], keep: Iterable[int] = ()) -> list:
+        """Decode the groups' LOST and keep positions into the block-major list full,
         checking every GIVEN symbol of those groups (module docstring)."""
         r, km, column = self.params.r, self.codec.dimension, self.field.column
-        # the wanted groups' blocks group by group, one tuple per position
-        to_order = _gather(list(chain.from_iterable(groups[key] for key in wanted)))
+        # the groups' blocks group by group, one tuple per position
+        to_order = _gather(list(chain.from_iterable(groups.values())))
         by_pos = [to_order(full[pos::r]) for pos in range(r)]
         mismatches = []
         start = 0
-        for key in wanted:
-            blocks = groups[key]
+        for key, blocks in groups.items():
             end = start + len(blocks)
             known = [pos for pos, role in enumerate(key) if role == GIVEN]
             out = [pos for pos, role in enumerate(key) if role == LOST or not role and pos in keep]

@@ -74,6 +74,14 @@ def atomic_write(path: Path, data) -> None:
     _write_files([(path, data)])
 
 
+def read_capped(path: Path, cap: int, mode: str = "rb"):
+    """(contents, size) of a file, reading no more than cap + 1 bytes (characters in text mode):
+    a regular file's size from stat, anything else's the length read up to cap, else None."""
+    with open(path, mode) as fh:
+        contents, size = fh.read(cap + 1), os.fstat(fh.fileno()).st_size  # 0 if not regular
+    return contents, size or (len(contents) if len(contents) <= cap else None)
+
+
 def _node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:
     dirpath = Path(dirpath)
     return [(node_path(dirpath, nc.node), node_contents_to_text(nc, code)) for nc in state]
@@ -134,7 +142,7 @@ def load_code(dirpath):
         meta = json.loads(code_path.read_text())
     except (OSError, UnicodeDecodeError) as ex:
         raise ValidationError(f"cannot read {code_path}: {ex}") from None
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # also an over-long int or too deep a nesting
         raise ValidationError(f"{code_path} is not valid JSON: {ex}") from None
     if not isinstance(meta, dict) or meta.get("format") != CODE_JSON_FORMAT:
         raise ValidationError(f"{code_path} is not a regencodes node directory descriptor")
@@ -165,7 +173,7 @@ def load_code(dirpath):
         raise ValidationError(f"code.json is missing {ex}") from None
     except ValidationError:
         raise
-    except (AttributeError, TypeError, ValueError) as ex:
+    except (AttributeError, TypeError, ValueError, OverflowError) as ex:  # int(inf) overflows
         raise ValidationError(f"malformed code.json: {ex}") from None
     raise ValidationError(f"unknown construction {construction!r} in code.json")
 
@@ -173,16 +181,19 @@ def load_code(dirpath):
 def load_nodes(dirpath, code, nodes: Iterable[int]) -> list[NodeContents]:
     """The listed nodes' contents, each parsed and checked against the code.
 
-    ValidationError if a file cannot be read, is malformed or names another node;
-    IntegrityError if its payload fails its checksum.
+    ValidationError if a file cannot be read, is over 4 KiB longer than its payload, is
+    malformed or names another node; IntegrityError if its payload fails its checksum.
     """
     out, dirpath = [], Path(dirpath)
+    cap = code.alpha * code.field.hex_width + 4096  # the payload, room for header and line ends
     for x in nodes:
         path = node_path(dirpath, x)
         try:
-            text = path.read_text()
+            text = read_capped(path, cap, "r")[0]
         except (OSError, UnicodeDecodeError) as ex:
             raise ValidationError(f"cannot read node file {path}: {ex}") from None
+        if len(text) > cap:
+            raise ValidationError(f"node file {path} is longer than the {cap} bytes it may hold")
         nc = node_contents_from_text(text, code, path)
         if nc.node != x:
             raise ValidationError(f"{path} names node {nc.node}, expected {x}")

@@ -414,6 +414,44 @@ def test_foreign_code_json_is_rejected(tmp_path, capsys):
         assert "format_version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,message", [
+    ("1e400", "malformed code.json: cannot convert float infinity to integer"),
+    ("Infinity", "malformed code.json: cannot convert float infinity to integer"),
+    ("1" + "0" * 4400, "is not valid JSON: Exceeds the limit (4300 digits)"),
+    (None, "is not valid JSON: maximum recursion depth exceeded"),
+], ids=["overflow", "infinity", "long-int", "deep-nesting"])
+def test_code_json_past_python_number_and_nesting_limits_exits_2(tmp_path, capsys, n, message):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    path = out_dir / "code.json"
+    text = path.read_text()
+    # None: 100,000 nested arrays in place of the whole descriptor
+    path.write_text("[" * 100_000 if n is None else text.replace('"n": 4,', f'"n": {n},'))
+    assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_oversized_data_and_node_files_exit_2(tmp_path, capsys):
+    # sparse files: 64 MiB long, nothing stored; tests/test_fuzz.py feeds 4 GiB ones and
+    # /dev/zero under an address-space limit
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    big, node = tmp_path / "big.bin", out_dir / "node_002.txt"
+    for path in (big, node):
+        with open(path, "wb") as fh:
+            fh.truncate(1 << 26)
+    argv = ["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+            "--out-dir", str(tmp_path / "out")]
+    for data, held in ((big, 1 << 26), (os.devnull, 0)):
+        assert main([*argv, "--data", str(data)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: data file {data} holds {held} bytes; need exactly 8 symbols x 1 bytes = 8\n")
+    # a node file holds alpha x 2 hex digits, plus at most 4 KiB of header and line ends
+    assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: node file {node} is longer than the {3 * 2 + 4096} bytes it may hold\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_dir_env_prefixes_relative_outputs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REGENCODES_OUT_DIR", str(tmp_path))
     data = tmp_path / "data.bin"

@@ -14,9 +14,12 @@ other change to it is refused (exit 2). A data file for encode or extend
 refused (exit 2); one that stays in the field is encoded. The arguments of
 region, points and compare, drawn up to 10^9, must end in exit 0 or 2 within
 a time limit and a 1 GiB address space: a request too large is refused, not
-run out of memory or time.
+run out of memory or time. So must 4 GiB sparse data and node files and
+/dev/zero in their place: a file longer than the code can use is refused
+before it is read whole.
 """
 
+import contextlib
 import json
 import math
 import random
@@ -30,7 +33,7 @@ from regencodes.cli import main
 from regencodes.designs import bundled_design, serialize_design
 
 HEX = "0123456789abcdef"
-WRONG_TYPES = ["x", "", None, [], [3], {}, {"n": 5}, 2.5, True, -1]
+WRONG_TYPES = ["x", "", None, [], [3], {}, {"n": 5}, 2.5, True, -1, float("inf"), 10**5000]
 ANY = {0, 2, 3}
 REFUSED = {2}
 CHECKSUM = {3}
@@ -142,6 +145,13 @@ def garble_complete_design(files, rng):
     return f"code.json design.{key} = {design[key]!r}", None, REFUSED
 
 
+def nest_meta(files, rng):
+    depth = rng.choice([1000, 100_000])
+    # raw text past the JSON reader's recursion limit, closed or not
+    files["code.json"] = "[" * depth + rng.choice(["", "]" * depth])
+    return f"code.json nests {depth} arrays", None, REFUSED
+
+
 def move_block_member(files, rng):
     blocks = files["code.json"]["design"]["blocks"]
     b = rng.randrange(len(blocks))
@@ -156,7 +166,7 @@ NODE_MUTATIONS = [
     flip_digit, widen_digit, truncate_payload, drop_line, duplicate_line, garble_crc,
     garble_header,
 ]
-META_MUTATIONS = [retype_meta_key, drop_meta_key]
+META_MUTATIONS = [retype_meta_key, drop_meta_key, nest_meta]
 PRECODED_MUTATIONS = NODE_MUTATIONS + META_MUTATIONS + [wrong_modulus]
 LAYERED_MUTATIONS = NODE_MUTATIONS + META_MUTATIONS + [garble_complete_design]
 LISTED_MUTATIONS = NODE_MUTATIONS + META_MUTATIONS + [move_block_member]
@@ -171,9 +181,23 @@ def pick_node(files, rng):
     return name, files[name]
 
 
+@contextlib.contextmanager
+def any_int_digits():
+    """Lift the cap on the digits of an int turned to text or back, as a huge literal is named
+    and written; the CLI then reads it under the cap again."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def write_dir(dirpath, files):
     for name, content in files.items():
-        if name == "code.json":
+        if isinstance(content, str):  # raw text
+            text = content
+        elif name == "code.json":
             text = json.dumps(content, indent=2, sort_keys=True) + "\n"
         else:
             text = "\n".join(content) + "\n"
@@ -211,8 +235,9 @@ def fuzz_node_dir(tmp_path, capsys, node_dir, mutations, max_failed):
     seen = set()
     for i in range(200):
         files = json.loads(json.dumps(pristine))
-        desc, touched, allowed = rng.choice(mutations)(files, rng)
-        write_dir(node_dir, files)
+        with any_int_digits():
+            desc, touched, allowed = rng.choice(mutations)(files, rng)
+            write_dir(node_dir, files)
         nodes = sorted(rng.sample(range(1, n + 1), rng.choice(range(k, n + 1))))
         failed = sorted(rng.sample(range(1, n + 1), 1 + i % max_failed))
         helpers = [x for x in range(1, n + 1) if x not in failed]
@@ -407,3 +432,40 @@ def test_fuzzed_analysis_arguments_exit_cleanly(tmp_path):
            if code not in ANY or "Traceback" in err]
     assert bad == []
     assert {code for _, code, _ in results} == {0, 2}
+
+
+# -- files far longer than the code reads ----------------------------------------------
+
+
+def test_huge_data_and_node_files_exit_2_under_an_address_limit(tmp_path, capsys):
+    layout = ["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"]
+    node_dir = encode_dir(tmp_path, capsys, ["encode", *layout], bytes(range(8)))
+    huge, zero = tmp_path / "huge", tmp_path / "zero"
+    for dirpath in (huge, zero):
+        dirpath.mkdir()
+        for f in node_dir.iterdir():
+            (dirpath / f.name).write_bytes(f.read_bytes())
+        (dirpath / "node_002.txt").unlink()
+    (zero / "node_002.txt").symlink_to("/dev/zero")
+    for path in (huge / "node_002.txt", tmp_path / "huge.bin"):
+        with open(path, "wb") as fh:  # sparse: 4 GiB long, nothing stored
+            fh.truncate(4 << 30)
+    cases = [
+        argv for data in ("huge.bin", "/dev/zero") for argv in (
+            ["encode", *layout, "--data", data, "--out-dir", "out"],
+            ["extend", "--node-dir", "nodes", "--new-data", data, "--out-dir", "ext"],
+        )
+    ] + [
+        argv for nodes in ("huge", "zero") for argv in (
+            ["reconstruct", "--node-dir", nodes, "--nodes", "1,2,3", "--out", "back.bin"],
+            ["repair", "--node-dir", nodes, "--failed", "1", "--helpers", "2,3,4"],
+        )
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", ARGV_RUNNER, str(src), str(ARGV_SECONDS)],
+                          input=json.dumps(cases), capture_output=True, text=True, cwd=tmp_path,
+                          timeout=ARGV_SECONDS * len(cases))
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert [code for _, code, _ in results] == [2] * len(cases), results
+    assert not any("Traceback" in err for _, _, err in results)

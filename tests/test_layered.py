@@ -449,13 +449,11 @@ def test_first_mismatch_in_block_order_across_groups(example_code, example_state
         code.repair(bad, failed=[failed], helpers=helpers)
 
 
-def reference_groups(code, role, last=None):
-    """Blocks by the roles of their members, one block at a time; `last` keys the last block."""
+def reference_groups(code, role):
+    """Blocks by the roles of their members, one block at a time."""
     groups = {}
     for b, block in enumerate(code.design.blocks):
-        key = bytes(role.get(x, 0) for x in block)
-        groups.setdefault(last if last is not None and b == code.block_count - 1 else key,
-                          []).append(b)
+        groups.setdefault(bytes(role.get(x, 0) for x in block), []).append(b)
     return groups
 
 
@@ -476,7 +474,3 @@ def test_groups_match_a_per_block_reference(rng):
             role = {x: rng.choice((GIVEN, LOST)) for x in nodes}
             # the order counts too: groups are met in the order of their lowest blocks
             assert list(code._groups(role).items()) == list(reference_groups(code, role).items())
-    # the extend step's own roles: every old node given, the new block's data on nodes 1..r-m
-    role, last = dict.fromkeys(range(1, 5), GIVEN), bytes([GIVEN, GIVEN, 0, 0])
-    assert list(step._groups(role, last).items()) == list(
-        reference_groups(step, role, last).items())
