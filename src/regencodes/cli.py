@@ -36,7 +36,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, nodedir
-from .designs import complete_design, design_stats, load_design, serialize_design, verify_steiner
+from .designs import (complete_design, design_stats, load_design, read_capped,
+                      serialize_design, verify_steiner)
 from .errors import IntegrityError, ValidationError
 from .gf import binary_field
 from .layered import LayeredCode, SystemParams, build_code
@@ -106,7 +107,7 @@ def _symbol_width(field) -> tuple[int, int]:
 def _read_data_file(path: Path, count: int, field) -> Sequence[int]:
     bits, nbytes = _symbol_width(field)
     try:  # a longer file is not read whole
-        blob, size = nodedir.read_capped(path, count * nbytes)
+        blob, size = read_capped(path, count * nbytes)
     except OSError as ex:
         raise ValidationError(f"cannot read data file {path}: {ex}") from None
     if size != count * nbytes:

@@ -5,13 +5,16 @@ point set lies in exactly one block (verify_steiner). complete_design gives
 the degenerate t = r case, all r-subsets in lexicographic order; smaller t
 comes from files or the bundled designs. verify_steiner refuses a design
 with more than MAX_BLOCKS t-subsets before it expands any block, so a short
-file cannot make it allocate without bound. The verdict is kept on the design:
-complete_design's, Steiner by construction, is True and skips every check.
+file cannot make it allocate without bound, and load_design reads no further
+than MAX_DESIGN_CHARS, so a long one cannot either. The verdict is kept on
+the design: complete_design's, Steiner by construction, is True and skips
+every check.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
@@ -23,6 +26,13 @@ from .errors import ValidationError
 # C(n, t) t-subsets, and a precoded code's extension degree grows with the
 # block count; larger requests are refused
 MAX_BLOCKS = 100_000
+
+# a design file is read no further than MAX_DESIGN_CHARS characters: MAX_BLOCKS block lines of
+# 100 characters. A Steiner design with t < r holds N r <= N C(r,t) = C(n,t) <= MAX_BLOCKS
+# points in all, none past n <= MAX_BLOCKS, so its file (under 0.8 MB) always fits. Only a
+# complete design (t = r) listed with more than about two million points in all does not;
+# complete_design builds those without a file
+MAX_DESIGN_CHARS = 100 * MAX_BLOCKS
 
 # the analysis curves (tradeoff.py: region, points, compare) are refused before any point
 # is built when they would hold more than MAX_CSV_ROWS points, or, for points and compare,
@@ -177,11 +187,22 @@ def parse_design(text: str) -> BlockDesign:
     return BlockDesign(n=n, r=r, t=t, blocks=tuple(blocks))
 
 
+def read_capped(path: Path, cap: int, mode: str = "rb"):
+    """(contents, size) of a file, reading no more than cap + 1 bytes (characters in text mode):
+    a regular file's size from stat, anything else's the length read up to cap, else None."""
+    with open(path, mode) as fh:
+        contents, size = fh.read(cap + 1), os.fstat(fh.fileno()).st_size  # 0 if not regular
+    return contents, size or (len(contents) if len(contents) <= cap else None)
+
+
 def load_design(path) -> BlockDesign:
     try:
-        text = Path(path).read_text()
+        text = read_capped(Path(path), MAX_DESIGN_CHARS, "r")[0]
     except (OSError, UnicodeDecodeError) as ex:
         raise ValidationError(f"cannot read design file {path}: {ex}") from None
+    if len(text) > MAX_DESIGN_CHARS:
+        raise ValidationError(
+            f"design file {path} is longer than the {MAX_DESIGN_CHARS} characters it may hold")
     return parse_design(text)
 
 

@@ -12,14 +12,22 @@ symbol per slot, blocks ascending. The codewords sit in one block-major
 list: entry b*r + pos is position pos of block b and belongs to the node
 that the design's members list in that place. Since a node meets its
 entries in block order, one walk over those members moves symbols between
-the nodes' columns and that list in either direction. A command gives each
-node one role (given, lost, or neither when absent); the blocks whose
-members have the same roles are a group, one MdsCodec.decode_many call
-through its lowest r-m given positions that returns only the further given
-ones, each compared with its given symbols, and the ones the command
-needs. On a mismatch the lowest such block raises "block B: mismatch seen
-at position P (node X)" for its first mismatching position, as a
-block-by-block decode would.
+the nodes' columns and that list in either direction.
+
+The per-entry bookkeeping runs in C on the members as one str, one character
+per entry whose code point is its node id (ids pass 255, and on a t = 1
+design the surrogates 0xD800-0xDFFF, so not bytes). A command gives each
+node one role (given, lost, or neither when absent), and one str.translate
+of that string gives every entry's role; the blocks whose members have the
+same roles are a group, one MdsCodec.decode_many call through its lowest
+r-m given positions that returns only the further given ones, each
+compared with its given symbols, and the ones the command needs. On a
+mismatch the lowest such block raises "block B: mismatch seen at position P
+(node X)" for its first mismatching position, as a block-by-block decode
+would. Repair joins the member characters of each role class's read
+positions and counts each helper in them with str.count, and picks each
+failed node's column out of the block-major list through a translate of
+the members that marks that node's entries.
 
 A node file is the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and the
 column as one line of fixed-width lowercase hex; crc is zlib.crc32 of that
@@ -32,11 +40,14 @@ ValidationError, all before any decode.
 
 from __future__ import annotations
 
+import sys
 import zlib
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -49,6 +60,7 @@ from .gf import binary_field, check_symbols
 from .mds import MdsCodec, mds_codec
 
 GIVEN, LOST = 1, 2  # a position's role in _groups; 0 is neither
+_UTF32 = f"utf-32-{sys.byteorder[0]}e"  # array("I") items are native-order 32-bit words
 
 
 @dataclass(frozen=True)
@@ -176,11 +188,11 @@ class LayeredCode:
         r, km = p.r, self.codec.dimension
         roles = {**dict.fromkeys(helpers_t, GIVEN), **dict.fromkeys(failed_t, LOST)}
         affected = {key: blocks for key, blocks in self._groups(roles).items() if LOST in key}
-        # helper symbols of the affected blocks per role class (s lost, h held): the r-m lowest,
-        # which naive reads, and the rest, counted per class and priced once
+        # member characters of the affected blocks' helper symbols per role class (s lost,
+        # h held): the r-m lowest, which naive reads, and the rest, counted per class and priced
         read: defaultdict[tuple[int, int], list] = defaultdict(list)
         rest: defaultdict[tuple[int, int], list] = defaultdict(list)
-        at_pos = [self._members[pos::r] for pos in range(r)]  # each position's member per block
+        at_pos = [self._member_chars[pos::r] for pos in range(r)]  # each position's members
         for key, blocks in affected.items():  # in order of their lowest blocks
             held = [pos for pos, role in enumerate(key) if role == GIVEN]
             if len(held) < km:
@@ -193,15 +205,20 @@ class LayeredCode:
 
         full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), affected)
 
-        read_by = {sh: Counter(nodes) for sh, nodes in read.items()}
-        held_by = {sh: read_by[sh] + Counter(rest[sh]) for sh in read}
-        den = lcm(*(h - km + s for s, h in held_by))  # one denominator for every msmr share
-        msmr = {x: Fraction(sum(held[x] * s * den // (h - km + s)
-                                for (s, h), held in held_by.items()), den) for x in helpers_t}
-        naive = {x: Fraction(sum(c[x] for c in read_by.values())) for x in helpers_t}
-        lnaive = {x: Fraction(sum(c[x] * s for (s, _), c in read_by.items())) for x in helpers_t}
+        # (symbols read, further symbols held) per helper, in helpers_t order, per role class
+        tally = {}
+        for sh, chars in read.items():
+            reads, rests = "".join(chars), "".join(rest[sh])
+            tally[sh] = [(reads.count(c), rests.count(c)) for c in map(chr, helpers_t)]
+        den = lcm(*(h - km + s for s, h in tally))  # one denominator for every msmr share
+        msmr, naive, lnaive = {}, {}, {}
+        for i, x in enumerate(helpers_t):
+            msmr[x] = Fraction(sum(sum(c[i]) * s * den // (h - km + s)
+                                   for (s, h), c in tally.items()), den)
+            naive[x] = Fraction(sum(c[i][0] for c in tally.values()))
+            lnaive[x] = Fraction(sum(c[i][0] * s for (s, _), c in tally.items()))
         report = BandwidthReport(failed_t, helpers_t, msmr=msmr, naive=naive, layered_naive=lnaive)
-        return self._contents(full, failed_t), report
+        return [self._column(full, x) for x in failed_t], report
 
     # -- extension ---------------------------------------------------------------
 
@@ -267,16 +284,23 @@ class LayeredCode:
             data[i::km] = full[i::r]
         return data
 
+    @cached_property
+    def _member_chars(self) -> str:
+        """_members as one str: one character per entry, whose code point is its node id."""
+        # surrogatepass: a t = 1 design's node ids pass 0xD800, which no codec takes otherwise
+        return array("I", self._members).tobytes().decode(_UTF32, "surrogatepass")
+
     def _block_major(self, by_node) -> list:
         """The nodes' columns as one block-major list, zeros for absent nodes."""
         zeros = repeat(0)
         slots = [iter(by_node[x]) if x in by_node else zeros for x in range(self.params.n + 1)]
+        # faster on CPython 3.11 than list(map(next, map(slots.__getitem__, ...))) (CHANGES.md)
         return [next(slots[x]) for x in self._members]
 
     def _groups(self, roles: dict[int, int]) -> dict[bytes, list]:
         """Blocks by their members' roles (absent: 0)."""
-        per_node = [roles.get(x, 0) for x in range(self.params.n + 1)]
-        by_entry, r = bytes([per_node[x] for x in self._members]), self.params.r
+        table = [chr(roles.get(x, 0)) for x in range(self.params.n + 1)]  # node id -> its role
+        by_entry, r = self._member_chars.translate(table).encode("ascii"), self.params.r
         groups: defaultdict[bytes, list[int]] = defaultdict(list)
         for b, key in enumerate([by_entry[i : i + r] for i in range(0, len(by_entry), r)]):
             groups[key].append(b)
@@ -319,6 +343,13 @@ class LayeredCode:
         for x, symbol in zip(self._members, full):
             add[x](symbol)
         return [NodeContents(x, self.field.column(cols[x])) for x in nodes]
+
+    def _column(self, full: Sequence[int], x: int) -> NodeContents:
+        """Node x's contents alone, picked from a completed block-major list by its members."""
+        pick = ["\0"] * (self.params.n + 1)
+        pick[x] = "\1"
+        mine = self._member_chars.translate(pick).encode()  # 1 at x's entries, 0 elsewhere
+        return NodeContents(x, self.field.column(compress(full, mine)))
 
 
 def build_code(

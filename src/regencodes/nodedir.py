@@ -10,6 +10,8 @@ parses it); crc is zlib.crc32 of that payload line, so a node file changed
 on disk fails with exit 3 naming the node before any decode. Header, alpha,
 payload length and hex digits are checked first (exit 2), and the kappa
 token only a precoded code's node files carry after the checksum (exit 2).
+code.json is read no further than CODE_JSON_CAP characters, and each of its
+numbers must be an int, not a bool, a float or a string (exit 2).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
-from .designs import BlockDesign, complete_design
+from .designs import (MAX_BLOCKS, MAX_DESIGN_CHARS, BlockDesign, complete_design,
+                      read_capped)
 from .errors import ValidationError
 from .gf import binary_field
 from .layered import (LayeredCode, NodeContents, SystemParams, build_code,
@@ -34,6 +37,9 @@ CODE_JSON_FORMAT = "regencodes-node-dir"
 CODE_JSON_VERSION = 2  # the only code.json layout read or written
 _PRECODED_PARAMS = ("n", "k", "d", "e", "m", "r")
 _LAYERED_PARAMS = _PRECODED_PARAMS + ("t",)  # SystemParams' fields
+# a code.json is its design's block lines (designs.MAX_DESIGN_CHARS at most), each quoted,
+# indented and ended in code.json by under 16 more characters, and under 4 KiB of the rest
+CODE_JSON_CAP = MAX_DESIGN_CHARS + 16 * MAX_BLOCKS + 4096
 
 
 def node_path(dirpath: Path, node: int) -> Path:
@@ -72,14 +78,6 @@ def _write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
 def atomic_write(path: Path, data) -> None:
     """Write one file (text or bytes) through a temp name and a rename."""
     _write_files([(path, data)])
-
-
-def read_capped(path: Path, cap: int, mode: str = "rb"):
-    """(contents, size) of a file, reading no more than cap + 1 bytes (characters in text mode):
-    a regular file's size from stat, anything else's the length read up to cap, else None."""
-    with open(path, mode) as fh:
-        contents, size = fh.read(cap + 1), os.fstat(fh.fileno()).st_size  # 0 if not regular
-    return contents, size or (len(contents) if len(contents) <= cap else None)
 
 
 def _node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:
@@ -125,8 +123,18 @@ def save_nodes(dirpath, code, state: Iterable[NodeContents]) -> list[str]:
     return _write_files(_node_files(dirpath, code, state))
 
 
+def _integer(spec: dict, key: str, where: str) -> int:
+    """spec[key], refused unless it is an int: a bool, or a float or a string that int() would
+    cut or parse, is not. What int() itself refuses keeps its malformed-code.json message."""
+    value = spec[key]
+    int(value)
+    if type(value) is not int:
+        raise ValidationError(f"code.json {where}.{key} must be an integer, got {value!r}")
+    return value
+
+
 def _design(dd: dict) -> BlockDesign:
-    n, r, t = int(dd["n"]), int(dd["r"]), int(dd["t"])
+    n, r, t = (_integer(dd, key, "design") for key in ("n", "r", "t"))
     if dd.get("complete") is True:
         if t != r:
             raise ValidationError(f"a complete design has t = r, code.json says t={t} r={r}")
@@ -139,9 +147,14 @@ def load_code(dirpath):
     """The code a node directory's code.json describes, rebuilt; ValidationError if it cannot be."""
     code_path = Path(dirpath) / "code.json"
     try:
-        meta = json.loads(code_path.read_text())
+        text = read_capped(code_path, CODE_JSON_CAP, "r")[0]
     except (OSError, UnicodeDecodeError) as ex:
         raise ValidationError(f"cannot read {code_path}: {ex}") from None
+    if len(text) > CODE_JSON_CAP:
+        raise ValidationError(
+            f"{code_path} is longer than the {CODE_JSON_CAP} characters it may hold")
+    try:
+        meta = json.loads(text)
     except (ValueError, RecursionError) as ex:  # also an over-long int or too deep a nesting
         raise ValidationError(f"{code_path} is not valid JSON: {ex}") from None
     if not isinstance(meta, dict) or meta.get("format") != CODE_JSON_FORMAT:
@@ -158,12 +171,13 @@ def load_code(dirpath):
     fieldspec = meta.get("field", {})
     try:
         if construction == "layered":
-            sp = SystemParams(**{key: int(params[key]) for key in _LAYERED_PARAMS})
+            sp = SystemParams(**{key: _integer(params, key, "params") for key in _LAYERED_PARAMS})
             design = _design(meta["design"])
-            return build_code(sp, design, binary_field(int(fieldspec["w"])))
+            return build_code(sp, design, binary_field(_integer(fieldspec, "w", "field")))
         if construction == "precoded":
-            code = build_precoded(**{key: int(params[key]) for key in _PRECODED_PARAMS},
-                                  w=int(fieldspec["w"]))
+            code = build_precoded(**{key: _integer(params, key, "params")
+                                     for key in _PRECODED_PARAMS},
+                                  w=_integer(fieldspec, "w", "field"))
             stored = fieldspec.get("modulus")
             if stored != hex(code.field.modulus):
                 raise ValidationError(

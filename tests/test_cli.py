@@ -431,6 +431,47 @@ def test_code_json_past_python_number_and_nesting_limits_exits_2(tmp_path, capsy
     assert err.startswith("error: ") and message in err, err
 
 
+def encode_small_precoded(tmp_path, capsys):
+    data = tmp_path / "pdata.bin"
+    data.write_bytes(b"".join((101 + i).to_bytes(3, "big") for i in range(9)))  # 20-bit symbols
+    out_dir = tmp_path / "pnodes"
+    assert main(["encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4",
+                 "--e", "1", "--m", "1", "--r", "2", "--data", str(data),
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    return out_dir
+
+
+# each number code.json holds must be an int: int() would cut a float and take a bool or a
+# string, and several of these were read as another code that then decoded with exit 0
+@pytest.mark.parametrize("precoded,section,key,value", [
+    (False, "params", "n", 4.9),
+    (False, "field", "w", 8.5),
+    (False, "field", "w", True),
+    (False, "params", "k", "3"),
+    (False, "params", "t", 3.0),
+    (False, "design", "n", 4.0),
+    (False, "design", "r", 3.5),
+    (False, "design", "t", True),
+    (True, "params", "r", 2.0),
+    (True, "field", "w", 4.5),
+], ids=["n-float", "w-float", "w-bool", "k-string", "t-whole-float", "design-n-float",
+        "design-r-float", "design-t-bool", "precoded-r-float", "precoded-w-float"])
+def test_code_json_numbers_that_are_not_ints_exit_2_naming_the_key(
+        tmp_path, capsys, precoded, section, key, value):
+    out_dir = encode_small_precoded(tmp_path, capsys) if precoded else encode_small(
+        tmp_path, capsys)[1]
+    path = out_dir / "code.json"
+    meta = json.loads(path.read_text())
+    meta[section][key] = value
+    path.write_text(json.dumps(meta))
+    assert main(["reconstruct", "--node-dir", str(out_dir), "--nodes", "1,2,3",
+                 "--out", str(tmp_path / "back.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: code.json {section}.{key} must be an integer, got {value!r}\n"
+    assert not (tmp_path / "back.bin").exists()
+
+
 def test_oversized_data_and_node_files_exit_2(tmp_path, capsys):
     # sparse files: 64 MiB long, nothing stored; tests/test_fuzz.py feeds 4 GiB ones and
     # /dev/zero under an address-space limit

@@ -144,6 +144,11 @@ CASES = [
     ("precoded F=9, extension-field tuples",
      lambda: build_precoded(n=5, k=3, d=4, e=1, m=1, r=2).inner,
      [((1,), (2, 3, 4, 5)), ((5,), (1, 2, 3, 4))], False),
+    # r >= m + 3: several role groups share their lowest r-m given positions
+    ("complete r = m + 4, groups sharing chosen positions",
+     lambda: build_code(SystemParams(n=9, k=6, d=6, e=3, m=3, r=7, t=7)),
+     [((1, 2, 3), (4, 5, 6, 7, 8, 9)), ((5,), (1, 2, 3, 4, 6, 7, 8, 9)),
+      ((2, 9), (1, 3, 4, 5, 6, 7, 8))], False),
 ]
 
 
@@ -201,3 +206,5 @@ def test_the_members_walk_moves_node_columns_both_ways(name, make):
         for nodes in (rng.sample(range(1, n + 1), n), [n, 1], sorted(present)):
             want = [NodeContents(x, by_node.get(x, zeros)) for x in nodes]
             assert code._contents(full, nodes) == want, nodes
+            assert [code._column(full, x) for x in nodes] == want, nodes
+

@@ -440,14 +440,16 @@ def test_fuzzed_analysis_arguments_exit_cleanly(tmp_path):
 def test_huge_data_and_node_files_exit_2_under_an_address_limit(tmp_path, capsys):
     layout = ["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"]
     node_dir = encode_dir(tmp_path, capsys, ["encode", *layout], bytes(range(8)))
-    huge, zero = tmp_path / "huge", tmp_path / "zero"
-    for dirpath in (huge, zero):
+    dirs = {name: tmp_path / name for name in ("huge", "zero", "huge-json", "zero-json")}
+    for name, dirpath in dirs.items():
         dirpath.mkdir()
         for f in node_dir.iterdir():
             (dirpath / f.name).write_bytes(f.read_bytes())
-        (dirpath / "node_002.txt").unlink()
-    (zero / "node_002.txt").symlink_to("/dev/zero")
-    for path in (huge / "node_002.txt", tmp_path / "huge.bin"):
+        (dirpath / ("code.json" if name.endswith("json") else "node_002.txt")).unlink()
+    (dirs["zero"] / "node_002.txt").symlink_to("/dev/zero")
+    (dirs["zero-json"] / "code.json").symlink_to("/dev/zero")
+    for path in (dirs["huge"] / "node_002.txt", dirs["huge-json"] / "code.json",
+                 tmp_path / "huge.bin"):
         with open(path, "wb") as fh:  # sparse: 4 GiB long, nothing stored
             fh.truncate(4 << 30)
     cases = [
@@ -456,9 +458,14 @@ def test_huge_data_and_node_files_exit_2_under_an_address_limit(tmp_path, capsys
             ["extend", "--node-dir", "nodes", "--new-data", data, "--out-dir", "ext"],
         )
     ] + [
-        argv for nodes in ("huge", "zero") for argv in (
+        argv for nodes in dirs for argv in (
             ["reconstruct", "--node-dir", nodes, "--nodes", "1,2,3", "--out", "back.bin"],
             ["repair", "--node-dir", nodes, "--failed", "1", "--helpers", "2,3,4"],
+        )
+    ] + [
+        argv for design in ("huge.bin", "/dev/zero") for argv in (
+            ["design", "--load", design],
+            ["encode", *layout, "--design", design, "--data", "data.bin", "--out-dir", "out"],
         )
     ]
     src = Path(__file__).resolve().parent.parent / "src"

@@ -474,3 +474,35 @@ def test_groups_match_a_per_block_reference(rng):
             role = {x: rng.choice((GIVEN, LOST)) for x in nodes}
             # the order counts too: groups are met in the order of their lowest blocks
             assert list(code._groups(role).items()) == list(reference_groups(code, role).items())
+
+
+def test_node_ids_past_255_encode_repair_and_reconstruct():
+    # the complete (260, 259, 259, 1, 1, 2) code: C(260, 2) = 33,670 blocks of two, alpha 259;
+    # its node ids pass a byte and ASCII, and so do the member characters that stand for them
+    code = build_code(SystemParams(n=260, k=259, d=259, e=1, m=1, r=2, t=2))
+    assert (code.block_count, code.alpha) == (33_670, 259)
+    data = [(7 * i + 3) % 251 for i in range(code.data_len)]
+    state = code.encode(data)
+    assert [nc.node for nc in state] == list(range(1, 261))
+    for x in (7, 200, 258):
+        helpers = [y for y in range(1, 261) if y != x]
+        rebuilt, report = code.repair([nc for nc in state if nc.node != x], [x], helpers)
+        assert rebuilt == [state[x - 1]]
+        assert report == beta_oracle(code.design, code.params.m, [x], helpers)
+    assert code.reconstruct([nc for nc in state if nc.node != 258]) == data
+
+
+def test_node_ids_in_the_surrogate_range_repair_and_reconstruct():
+    # a t = 1 design, pairs (1, 2), (3, 4), ..., is Steiner for any n up to MAX_BLOCKS, so node
+    # ids reach 0xD800-0xDFFF, code points a UTF-32 codec refuses unless told to pass them
+    n = 0xDFFF + 1
+    design = BlockDesign(n, 2, 1, tuple((x, x + 1) for x in range(1, n, 2)))
+    code = build_code(SystemParams(n=n, k=n - 1, d=n - 1, e=1, m=1, r=2, t=1), design)
+    assert code._member_chars == "".join(map(chr, range(1, n + 1)))
+    data = [(7 * i + 3) % 251 for i in range(code.data_len)]
+    state = code.encode(data)
+    helpers = [y for y in range(1, n + 1) if y != 0xD800]
+    rebuilt, report = code.repair([nc for nc in state if nc.node != 0xD800], [0xD800], helpers)
+    assert rebuilt == [state[0xD800 - 1]]
+    assert report == beta_oracle(code.design, code.params.m, [0xD800], helpers)
+    assert code.reconstruct([nc for nc in state if nc.node != 0xDFFF]) == data
