@@ -14,9 +14,12 @@
     regencodes verify [--seed N]
 
 Node directories are read and written by nodedir.py, whose docstring gives
-their format. All file writes are atomic (write to a temp name, then rename)
-and every command that writes files also writes a JSON run manifest next to
-them.
+their format. A command that writes files writes them in one all-or-nothing
+nodedir.write_files batch (temp files, then renames) with its JSON run
+manifest; a refused or unwritable target exits 2 with "cannot write PATH"
+before any target is replaced, and the command prints only after the write.
+repair without --report writes no manifest: the directory's stays the
+encode's.
 Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
 when it is set (commands both write and read node directories); other
 input paths are used as given.
@@ -68,22 +71,21 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _write_manifest(target: Path, command: str, parameters: dict,
-                    inputs: list[str], outputs: list[str]) -> Path:
+def _write(files: list[tuple[Path, object]], command: str, parameters: dict,
+           inputs: list[str], directory: Optional[Path] = None) -> Path:
+    """Write the files and their run manifest in one batch; returns the manifest's path."""
     manifest = {
         "tool": "regencodes",
         "version": __version__,
         "command": command,
         "parameters": parameters,
         "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
+        "outputs": sorted(str(path) for path, _ in files),
         "seed": None,
     }
-    if target.is_dir():
-        path = target / "manifest.json"
-    else:
-        path = target.with_name(target.name + ".manifest.json")
-    nodedir.atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    out = files[-1][0]
+    path = directory / "manifest.json" if directory else out.with_name(out.name + ".manifest.json")
+    nodedir.write_files([*files, (path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")])
     return path
 
 
@@ -148,8 +150,7 @@ def _emit_csv(rows: list[list[str]], out: Optional[str], command: str,
         sys.stdout.write(text)
         return
     path = _resolve(out)
-    nodedir.atomic_write(path, text)
-    _write_manifest(path, command, parameters, inputs=[], outputs=[str(path)])
+    _write([(path, text)], command, parameters, inputs=[])
     payload = {"out": str(path), "rows": len(rows)}
     if summary:
         payload.update(summary)
@@ -175,19 +176,16 @@ def _cmd_design(args) -> int:
             f"design does not cover every {design.t}-subset exactly once"
         )
     stats = design_stats(design)
+    if args.out:
+        _write([(_resolve(args.out), serialize_design(design))], "design",
+               {"n": design.n, "r": design.r, "t": design.t},
+               inputs=[args.load] if args.load else [])
     _print_json({
         "n": design.n, "r": design.r, "t": design.t,
         "blocks": stats.N, "alpha": stats.alpha,
         "lambda2": stats.lambda2, "lambda3": stats.lambda3,
         "steiner": True,
     })
-    if args.out:
-        path = _resolve(args.out)
-        nodedir.atomic_write(path, serialize_design(design))
-        _write_manifest(path, "design",
-                        {"n": design.n, "r": design.r, "t": design.t},
-                        inputs=[args.load] if args.load else [],
-                        outputs=[str(path)])
     return 0
 
 
@@ -225,10 +223,9 @@ def _cmd_encode(args) -> int:
 
     data = _read_data_file(Path(args.data), code.data_len, code.field)
     state = code.encode(data)
-    written = nodedir.save(out_dir, code, state)
     params_json = {**nodedir.code_params(code), "construction": args.construction}
-    manifest = _write_manifest(out_dir, "encode", params_json,
-                               inputs=[args.data], outputs=written)
+    manifest = _write(nodedir.directory_files(out_dir, code, state), "encode", params_json,
+                      inputs=[args.data], directory=out_dir)
     _print_json({
         "construction": args.construction,
         "out_dir": str(out_dir),
@@ -250,18 +247,16 @@ def _cmd_repair(args) -> int:
         raise ValidationError("failed and helper nodes must lie in 1..n")
     state = nodedir.load_nodes(dirpath, code, sorted(set(helpers)))
     repaired, report = code.repair(state, failed, helpers)
-    rpath = _resolve(args.report) if args.report else None
-    if rpath:
-        nodedir.prepare_target(rpath)  # a refused report leaves the node directory as it was
-    written = nodedir.save_nodes(dirpath, code, repaired)
+    files = nodedir.node_files(dirpath, code, repaired)
     payload = report.to_json_dict()
-    payload["written"] = written
+    payload["written"] = [str(path) for path, _ in files]
+    if args.report:
+        report_file = (_resolve(args.report), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write([*files, report_file], "repair", {"failed": failed, "helpers": helpers},
+               inputs=[str(dirpath)])
+    else:  # the directory's manifest stays the encode's
+        nodedir.write_files(files)
     _print_json(payload)
-    if rpath:
-        nodedir.atomic_write(rpath, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _write_manifest(rpath, "repair",
-                        {"failed": failed, "helpers": helpers},
-                        inputs=[str(dirpath)], outputs=written + [str(rpath)])
     return 0
 
 
@@ -277,9 +272,7 @@ def _cmd_reconstruct(args) -> int:
     blob = _data_to_bytes(data, code.field)
     if args.out:
         path = _resolve(args.out)
-        nodedir.atomic_write(path, blob)
-        _write_manifest(path, "reconstruct", {"nodes": nodes},
-                        inputs=[str(dirpath)], outputs=[str(path)])
+        _write([(path, blob)], "reconstruct", {"nodes": nodes}, inputs=[str(dirpath)])
         _print_json({"out": str(path), "data_symbols": len(data), "bytes": len(blob)})
     else:
         sys.stdout.buffer.write(blob)
@@ -295,9 +288,9 @@ def _cmd_extend(args) -> int:
     state = nodedir.load_nodes(dirpath, code, range(1, code.n + 1))
     new_data = _read_data_file(Path(args.new_data), code.codec.dimension, code.field)
     new_code, new_state = code.extend(state, new_data)
-    written = nodedir.save(out_dir, new_code, new_state)
-    manifest = _write_manifest(out_dir, "extend", nodedir.code_params(new_code),
-                               inputs=[str(dirpath), args.new_data], outputs=written)
+    manifest = _write(nodedir.directory_files(out_dir, new_code, new_state), "extend",
+                      nodedir.code_params(new_code), inputs=[str(dirpath), args.new_data],
+                      directory=out_dir)
     _print_json({
         "out_dir": str(out_dir),
         "nodes": new_code.n,

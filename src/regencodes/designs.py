@@ -31,8 +31,10 @@ MAX_BLOCKS = 100_000
 # 100 characters. A Steiner design with t < r holds N r <= N C(r,t) = C(n,t) <= MAX_BLOCKS
 # points in all, none past n <= MAX_BLOCKS, so its file (under 0.8 MB) always fits. Only a
 # complete design (t = r) listed with more than about two million points in all does not;
-# complete_design builds those without a file
+# complete_design builds those without a file, up to MAX_MEMBERS points in all: its blocks
+# hold C(n, r) r of them, which MAX_BLOCKS alone leaves unbounded as r nears n
 MAX_DESIGN_CHARS = 100 * MAX_BLOCKS
+MAX_MEMBERS = 20 * MAX_BLOCKS
 
 # the analysis curves (tradeoff.py: region, points, compare) are refused before any point
 # is built when they would hold more than MAX_CSV_ROWS points, or, for points and compare,
@@ -96,9 +98,13 @@ def _comb_within_limit(n: int, r: int) -> bool:
 
 
 def check_block_count(n: int, r: int) -> None:
-    """Refuse a complete design of more than MAX_BLOCKS blocks before building it."""
+    """Refuse a complete design of more than MAX_BLOCKS blocks, or of more than MAX_MEMBERS
+    points in all its blocks, before building it."""
     if not _comb_within_limit(n, r):
         raise ValidationError(f"complete design C({n},{r}) has more than {MAX_BLOCKS} blocks")
+    if comb(n, r) * r > MAX_MEMBERS:  # C(n, r) <= MAX_BLOCKS, so comb takes few steps
+        raise ValidationError(
+            f"complete design C({n},{r}) has more than {MAX_MEMBERS} points in all its blocks")
 
 
 def complete_design(n: int, r: int) -> BlockDesign:

@@ -11,7 +11,19 @@ on disk fails with exit 3 naming the node before any decode. Header, alpha,
 payload length and hex digits are checked first (exit 2), and the kappa
 token only a precoded code's node files carry after the checksum (exit 2).
 code.json is read no further than CODE_JSON_CAP characters, and each of its
-numbers must be an int, not a bool, a float or a string (exit 2).
+numbers must be an int, not a bool, a float or a string (exit 2). A node file
+or code.json that is not a regular file (a FIFO, a device) exits 2 unread.
+
+write_files is the package's only writer: every command hands it one list of
+(path, text or bytes), its manifest included. It checks every target in list
+order, and makes its missing parents, before it writes a temp file beside each
+target, and only once all are written does it rename the temps over the
+targets, in list order. A target that is not a regular file or lies under a
+file, or an OSError before the first rename, removes the temps and the
+directories made, leaves every target as it was and exits 2 with "cannot write
+PATH: ..."; an OSError in a rename keeps the renames before it. Until the
+renames the new contents sit beside the old, so a re-encode briefly needs
+twice the directory's space.
 """
 
 from __future__ import annotations
@@ -20,13 +32,14 @@ import contextlib
 import json
 import operator
 import os
+import stat
 import tempfile
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
-from .designs import (MAX_BLOCKS, MAX_DESIGN_CHARS, BlockDesign, complete_design,
-                      read_capped)
+from .designs import MAX_BLOCKS, MAX_DESIGN_CHARS, BlockDesign, complete_design
 from .errors import ValidationError
 from .gf import binary_field
 from .layered import (LayeredCode, NodeContents, SystemParams, build_code,
@@ -46,43 +59,55 @@ def node_path(dirpath: Path, node: int) -> Path:
     return dirpath / f"node_{node:03d}.txt"
 
 
-def prepare_target(path: Path) -> None:
-    # refuse what the rename would replace, a directory or a device node; make the parents
-    if path.exists() and not path.is_file():
-        raise ValidationError(f"cannot write {path}: it is not a regular file")
+def write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
+    """Write every (path, text or bytes), or none of them, in the order and with the refusals
+    the module docstring gives (ValidationError "cannot write PATH: ..."); returns the paths."""
+    parents, made, temps = set(), [], []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ValidationError(f"cannot write {path}: a parent is not a directory") from None
-
-
-def _write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
-    """Write each (path, text or bytes) to a temp name, then rename it over the path; returns
-    the paths. Every target is prepared first, so a refused one leaves them all as they were."""
-    for path, _ in files:
-        prepare_target(path)
-    for path, data in files:
-        blob = data if isinstance(data, bytes) else data.encode()
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        try:
+        for path, _ in files:
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # nothing there yet
+                if not stat.S_ISREG(os.stat(path).st_mode):  # the rename would replace it
+                    raise ValidationError(f"cannot write {path}: it is not a regular file")
+            if path.parent not in parents:
+                parents.add(path.parent)
+                # deepest first, ahead of earlier targets' ones: each is empty when removed
+                made[:0] = takewhile(lambda d: not d.is_dir(), path.parents)
+                path.parent.mkdir(parents=True, exist_ok=True)
+        for path, data in files:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                fh.write(data if isinstance(data, bytes) else data.encode())
+        for (path, _), tmp in zip(files, temps):
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException as ex:
+        for tmp in temps:  # a renamed one is gone already
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            raise
+        for directory in made:  # one that a rename filled stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        if isinstance(ex, (FileExistsError, NotADirectoryError)):  # mkdir met a file
+            raise ValidationError(f"cannot write {path}: a parent is not a directory") from None
+        if isinstance(ex, OSError):
+            raise ValidationError(f"cannot write {path}: {ex.strerror or ex}") from None
+        raise
     return [str(path) for path, _ in files]
 
 
-def atomic_write(path: Path, data) -> None:
-    """Write one file (text or bytes) through a temp name and a rename."""
-    _write_files([(path, data)])
-
-
-def _node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:
+def node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:
+    """(path, text) of each node's file, for write_files."""
     dirpath = Path(dirpath)
     return [(node_path(dirpath, nc.node), node_contents_to_text(nc, code)) for nc in state]
+
+
+def _read_regular(path: Path, cap: int) -> str:
+    """A regular file's text, no more than cap + 1 characters. It is opened without blocking,
+    so a FIFO or a device is refused, with an OSError, before any read can wait on it."""
+    with open(path, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise OSError("it is not a regular file")
+        return fh.read(cap + 1)
 
 
 def code_params(code) -> dict:
@@ -112,15 +137,15 @@ def _code_json(code) -> dict:
     return meta
 
 
-def save(dirpath, code, state: Iterable[NodeContents]) -> list[str]:
-    """Write code.json and the nodes' files (an encode's or an extend's); returns their paths."""
+def directory_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:
+    """(path, text) of code.json and of each node's file, for write_files."""
     meta = json.dumps(_code_json(code), indent=2, sort_keys=True) + "\n"
-    return _write_files([(Path(dirpath) / "code.json", meta), *_node_files(dirpath, code, state)])
+    return [(Path(dirpath) / "code.json", meta), *node_files(dirpath, code, state)]
 
 
-def save_nodes(dirpath, code, state: Iterable[NodeContents]) -> list[str]:
-    """Write the nodes' files only (a repair's); returns their paths."""
-    return _write_files(_node_files(dirpath, code, state))
+def save(dirpath, code, state: Iterable[NodeContents]) -> list[str]:
+    """Write code.json and the nodes' files, all or none of them; returns their paths."""
+    return write_files(directory_files(dirpath, code, state))
 
 
 def _integer(spec: dict, key: str, where: str) -> int:
@@ -147,7 +172,7 @@ def load_code(dirpath):
     """The code a node directory's code.json describes, rebuilt; ValidationError if it cannot be."""
     code_path = Path(dirpath) / "code.json"
     try:
-        text = read_capped(code_path, CODE_JSON_CAP, "r")[0]
+        text = _read_regular(code_path, CODE_JSON_CAP)
     except (OSError, UnicodeDecodeError) as ex:
         raise ValidationError(f"cannot read {code_path}: {ex}") from None
     if len(text) > CODE_JSON_CAP:
@@ -203,7 +228,7 @@ def load_nodes(dirpath, code, nodes: Iterable[int]) -> list[NodeContents]:
     for x in nodes:
         path = node_path(dirpath, x)
         try:
-            text = read_capped(path, cap, "r")[0]
+            text = _read_regular(path, cap)
         except (OSError, UnicodeDecodeError) as ex:
             raise ValidationError(f"cannot read node file {path}: {ex}") from None
         if len(text) > cap:

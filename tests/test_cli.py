@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -382,6 +383,90 @@ def test_output_path_that_cannot_be_a_file_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: {why}\n"
     assert list(taken.iterdir()) == [] and not fifo.is_file()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def tree_digest(root):
+    """Every path under root: True for a directory, else the file's sha256."""
+    return {str(p.relative_to(root)): p.is_dir() or hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(root).rglob("*"))}
+
+
+SMALL = ["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"]
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    (["design", "--n", "4", "--r", "3", "--out", "out.design"], "out.design.manifest.json"),
+    (["encode", *SMALL, "--data", "other.bin", "--out-dir", "nodes"], "nodes/manifest.json"),
+    (["extend", "--node-dir", "nodes", "--new-data", "extra.bin", "--out-dir", "ext"],
+     "ext/manifest.json"),
+    (["repair", "--node-dir", "nodes", "--failed", "1", "--helpers", "2,3,4",
+      "--report", "rep.json"], "rep.json.manifest.json"),
+    (["reconstruct", "--node-dir", "nodes", "--nodes", "1,2,3", "--out", "back.bin"],
+     "back.bin.manifest.json"),
+    (["region", "--k", "6", "--e", "2", "--out", "t.csv"], "t.csv.manifest.json"),
+    (["points", "--n", "19", "--k", "13", "--d", "14", "--e", "3", "--out", "t.csv"],
+     "t.csv.manifest.json"),
+    (["compare", "--n", "10", "--k", "7", "--d", "7", "--out", "t.csv"], "t.csv.manifest.json"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_refused_manifest_leaves_every_output_as_it_was(tmp_path, capsys, monkeypatch,
+                                                          argv, manifest):
+    # the manifest is the batch's last target, so every output is checked before it and
+    # written only once it passes
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    Path("other.bin").write_bytes(bytes(range(11, 19)))
+    Path("extra.bin").write_bytes(b"\xaa\xbb")
+    if argv[0] == "repair":
+        (out_dir / "node_001.txt").unlink()  # what the repair would write back
+    (out_dir / "manifest.json").unlink()
+    Path(manifest).mkdir(parents=True)
+    before = tree_digest(tmp_path)
+    assert main(argv) == 2
+    err = f"error: cannot write {manifest}: it is not a regular file\n"
+    assert capsys.readouterr() == ("", err)
+    assert tree_digest(tmp_path) == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_unwritable_names_and_a_failed_write_exit_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    Path("other.bin").write_bytes(bytes(range(11, 19)))
+    long = "x" * 300  # past any file system's name limit
+    too_long = os.strerror(errno.ENAMETOOLONG)
+    cases = [
+        (["reconstruct", "--node-dir", "nodes", "--nodes", "1,2,3", "--out", long],
+         f"{long}: {too_long}"),
+        (["region", "--k", "6", "--e", "2", "--out", f"x/{long}/y.csv"],
+         f"x/{long}/y.csv: {too_long}"),
+        (["encode", *SMALL, "--data", "other.bin", "--out-dir", long],
+         f"{long}/code.json: {too_long}"),
+    ]
+    before = tree_digest(tmp_path)
+    for argv, why in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: cannot write {why}\n")
+        assert tree_digest(tmp_path) == before
+
+    # a full disk at the second temp file of a re-encode: the first temp goes too
+    fdopen, opened = os.fdopen, []
+
+    def full_disk(fd, *args):
+        opened.append(fd)
+        fh = fdopen(fd, *args)
+        if len(opened) == 2:
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fh
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fdopen", full_disk)
+        assert main(["encode", *SMALL, "--data", "other.bin", "--out-dir", "nodes"]) == 2
+    assert len(opened) == 2
+    err = f"error: cannot write nodes/node_001.txt: {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr() == ("", err)
+    assert tree_digest(tmp_path) == before
     assert not list(tmp_path.rglob("*.tmp"))
 
 
@@ -779,6 +864,15 @@ def test_oversized_designs_exit_2_before_expansion(tmp_path, capsys, monkeypatch
     }))
     assert main(["reconstruct", "--node-dir", str(node_dir), "--nodes", "1"]) == 2
     assert "more than 100000 blocks" in capsys.readouterr().err
+    # C(100000, 99999) blocks are few enough, but they hold 99,999 points each
+    (node_dir / "code.json").write_text(json.dumps({
+        "format": "regencodes-node-dir", "format_version": 2, "construction": "layered",
+        "params": {"n": 100000, "k": 99999, "d": 99999, "e": 1, "m": 1, "r": 99999, "t": 99999},
+        "field": {"w": 8}, "design": {"n": 100000, "r": 99999, "t": 99999, "complete": True},
+    }))
+    assert main(["reconstruct", "--node-dir", str(node_dir), "--nodes", "1"]) == 2
+    assert capsys.readouterr().err == ("error: complete design C(100000,99999) has more than "
+                                       "2000000 points in all its blocks\n")
 
 
 def test_precoded_round_trip(tmp_path, capsys):

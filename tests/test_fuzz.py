@@ -22,6 +22,7 @@ before it is read whole.
 import contextlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -467,6 +468,11 @@ def test_huge_data_and_node_files_exit_2_under_an_address_limit(tmp_path, capsys
             ["design", "--load", design],
             ["encode", *layout, "--design", design, "--data", "data.bin", "--out-dir", "out"],
         )
+    ] + [  # complete designs of 10^5 blocks of 99,999 points, and of one block of 10^12
+        ["design", "--n", "100000", "--r", "99999"],
+        ["design", "--n", "1000000000000", "--r", "1000000000000"],
+        ["encode", "--n", "1000000000000", "--m", "1", "--e", "1", "--d", "999999999999",
+         "--r", "1000000000000", "--data", "data.bin", "--out-dir", "out"],
     ]
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", ARGV_RUNNER, str(src), str(ARGV_SECONDS)],
@@ -476,3 +482,29 @@ def test_huge_data_and_node_files_exit_2_under_an_address_limit(tmp_path, capsys
     results = json.loads(proc.stdout)
     assert [code for _, code, _ in results] == [2] * len(cases), results
     assert not any("Traceback" in err for _, _, err in results)
+
+
+def test_fifo_node_file_or_code_json_exits_2_without_blocking(tmp_path, capsys):
+    # a FIFO with no writer blocks a plain open() for reading until one comes
+    layout = ["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"]
+    node_dir = encode_dir(tmp_path, capsys, ["encode", *layout], bytes(range(8)))
+    cases, errors = [], []
+    for name in ("node_002.txt", "code.json"):
+        dirpath = tmp_path / name.split(".")[0]
+        dirpath.mkdir()
+        for f in node_dir.iterdir():
+            if f.name != name:
+                (dirpath / f.name).write_bytes(f.read_bytes())
+        os.mkfifo(dirpath / name)
+        what = "node file " if name.startswith("node") else ""
+        for argv in (["reconstruct", "--node-dir", dirpath.name, "--nodes", "1,2,3"],
+                     ["repair", "--node-dir", dirpath.name, "--failed", "1", "--helpers", "2,3,4"]):
+            cases.append(argv)
+            errors.append(f"error: cannot read {what}{dirpath.name}/{name}: "
+                          "it is not a regular file\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", ARGV_RUNNER, str(src), str(ARGV_SECONDS)],
+                          input=json.dumps(cases), capture_output=True, text=True, cwd=tmp_path,
+                          timeout=ARGV_SECONDS * len(cases))
+    assert proc.returncode == 0, proc.stderr
+    assert [(code, err) for _, code, err in json.loads(proc.stdout)] == [(2, e) for e in errors]

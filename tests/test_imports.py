@@ -1,5 +1,5 @@
-"""Every import in the package's modules is used, and every private helper is referenced;
-stdlib-ast checks, no linter."""
+"""Every import in the package's modules is used, every private helper is referenced, and only
+nodedir.write_files writes files; stdlib-ast checks, no linter."""
 
 import ast
 from pathlib import Path
@@ -81,4 +81,61 @@ def test_no_unreferenced_private_helpers_in_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = [entry for entry in unreferenced_private_defs(sources)
              if entry.rsplit(" ", 1)[1] not in KEPT_PRIVATE]
+    assert found == []
+
+
+# -- one writer ---------------------------------------------------------------------------
+
+WRITE_CALLS = {"os.replace", "os.rename", "os.fdopen"}
+WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def file_writes(source: str, allowed: str = "") -> list[tuple[int, str]]:
+    """(line, call) of each call that writes a file, outside any function named allowed:
+    os.replace, os.rename, os.fdopen, anything from tempfile, write_text, write_bytes, and an
+    open() or .open() given a constant write mode."""
+    tree = ast.parse(source)
+    skipped = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == allowed for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+            found.append((node.lineno, "from tempfile import"))
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        attr = node.func.attr if isinstance(node.func, ast.Attribute) else name
+        if attr == "open":
+            modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+            writes = any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                         and set(m.value) <= set("rwxabt+") and set(m.value) & set("wxa+")
+                         for m in modes)
+        else:
+            writes = (name in WRITE_CALLS or name.startswith("tempfile.")
+                      or attr in WRITE_METHODS)
+        if writes:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_checker_finds_file_writes():
+    source = ("import os, tempfile\nfrom tempfile import mkstemp\n"
+              "open(p)\nopen(p, 'rb')\nopen(p, mode='a')\np.open('w')\np.read_text()\n"
+              "os.replace(a, b)\nos.rename(a, b)\nos.fdopen(fd, 'wb')\ntempfile.mkstemp()\n"
+              "p.write_text(s)\np.write_bytes(b)\nos.open(p, os.O_RDONLY | os.O_NONBLOCK)\n"
+              "def keep():\n    os.replace(a, b)\n")
+    assert file_writes(source, allowed="keep") == [
+        (2, "from tempfile import"), (5, "open"), (6, "p.open"), (8, "os.replace"),
+        (9, "os.rename"), (10, "os.fdopen"), (11, "tempfile.mkstemp"), (12, "p.write_text"),
+        (13, "p.write_bytes")]
+    assert file_writes(source)[-1] == (16, "os.replace")
+
+
+def test_only_nodedir_write_files_writes_files():
+    # a second write path could not keep write_files' all-or-nothing batch
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in file_writes(path.read_text(),
+                                           "write_files" if path.name == "nodedir.py" else "")]
     assert found == []
