@@ -150,7 +150,7 @@ class LayeredCode:
         by_node, k = self._index_contents(contents), self.params.k
         if len(by_node) < k:
             raise ValidationError(f"need at least k={k} distinct nodes, got {len(by_node)}")
-        return self._data(by_node)
+        return self._data(by_node, self._groups(dict.fromkeys(by_node, GIVEN)))
 
     # -- repair ----------------------------------------------------------------
 
@@ -253,7 +253,8 @@ class LayeredCode:
         )
         new_code = LayeredCode(new_params, new_design, self.field)
         check_symbols(self.field, new_data, "symbol {!r} is not a field element")
-        return new_code, new_code.encode([*self._data(by_node), *new_data])
+        data = self._data(by_node, self._groups(dict.fromkeys(by_node, GIVEN)))
+        return new_code, new_code.encode([*data, *new_data])
 
     # -- helpers -----------------------------------------------------------------
 
@@ -274,10 +275,10 @@ class LayeredCode:
             by_node[x] = self.field.column(nc.symbols)
         return by_node
 
-    def _data(self, by_node) -> list[int]:
-        """The data that at least k nodes' columns hold, every stored symbol checked."""
+    def _data(self, by_node, groups: dict[bytes, list[int]]) -> list[int]:
+        """The data the nodes' columns hold, from one batched decode of the groups (_groups),
+        every GIVEN symbol checked; a GIVEN position whose node is absent reads as zero."""
         r, km = self.params.r, self.codec.dimension
-        groups = self._groups(dict.fromkeys(by_node, GIVEN))
         full = self._decode(self._block_major(by_node), groups, keep=range(km))
         data = [0] * self.data_len
         for i in range(km):

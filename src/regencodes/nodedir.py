@@ -18,12 +18,13 @@ write_files is the package's only writer: every command hands it one list of
 (path, text or bytes), its manifest included. It checks every target in list
 order, and makes its missing parents, before it writes a temp file beside each
 target, and only once all are written does it rename the temps over the
-targets, in list order. A target that is not a regular file or lies under a
-file, or an OSError before the first rename, removes the temps and the
-directories made, leaves every target as it was and exits 2 with "cannot write
-PATH: ..."; an OSError in a rename keeps the renames before it. Until the
-renames the new contents sit beside the old, so a re-encode briefly needs
-twice the directory's space.
+targets, in list order. A target that is not a regular file, lies under a file
+or repeats an earlier one (a name in the same os.path.realpath directory), or
+an OSError before the first rename, removes the temps and the directories
+made, leaves every target as it was and exits 2 with "cannot write PATH: ...";
+an OSError in a rename keeps the renames before it. Until the renames the new
+contents sit beside the old, so a re-encode briefly needs twice the directory's
+space.
 """
 
 from __future__ import annotations
@@ -62,17 +63,21 @@ def node_path(dirpath: Path, node: int) -> Path:
 def write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
     """Write every (path, text or bytes), or none of them, in the order and with the refusals
     the module docstring gives (ValidationError "cannot write PATH: ..."); returns the paths."""
-    parents, made, temps = set(), [], []
+    made, temps, real, seen = [], [], {}, set()
     try:
         for path, _ in files:
             with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # nothing there yet
                 if not stat.S_ISREG(os.stat(path).st_mode):  # the rename would replace it
                     raise ValidationError(f"cannot write {path}: it is not a regular file")
-            if path.parent not in parents:
-                parents.add(path.parent)
+            if path.parent not in real:
                 # deepest first, ahead of earlier targets' ones: each is empty when removed
                 made[:0] = takewhile(lambda d: not d.is_dir(), path.parents)
                 path.parent.mkdir(parents=True, exist_ok=True)
+                real[path.parent] = os.path.realpath(path.parent)  # once per directory
+            entry = (real[path.parent], path.name)  # the directory entry the rename replaces
+            if entry in seen:  # the later rename would replace the earlier output
+                raise ValidationError(f"cannot write {path}: it is named twice among the outputs")
+            seen.add(entry)
         for path, data in files:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
             temps.append(tmp)

@@ -13,18 +13,18 @@ Reconstruction has two exact methods and takes the one that needs fewer
 field operations for the nodes it is given (interpolation_method). Newton
 interpolation of the linearized polynomial takes O(F^2) multiplies and
 O(F^2) Frobenius steps and checks every symbol it did not take in the same
-pass (linearized_interpolate). The other decodes the inner code block by
-block into the evaluations u_l = f(x^l), with one free direction for each
-symbol a block lacks below r-m, and inverts the precode as a Vandermonde
-map in the conjugates of x, through x's minimal polynomial
-(vandermonde_interpolate): about kappa^2 multiplies and no Frobenius step,
-plus about kappa multiplies, kappa - F Frobenius steps and a small
-elimination per free direction.
-Newton wins when the nodes leave many evaluations free, as k nodes of a
-code with small k do. The precode and both methods hold
-their operands in the extension field's lane form (extfield.py), the form
-every multiply runs in, across their loops; linearized_eval, one point at a
-time through mul and frobenius, stays as their closed-form reference.
+pass (linearized_interpolate). The other runs the inner code's batched group
+decode (LayeredCode._data) into the evaluations u_l = f(x^l), with a block's
+missing positions below r-m filled with zeros, each adding one free
+direction, and inverts the precode as a Vandermonde map in the conjugates of
+x, through x's minimal polynomial (vandermonde_interpolate): about kappa^2
+multiplies and no Frobenius step, plus about kappa multiplies, kappa - F
+Frobenius steps and a small elimination per free direction. Newton wins when
+the nodes leave many evaluations free, as k nodes of a code with small k do.
+The precode and both methods hold their operands in the extension field's
+lane form (extfield.py), the form every multiply runs in, across their
+loops; linearized_eval, one point at a time through mul and frobenius, stays
+as their closed-form reference.
 
 F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
 recomputes subset ranks by eliminating an explicit generator matrix and
@@ -33,6 +33,7 @@ shares no code with rho.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -343,11 +344,12 @@ class PrecodedCode:
         (interpolation_method). Newton interpolation walks the symbols in
         node order, then slot order, once, through the first F independent
         points, and checks every other symbol against them
-        (linearized_interpolate). The Vandermonde route decodes the inner
-        code block by block into the evaluations u_l = f(x^l), with the
-        kappa - rank directions the missing symbols leave free, and inverts
-        the precode's Vandermonde structure (vandermonde_interpolate). Both
-        raise IntegrityError when a stored symbol disagrees with the rest.
+        (linearized_interpolate). The Vandermonde route runs the inner code's
+        batched group decode into the evaluations u_l = f(x^l), with the
+        deficient positions filled with zeros and the kappa - rank directions
+        they leave free (_inner_decode), and inverts the precode's Vandermonde
+        structure (vandermonde_interpolate). Both raise IntegrityError when a
+        stored symbol disagrees with the rest.
         """
         by_node = self.inner._index_contents(contents)
         if len(by_node) < self.k:
@@ -372,39 +374,29 @@ class PrecodedCode:
         """The evaluations u = f(theta) the given symbols fix, in the lane form, and the free
         directions (vandermonde_interpolate) that the missing ones leave.
 
-        The nodes store exactly inner.encode(u). A block with at least r-m given
-        positions decodes its r-m evaluations through the lowest r-m of them and
-        checks the others, raising IntegrityError on a mismatch. A block with fewer
-        also takes its lowest missing positions, as zeros, and each of those adds
-        the direction of its generator column. Every weight is a subfield element,
-        so each symbol taken is multiplied through its table of multiples.
+        The nodes store exactly inner.encode(u), so u is the inner code's batched group decode
+        (LayeredCode._data), which checks every further given symbol. A block with fewer than
+        r-m given positions also takes its lowest missing ones as given zeros, each adding the
+        direction of its generator column; blocks whose roles then agree decode as one group.
         """
-        f, inner = self.field, self.inner
-        r, km = inner.params.r, inner.codec.dimension
-        codec = self.subfield_codec
-        full = inner._block_major(by_node)
-        lanes, multiples = f._lanes_in, f._lane_multiples
-        evals = [0] * f.kappa
+        km = self.inner.codec.dimension
+        filled: defaultdict[bytes, list[int]] = defaultdict(list)
         free = []
-        misfit = False
         for key, blocks in groups.items():
-            known = [pos for pos, role in enumerate(key) if role == GIVEN]
             missing = [pos for pos, role in enumerate(key) if role != GIVEN]
-            zeros = missing[: max(0, km - len(known))]
-            chosen = sorted(known[:km] + zeros)
-            rows = codec.generator(chosen)
-            taken = [i for i, pos in enumerate(chosen) if pos not in zeros]
-            weights = [[row[i] for i in taken] for row in rows]
-            for b in blocks:
-                tabs = [multiples(lanes(full[b * r + chosen[i]])) for i in taken]
-                evals[b * km : (b + 1) * km] = [_combine(tabs, weights[j]) for j in range(km)]
-                for pos in known[km:]:
-                    misfit |= _combine(tabs, weights[pos]) != lanes(full[b * r + pos])
-                for pos in zeros:
-                    free.append((b * km, [row[chosen.index(pos)] for row in rows[:km]]))
-        if misfit:
-            raise IntegrityError(_INCONSISTENT)
-        return evals, free
+            zeros = missing[: max(0, km - key.count(GIVEN))]
+            if zeros:  # absent nodes read as zeros, so they decode as given ones
+                key = bytes(GIVEN if pos in zeros else role for pos, role in enumerate(key))
+                chosen = [pos for pos, role in enumerate(key) if role == GIVEN]
+                rows = self.subfield_codec.generator(chosen)[:km]
+                vecs = [[row[chosen.index(pos)] for row in rows] for pos in zeros]
+                free += [(b * km, vec) for b in blocks for vec in vecs]
+            filled[key] += blocks
+        try:
+            evals = self.inner._data(by_node, filled)
+        except IntegrityError:
+            raise IntegrityError(_INCONSISTENT) from None
+        return list(map(self.field._lanes_in, evals)), free
 
     def repair(
         self,

@@ -14,9 +14,9 @@ are not recorded.
     python tests/flow.py --against REV  compare a fresh run with the same cases run
                                         against REV's src/ (a git revision)
 
---against checks REV out with `git worktree add` into a temporary directory,
-runs this tree's cases against that checkout's package in a subprocess,
-prints every entry that differs and removes the worktree.
+--against unpacks `git archive REV src` into a temporary directory, so it
+writes nothing under .git, runs this tree's cases against that package in a
+subprocess, and prints every entry that differs.
 
 tests/test_flow.py runs the comparison in tier-1. A change that means to
 alter an output rewrites the JSON and names each changed entry; regenerating
@@ -37,6 +37,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 import zlib
 from pathlib import Path
@@ -499,17 +500,15 @@ with open(sys.argv[3], "w") as fh:
 def run_flow_against(rev: str) -> dict:
     """Run every case against the package as it is at the git revision rev."""
     repo = HERE.parent
+    archive = subprocess.run(["git", "-C", str(repo), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="flow-against-") as tmp:
-        checkout, out = Path(tmp) / "rev", Path(tmp) / "record.json"
-        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", str(checkout), rev],
-                       check=True, capture_output=True, text=True)
-        try:
-            subprocess.run([sys.executable, "-c", _RUN_AGAINST, str(checkout / "src"), str(HERE),
-                            str(out)], check=True)
-            return json.loads(out.read_text())
-        finally:
-            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(checkout)],
-                           check=True, capture_output=True)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        out = Path(tmp) / "record.json"
+        subprocess.run([sys.executable, "-c", _RUN_AGAINST, str(Path(tmp) / "src"), str(HERE),
+                        str(out)], check=True)
+        return json.loads(out.read_text())
 
 
 def main(argv: list[str]) -> int:
@@ -527,7 +526,8 @@ def main(argv: list[str]) -> int:
         try:
             pinned = run_flow_against(args.against)
         except subprocess.CalledProcessError as ex:
-            print(f"{ex.cmd[0]} failed: {(ex.stderr or '').strip()}", file=sys.stderr)
+            print(f"{ex.cmd[0]} failed: {(ex.stderr or b'').decode(errors='replace').strip()}",
+                  file=sys.stderr)
             return 2
     else:
         pinned = json.loads(HASHES.read_text())

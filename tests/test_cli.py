@@ -470,6 +470,23 @@ def test_unwritable_names_and_a_failed_write_exit_2_writing_nothing(tmp_path, ca
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize("report", ["nodes/node_001.txt", "nodes/../nodes/node_001.txt",
+                                    "link/node_001.txt"])
+def test_an_output_named_twice_exits_2_writing_nothing(tmp_path, capsys, monkeypatch, report):
+    # a report renamed over the rebuilt node file would leave a node file that no command reads
+    _, out_dir, _ = encode_small(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    (out_dir / "node_001.txt").unlink()
+    os.symlink("nodes", "link")
+    before = tree_digest(tmp_path)
+    assert main(["repair", "--node-dir", "nodes", "--failed", "1", "--helpers", "2,3,4",
+                 "--report", report]) == 2
+    err = f"error: cannot write {report}: it is named twice among the outputs\n"
+    assert capsys.readouterr() == ("", err)
+    assert tree_digest(tmp_path) == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_foreign_code_json_is_rejected(tmp_path, capsys):
     out_dir = tmp_path / "junk"
     out_dir.mkdir()

@@ -1,5 +1,6 @@
-"""Every import in the package's modules is used, every private helper is referenced, and only
-nodedir.write_files writes files; stdlib-ast checks, no linter."""
+"""Every import in the package's modules is used, every private helper is referenced, only
+nodedir.write_files writes files, and only layered.py reaches into LayeredCode's block-major
+list; stdlib-ast checks, no linter."""
 
 import ast
 from pathlib import Path
@@ -138,4 +139,36 @@ def test_only_nodedir_write_files_writes_files():
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in file_writes(path.read_text(),
                                            "write_files" if path.name == "nodedir.py" else "")]
+    assert found == []
+
+
+# -- one decode ---------------------------------------------------------------------------
+
+BLOCK_MAJOR = {"_block_major", "_decode", "_contents", "_column", "_members", "_member_chars"}
+
+
+def block_major_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each attribute, or string constant (as getattr takes), that names one
+    of LayeredCode's block-major internals."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BLOCK_MAJOR:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in BLOCK_MAJOR:
+            found.append((node.lineno, node.value))
+    return sorted(found)
+
+
+def test_checker_finds_block_major_uses():
+    source = ("full = code._block_major(by_node)\ncode.inner._decode(full, groups)\n"
+              "x = code._data(by_node, groups)\ny = code._members[0]\n"
+              "getattr(code, '_column')\n_contents = 1\ncode.decode()\n")
+    assert block_major_uses(source) == [(1, "_block_major"), (2, "_decode"), (4, "_members"),
+                                        (5, "_column")]
+
+
+def test_only_layered_reaches_into_the_block_major_list():
+    # a second decode over that list could drift from _decode's checks (ROADMAP aim 2)
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "layered.py" for line, name in block_major_uses(path.read_text())]
     assert found == []

@@ -473,7 +473,7 @@ def outcome(reconstruct, contents):
 DIFFERENTIAL_CODES = [
     ((5, 3, 4, 1, 1, 2), None),  # F=9
     ((5, 2, 3, 1, 2, 3), None),  # F=9
-    ((6, 4, 5, 1, 1, 3), 3),  # F=36
+    ((6, 4, 5, 1, 1, 3), None),  # F=36, the benchmark's code: zero-filled groups merge
     ((7, 4, 5, 1, 2, 4), 1),  # F=66
     ((6, 2, 5, 1, 1, 3), 4),  # F=20: 2 or 3 nodes leave 20 or 11 evaluations free, Newton's side
     ((5, 3, 3, 2, 2, 3), None),  # F=kappa=10: nothing left free, the Vandermonde side
