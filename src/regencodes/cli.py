@@ -14,10 +14,13 @@
     regencodes verify [--seed N]
 
 Node directories are read and written by nodedir.py, whose docstring gives
-their format. A command that writes files writes them in one all-or-nothing
-nodedir.write_files batch (temp files, then renames) with its JSON run
-manifest; a refused or unwritable target exits 2 with "cannot write PATH"
-before any target is replaced, and the command prints only after the write.
+their format. Every input file (data, design, code.json, node files) is read
+through designs.read_regular, so one that is not a regular file (a FIFO, a
+device, a pipe) exits 2 before a read can wait on it. A command that writes
+files writes them in one all-or-nothing nodedir.write_files batch (temp
+files, then renames) with its JSON run manifest; a refused or unwritable
+target exits 2 with "cannot write PATH" before any target is replaced, and
+the command prints only after the write.
 repair without --report writes no manifest: the directory's stays the
 encode's.
 Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
@@ -39,7 +42,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, nodedir
-from .designs import (complete_design, design_stats, load_design, read_capped,
+from .designs import (complete_design, design_stats, load_design, read_regular,
                       serialize_design, verify_steiner)
 from .errors import IntegrityError, ValidationError
 from .gf import binary_field
@@ -108,14 +111,10 @@ def _symbol_width(field) -> tuple[int, int]:
 
 def _read_data_file(path: Path, count: int, field) -> Sequence[int]:
     bits, nbytes = _symbol_width(field)
-    try:  # a longer file is not read whole
-        blob, size = read_capped(path, count * nbytes)
-    except OSError as ex:
-        raise ValidationError(f"cannot read data file {path}: {ex}") from None
-    if size != count * nbytes:
-        held = size if size is not None else f"more than {count * nbytes}"
+    blob, size = read_regular(path, "data file ", count * nbytes)  # a longer file is not read whole
+    if len(blob) != count * nbytes:
         raise ValidationError(
-            f"data file {path} holds {held} bytes; need exactly "
+            f"data file {path} holds {size} bytes; need exactly "
             f"{count} symbols x {nbytes} bytes = {count * nbytes}"
         )
     if nbytes == 1:

@@ -6,19 +6,23 @@ the degenerate t = r case, all r-subsets in lexicographic order; smaller t
 comes from files or the bundled designs. verify_steiner refuses a design
 with more than MAX_BLOCKS t-subsets before it expands any block, so a short
 file cannot make it allocate without bound, and load_design reads no further
-than MAX_DESIGN_CHARS, so a long one cannot either. The verdict is kept on
+than MAX_DESIGN_BYTES, so a long one cannot either. The verdict is kept on
 the design: complete_design's, Steiner by construction, is True and skips
 every check.
+
+read_regular is the package's only reader of input files (data, design,
+code.json, node files): it refuses all but a regular file before any read can
+wait, and reads no more than its caller's cap + 1 bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import stat
 from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
-from pathlib import Path
 
 from .errors import ValidationError
 
@@ -27,22 +31,14 @@ from .errors import ValidationError
 # block count; larger requests are refused
 MAX_BLOCKS = 100_000
 
-# a design file is read no further than MAX_DESIGN_CHARS characters: MAX_BLOCKS block lines of
-# 100 characters. A Steiner design with t < r holds N r <= N C(r,t) = C(n,t) <= MAX_BLOCKS
+# a design file is read no further than MAX_DESIGN_BYTES bytes: MAX_BLOCKS block lines of
+# 100 bytes. A Steiner design with t < r holds N r <= N C(r,t) = C(n,t) <= MAX_BLOCKS
 # points in all, none past n <= MAX_BLOCKS, so its file (under 0.8 MB) always fits. Only a
 # complete design (t = r) listed with more than about two million points in all does not;
 # complete_design builds those without a file, up to MAX_MEMBERS points in all: its blocks
 # hold C(n, r) r of them, which MAX_BLOCKS alone leaves unbounded as r nears n
-MAX_DESIGN_CHARS = 100 * MAX_BLOCKS
+MAX_DESIGN_BYTES = 100 * MAX_BLOCKS
 MAX_MEMBERS = 20 * MAX_BLOCKS
-
-# the analysis curves (tradeoff.py: region, points, compare) are refused before any point
-# is built when they would hold more than MAX_CSV_ROWS points, or, for points and compare,
-# when n exceeds MAX_BINOMIAL_BITS: their binomials are C(N, K) with N <= n, below 2^n.
-# A point costs up to O(n) operations on n-bit integers, so at both caps the slowest
-# admitted curves take one to two seconds (measured in CHANGES.md)
-MAX_CSV_ROWS = 20_000
-MAX_BINOMIAL_BITS = 512
 
 
 @dataclass(frozen=True)
@@ -193,23 +189,35 @@ def parse_design(text: str) -> BlockDesign:
     return BlockDesign(n=n, r=r, t=t, blocks=tuple(blocks))
 
 
-def read_capped(path: Path, cap: int, mode: str = "rb"):
-    """(contents, size) of a file, reading no more than cap + 1 bytes (characters in text mode):
-    a regular file's size from stat, anything else's the length read up to cap, else None."""
-    with open(path, mode) as fh:
-        contents, size = fh.read(cap + 1), os.fstat(fh.fileno()).st_size  # 0 if not regular
-    return contents, size or (len(contents) if len(contents) <= cap else None)
+def read_regular(path, what: str, cap: int) -> tuple[bytes, int]:
+    """A regular file's first cap + 1 bytes and its size from stat. It is opened without
+    blocking, so a FIFO or a device is refused before any read can wait on it; any failure
+    raises ValidationError "cannot read WHAT PATH: ..." (what is "node file ", say, or "")."""
+    try:
+        with open(path, "rb",
+                  opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+            st = os.fstat(fh.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise OSError("it is not a regular file")
+            return fh.read(cap + 1), st.st_size
+    except OSError as ex:
+        raise ValidationError(f"cannot read {what}{path}: {ex}") from None
+
+
+def read_regular_text(path, what: str, cap: int) -> str:
+    """read_regular's file as UTF-8 text, refused past cap bytes: "WHAT PATH is longer than the
+    CAP bytes it may hold", or "cannot read WHAT PATH: ..." when it is not UTF-8."""
+    blob = read_regular(path, what, cap)[0]
+    if len(blob) > cap:
+        raise ValidationError(f"{what}{path} is longer than the {cap} bytes it may hold")
+    try:
+        return blob.decode()
+    except UnicodeDecodeError as ex:
+        raise ValidationError(f"cannot read {what}{path}: {ex}") from None
 
 
 def load_design(path) -> BlockDesign:
-    try:
-        text = read_capped(Path(path), MAX_DESIGN_CHARS, "r")[0]
-    except (OSError, UnicodeDecodeError) as ex:
-        raise ValidationError(f"cannot read design file {path}: {ex}") from None
-    if len(text) > MAX_DESIGN_CHARS:
-        raise ValidationError(
-            f"design file {path} is longer than the {MAX_DESIGN_CHARS} characters it may hold")
-    return parse_design(text)
+    return parse_design(read_regular_text(path, "design file ", MAX_DESIGN_BYTES))
 
 
 def bundled_design_names() -> list[str]:

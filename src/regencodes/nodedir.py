@@ -10,9 +10,10 @@ parses it); crc is zlib.crc32 of that payload line, so a node file changed
 on disk fails with exit 3 naming the node before any decode. Header, alpha,
 payload length and hex digits are checked first (exit 2), and the kappa
 token only a precoded code's node files carry after the checksum (exit 2).
-code.json is read no further than CODE_JSON_CAP characters, and each of its
-numbers must be an int, not a bool, a float or a string (exit 2). A node file
-or code.json that is not a regular file (a FIFO, a device) exits 2 unread.
+code.json and node files are read through designs.read_regular, which
+refuses anything but a regular file (a FIFO, a device) unread with exit 2;
+code.json is read no further than CODE_JSON_CAP bytes, and each of its
+numbers must be an int, not a bool, a float or a string (exit 2).
 
 write_files is the package's only writer: every command hands it one list of
 (path, text or bytes), its manifest included. It checks every target in list
@@ -40,7 +41,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
-from .designs import MAX_BLOCKS, MAX_DESIGN_CHARS, BlockDesign, complete_design
+from .designs import (MAX_BLOCKS, MAX_DESIGN_BYTES, BlockDesign, complete_design,
+                      read_regular_text)
 from .errors import ValidationError
 from .gf import binary_field
 from .layered import (LayeredCode, NodeContents, SystemParams, build_code,
@@ -51,9 +53,9 @@ CODE_JSON_FORMAT = "regencodes-node-dir"
 CODE_JSON_VERSION = 2  # the only code.json layout read or written
 _PRECODED_PARAMS = ("n", "k", "d", "e", "m", "r")
 _LAYERED_PARAMS = _PRECODED_PARAMS + ("t",)  # SystemParams' fields
-# a code.json is its design's block lines (designs.MAX_DESIGN_CHARS at most), each quoted,
-# indented and ended in code.json by under 16 more characters, and under 4 KiB of the rest
-CODE_JSON_CAP = MAX_DESIGN_CHARS + 16 * MAX_BLOCKS + 4096
+# a code.json is its design's block lines (designs.MAX_DESIGN_BYTES at most), each quoted,
+# indented and ended in code.json by under 16 more bytes, and under 4 KiB of the rest
+CODE_JSON_CAP = MAX_DESIGN_BYTES + 16 * MAX_BLOCKS + 4096
 
 
 def node_path(dirpath: Path, node: int) -> Path:
@@ -104,15 +106,6 @@ def node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path,
     """(path, text) of each node's file, for write_files."""
     dirpath = Path(dirpath)
     return [(node_path(dirpath, nc.node), node_contents_to_text(nc, code)) for nc in state]
-
-
-def _read_regular(path: Path, cap: int) -> str:
-    """A regular file's text, no more than cap + 1 characters. It is opened without blocking,
-    so a FIFO or a device is refused, with an OSError, before any read can wait on it."""
-    with open(path, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise OSError("it is not a regular file")
-        return fh.read(cap + 1)
 
 
 def code_params(code) -> dict:
@@ -176,13 +169,7 @@ def _design(dd: dict) -> BlockDesign:
 def load_code(dirpath):
     """The code a node directory's code.json describes, rebuilt; ValidationError if it cannot be."""
     code_path = Path(dirpath) / "code.json"
-    try:
-        text = _read_regular(code_path, CODE_JSON_CAP)
-    except (OSError, UnicodeDecodeError) as ex:
-        raise ValidationError(f"cannot read {code_path}: {ex}") from None
-    if len(text) > CODE_JSON_CAP:
-        raise ValidationError(
-            f"{code_path} is longer than the {CODE_JSON_CAP} characters it may hold")
+    text = read_regular_text(code_path, "", CODE_JSON_CAP)
     try:
         meta = json.loads(text)
     except (ValueError, RecursionError) as ex:  # also an over-long int or too deep a nesting
@@ -232,13 +219,7 @@ def load_nodes(dirpath, code, nodes: Iterable[int]) -> list[NodeContents]:
     cap = code.alpha * code.field.hex_width + 4096  # the payload, room for header and line ends
     for x in nodes:
         path = node_path(dirpath, x)
-        try:
-            text = _read_regular(path, cap)
-        except (OSError, UnicodeDecodeError) as ex:
-            raise ValidationError(f"cannot read node file {path}: {ex}") from None
-        if len(text) > cap:
-            raise ValidationError(f"node file {path} is longer than the {cap} bytes it may hold")
-        nc = node_contents_from_text(text, code, path)
+        nc = node_contents_from_text(read_regular_text(path, "node file ", cap), code, path)
         if nc.node != x:
             raise ValidationError(f"{path} names node {nc.node}, expected {x}")
         out.append(nc)

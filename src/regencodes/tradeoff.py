@@ -29,9 +29,16 @@ from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .bandwidth import beta_at, beta_table
-from .designs import MAX_BINOMIAL_BITS, MAX_CSV_ROWS
 from .errors import IntegrityError, ValidationError
 from .precoded import rho_row
+
+# the analysis curves (region, points, compare) are refused before any point is built when
+# they would hold more than MAX_CSV_ROWS points, or, for points and compare, when n exceeds
+# MAX_BINOMIAL_BITS: their binomials are C(N, K) with N <= n, below 2^n. A point costs up to
+# O(n) operations on n-bit integers, so at both caps the slowest admitted curves take one to
+# two seconds (measured in CHANGES.md)
+MAX_CSV_ROWS = 20_000
+MAX_BINOMIAL_BITS = 512
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ region, points and compare, drawn up to 10^9, must end in exit 0 or 2 within
 a time limit and a 1 GiB address space: a request too large is refused, not
 run out of memory or time. So must 4 GiB sparse data and node files and
 /dev/zero in their place: a file longer than the code can use is refused
-before it is read whole.
+before it is read whole. A FIFO with no writer in place of any input file is
+refused (exit 2) before a read can wait on it.
 """
 
 import contextlib
@@ -484,11 +485,19 @@ def test_huge_data_and_node_files_exit_2_under_an_address_limit(tmp_path, capsys
     assert not any("Traceback" in err for _, _, err in results)
 
 
-def test_fifo_node_file_or_code_json_exits_2_without_blocking(tmp_path, capsys):
+def test_fifo_input_files_exit_2_without_blocking(tmp_path, capsys):
     # a FIFO with no writer blocks a plain open() for reading until one comes
     layout = ["--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3"]
     node_dir = encode_dir(tmp_path, capsys, ["encode", *layout], bytes(range(8)))
-    cases, errors = [], []
+    os.mkfifo(tmp_path / "fifo")
+    cases = [
+        ["encode", *layout, "--data", "fifo", "--out-dir", "out"],
+        ["extend", "--node-dir", node_dir.name, "--new-data", "fifo", "--out-dir", "ext"],
+        ["encode", *layout, "--design", "fifo", "--data", "data.bin", "--out-dir", "out"],
+        ["design", "--load", "fifo"],
+    ]
+    errors = [f"error: cannot read {what} file fifo: it is not a regular file\n"
+              for what in ("data", "data", "design", "design")]
     for name in ("node_002.txt", "code.json"):
         dirpath = tmp_path / name.split(".")[0]
         dirpath.mkdir()

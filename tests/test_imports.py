@@ -1,6 +1,6 @@
 """Every import in the package's modules is used, every private helper is referenced, only
-nodedir.write_files writes files, and only layered.py reaches into LayeredCode's block-major
-list; stdlib-ast checks, no linter."""
+nodedir.write_files writes files, only designs.read_regular opens files to read them, and only
+layered.py reaches into LayeredCode's block-major list; stdlib-ast checks, no linter."""
 
 import ast
 from pathlib import Path
@@ -91,13 +91,25 @@ WRITE_CALLS = {"os.replace", "os.rename", "os.fdopen"}
 WRITE_METHODS = {"write_text", "write_bytes"}
 
 
+def inside(tree: ast.AST, names) -> set[int]:
+    """The ids of the nodes inside any function whose name is in names."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in names for node in ast.walk(fn)}
+
+
+def write_mode(call: ast.Call) -> bool:
+    """An open() or .open() call given a constant write mode."""
+    modes = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and set(m.value) <= set("rwxabt+") and set(m.value) & set("wxa+") for m in modes)
+
+
 def file_writes(source: str, allowed: str = "") -> list[tuple[int, str]]:
     """(line, call) of each call that writes a file, outside any function named allowed:
     os.replace, os.rename, os.fdopen, anything from tempfile, write_text, write_bytes, and an
     open() or .open() given a constant write mode."""
     tree = ast.parse(source)
-    skipped = {id(node) for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and fn.name == allowed for node in ast.walk(fn)}
+    skipped = inside(tree, {allowed})
     found = []
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -109,10 +121,7 @@ def file_writes(source: str, allowed: str = "") -> list[tuple[int, str]]:
         name = ast.unparse(node.func)
         attr = node.func.attr if isinstance(node.func, ast.Attribute) else name
         if attr == "open":
-            modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
-            writes = any(isinstance(m, ast.Constant) and isinstance(m.value, str)
-                         and set(m.value) <= set("rwxabt+") and set(m.value) & set("wxa+")
-                         for m in modes)
+            writes = write_mode(node)
         else:
             writes = (name in WRITE_CALLS or name.startswith("tempfile.")
                       or attr in WRITE_METHODS)
@@ -139,6 +148,51 @@ def test_only_nodedir_write_files_writes_files():
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in file_writes(path.read_text(),
                                            "write_files" if path.name == "nodedir.py" else "")]
+    assert found == []
+
+
+# -- one reader ---------------------------------------------------------------------------
+
+READ_METHODS = {"open", "read_text", "read_bytes"}  # os.open included
+# designs.py functions besides read_regular that may read, each with the reason it stays
+KEPT_READERS = {
+    "bundled_design": "package data read through importlib.resources: not an input a command "
+                      "is given, so no FIFO or over-long file can stand in its place",
+}
+
+
+def file_reads(source: str, allowed=()) -> list[tuple[int, str]]:
+    """(line, call) of each call that opens a file to read it, outside the functions named in
+    allowed: os.open, read_text, read_bytes, and an open() or .open() not given a write mode."""
+    tree = ast.parse(source)
+    skipped = inside(tree, allowed)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skipped:
+            continue
+        name = ast.unparse(node.func)
+        attr = node.func.attr if isinstance(node.func, ast.Attribute) else name
+        if attr in READ_METHODS and not write_mode(node):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_checker_finds_file_reads():
+    source = ("import os\nopen(p)\nopen(p, 'rb', opener=o)\np.open()\nos.open(p, os.O_RDONLY)\n"
+              "p.read_text()\nres.read_bytes()\nopen(p, 'w')\nos.fdopen(fd, 'wb')\nfh.read(4)\n"
+              "os.stat(p)\ndef keep():\n    open(p)\n")
+    assert file_reads(source, allowed={"keep"}) == [
+        (2, "open"), (3, "open"), (4, "p.open"), (5, "os.open"), (6, "p.read_text"),
+        (7, "res.read_bytes")]
+    assert file_reads(source)[-1] == (13, "open")
+
+
+def test_only_designs_read_regular_opens_files_to_read():
+    # a second reader could block on a FIFO, or read an input past its cap
+    allowed = {"read_regular", *KEPT_READERS}
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in file_reads(path.read_text(),
+                                          allowed if path.name == "designs.py" else ())]
     assert found == []
 
 
