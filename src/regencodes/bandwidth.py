@@ -101,7 +101,7 @@ def beta_formula(n: int, e: int, m: int, r: int, d: int) -> Fraction:
     return Fraction(*beta_at(beta_table(n, e, r, d), m))
 
 
-def beta_table(n: int, e: int, r: int, d: int, binom=comb) -> list[tuple[int, int]]:
+def beta_table(n: int, e: int, r: int, d: int) -> list[tuple[int, int]]:
     """beta_formula's sum grouped by j = p - s: the pairs (j, N_j) with N_j nonzero, where
     N_j is the integer numerator of every term over m - j. Since s C(e,s) = e C(e-1,s-1),
     Vandermonde's identity sums the terms of one j over s:
@@ -109,12 +109,11 @@ def beta_table(n: int, e: int, r: int, d: int, binom=comb) -> list[tuple[int, in
         N_j = C(n-d-e, j) sum_s s C(e,s) C(d-1, r-1-s-j) = e C(n-d-e, j) C(d+e-2, r-2-j)
 
     No N_j depends on m, so beta_formula(n, e, m, r, d) = sum_j N_j / (m - j) for each m
-    of the domain. The caller checks (n, e, r, d); j runs to n-d-e, below m. binom is the
-    binomial coefficient; a curve passes one that keeps its values for the call.
+    of the domain. The caller checks (n, e, r, d); j runs to n-d-e, below m.
     """
     if d < 1:  # p would run from r-d > r-1 up to r-1: the sum is empty
         return []
-    return [(j, e * binom(n - d - e, j) * binom(d + e - 2, r - 2 - j))
+    return [(j, e * comb(n - d - e, j) * comb(d + e - 2, r - 2 - j))
             for j in range(max(0, r - d - e), min(n - d - e, r - 2) + 1)]
 
 

@@ -111,11 +111,15 @@ def _symbol_width(field) -> tuple[int, int]:
 
 def _read_data_file(path: Path, count: int, field) -> Sequence[int]:
     bits, nbytes = _symbol_width(field)
-    blob, size = read_regular(path, "data file ", count * nbytes)  # a longer file is not read whole
-    if len(blob) != count * nbytes:
+    want = count * nbytes
+    blob, size = read_regular(path, "data file ", want)  # a longer file is not read whole
+    if len(blob) != want:
+        held = size  # stat gives 0 for a procfs file; then the bytes read say what it holds
+        if size < len(blob):
+            held = len(blob) if len(blob) <= want else f"more than {want}"
         raise ValidationError(
-            f"data file {path} holds {size} bytes; need exactly "
-            f"{count} symbols x {nbytes} bytes = {count * nbytes}"
+            f"data file {path} holds {held} bytes; need exactly "
+            f"{count} symbols x {nbytes} bytes = {want}"
         )
     if nbytes == 1:
         out = blob  # one int per symbol already
@@ -213,8 +217,8 @@ def _cmd_encode(args) -> int:
     else:
         if args.design:
             raise ValidationError("precoded encode takes no --design; it uses the complete design")
-        for name in ("n", "k", "m", "e", "d", "r"):
-            if getattr(args, name) is None and not (name == "m" and args.k is not None):
+        for name in ("n", "k", "e", "d", "r"):
+            if getattr(args, name) is None:
                 raise ValidationError(f"precoded encode needs --{name}")
         m = args.m if args.m is not None else args.n - args.k
         code = build_precoded(n=args.n, k=args.k, d=args.d, e=args.e,

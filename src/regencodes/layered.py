@@ -195,9 +195,6 @@ class LayeredCode:
         at_pos = [self._member_chars[pos::r] for pos in range(r)]  # each position's members
         for key, blocks in affected.items():  # in order of their lowest blocks
             held = [pos for pos, role in enumerate(key) if role == GIVEN]
-            if len(held) < km:
-                raise IntegrityError(f"block {self.design.blocks[blocks[0]]} holds "
-                                     f"{len(held)} helper symbols, fewer than r-m={km}")
             sh = key.count(LOST), len(held)
             members = _gather(blocks)  # a position's members -> those of this group's blocks
             read[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[:km])

@@ -57,14 +57,13 @@ def rho(n: int, k: int, m: int, r: int) -> int:
     return rho_row(n, k, r)[r - m]
 
 
-def rho_row(n: int, k: int, r: int, binom=comb) -> list[int]:
+def rho_row(n: int, k: int, r: int) -> list[int]:
     """rho of one (n, k, r) at every t = r - m from 0 to r-1: entry t is
     sum_p C(k,p) C(n-k,r-p) min(p, t). Raising t by one adds the counts of every
     p >= t, so the row is one pass over the block counts, none of which depends on m.
-    The caller checks (n, k, r); binom is the binomial coefficient, as in
-    bandwidth.beta_table.
+    The caller checks (n, k, r).
     """
-    counts = {p: binom(k, p) * binom(n - k, r - p) for p in range(max(1, r - (n - k)), min(k, r) + 1)}
+    counts = {p: comb(k, p) * comb(n - k, r - p) for p in range(max(1, r - (n - k)), min(k, r) + 1)}
     row, value, above = [0], 0, sum(counts.values())  # above: the counts of p >= t
     for t in range(1, r):
         value += above
@@ -431,8 +430,6 @@ def build_precoded(
         n=n, k=inner_k, d=inner_k, e=min(m, inner_k - 1), m=m, r=r, t=r
     )
     inner = build_code(inner_params, field=field)
-    if inner.data_len != kappa:
-        raise IntegrityError("inner code size disagrees with kappa")
     # the extension codec must be the embedded image of the subfield codec,
     # or inner.encode(theta) would not give the evaluation points
     subfield_codec = mds_codec(field.subfield, r, r - m)

@@ -131,12 +131,8 @@ def _suite_formula(rng: random.Random) -> None:
         n = rng.randrange(3, 9)
         e = rng.randrange(1, min(3, n - 1) + 1)
         m = rng.randrange(e, min(3, n - 1) + 1)
-        if m >= n:
-            continue
         r = rng.randrange(m + 1, n + 1)
         d = rng.randrange(n - m, n - e + 1)
-        if d < 1:
-            continue
         design = complete_design(n, r)
         failed = rng.sample(range(1, n + 1), e)
         helpers = rng.sample(sorted(set(range(1, n + 1)) - set(failed)), d)

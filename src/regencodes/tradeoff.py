@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, isqrt
 from typing import Optional, Sequence
 
@@ -174,31 +173,20 @@ def k_threshold(e: int, p: int) -> int:
     return -(-num // den)
 
 
-def _floor_frac_plus_sqrt(a: int, rad: int, b: int) -> int:
-    """floor((a + sqrt(rad)) / b) for nonnegative rad and positive b, exactly."""
-    if rad < 0 or b <= 0:
-        raise ValidationError("radicand must be >= 0 and divisor > 0")
-    s = isqrt(rad)
-    j = (a + s) // b
-    # isqrt floors; bump if the true square root still clears the next step
-    t = (j + 1) * b - a
-    if t <= 0 or t * t <= rad:
-        j += 1
-    return j
-
-
 def p_star(k: int, e: int) -> int:
     """Number of group sizes below 2e + p_star that fall off the hull, plus one.
 
     Corner points are exactly MBCR and the r in [2e + p_star, k+e]. For e = 1
-    every r >= 2 is a corner and p_star = 1.
+    every r >= 2 is a corner and p_star = 1. For e >= 2, p_star - 1 is the floor of
+    the larger root in p of _n2(k, e, p) = 0, taken exactly in integers: for integers
+    a and b > 0, floor((a + sqrt(N)) / b) = floor((a + isqrt(N)) / b).
     """
     _require_ek(k, e)
     if e == 1:
         return 1
     rad = (2 * e * e - e + k - 1) ** 2 + 8 * (k + e - 1) * e * (e - 1) * (k - e - 1)
-    j = _floor_frac_plus_sqrt(e - k - 2 * e * e + 1, rad, 2 * (e + k - 1))
-    return j + 1
+    # e >= 2 and k > e make rad >= 0 and the divisor positive
+    return (e - k - 2 * e * e + 1 + isqrt(rad)) // (2 * (e + k - 1)) + 1
 
 
 def _n2(k: int, e: int, p: int) -> int:
@@ -362,11 +350,10 @@ def achievable_points_general(
     evaluated at every m; the points come out curve by curve, in m order.
     """
     m_values = curve_m_values(n, k, d, e, m_values)
-    binom = cache(comb)  # each binomial once per call; the tables of neighbouring r share them
     curves: dict[int, list[TradeoffPoint]] = {m: [] for m in m_values}
     for r in range(min(m_values) + 1, n + 1):
-        alpha = binom(n - 1, r - 1)
-        betas, rhos = beta_table(n, e, r, d, binom), rho_row(n, k, r, binom)
+        alpha = comb(n - 1, r - 1)
+        betas, rhos = beta_table(n, e, r, d), rho_row(n, k, r)
         for m, curve in curves.items():
             if m < r:
                 denom = rhos[r - m]

@@ -178,6 +178,12 @@ def test_closed_form_at_d_equals_k():
                 got = beta_closed_form_d_eq_k(k, e, r)
                 assert got == comb(k + e - 2, r - 2)
                 assert got == beta_formula(k + e, e, e, r, k)
+    with pytest.raises(ValidationError) as err:
+        beta_closed_form_d_eq_k(5, 2, 2)
+    assert str(err.value) == "need 1 <= e < r <= k+e, got k=5 e=2 r=2"
+    with pytest.raises(ValidationError) as err:
+        beta_closed_form_d_eq_k(2, 2, 3)
+    assert str(err.value) == "need k > e, got k=2 e=2"
 
 
 def test_layered_naive_e1_matches_oracle():
@@ -218,6 +224,12 @@ def test_steiner_validation():
         beta_steiner_e2(8, 2, 2)  # r < 3 leaves no margin for two failures
     with pytest.raises(ValidationError):
         beta_steiner_e2(9, 4, 3)  # no such block count
+    with pytest.raises(ValidationError) as err:
+        beta_steiner_e2(7, 3, 1)
+    assert str(err.value) == "need 2 <= t <= r <= n, got n=7 r=3 t=1"
+    with pytest.raises(ValidationError) as err:
+        beta_steiner_e2(6, 4, 2)  # C(6,2) = 15 is not a multiple of C(4,2) = 6
+    assert str(err.value) == "no S(2,4,6) block count: C(n,t)/C(r,t) not integral"
 
 
 def test_report_json_shape():

@@ -597,6 +597,20 @@ def test_oversized_data_and_node_files_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/version"), reason="needs procfs")
+def test_a_procfs_data_file_reports_the_bytes_read(tmp_path, capsys):
+    # stat gives 0 bytes for /proc/version; the refusal names what a read finds, up to the cap
+    length = len(Path("/proc/version").read_bytes())
+    argv = ["encode", "--e", "1", "--data", "/proc/version", "--out-dir", str(tmp_path / "out")]
+    assert main([*argv, "--n", "4", "--m", "1", "--d", "3", "--r", "3"]) == 2
+    assert capsys.readouterr().err == ("error: data file /proc/version holds more than 8 bytes; "
+                                       "need exactly 8 symbols x 1 bytes = 8\n")
+    assert main([*argv, "--n", "14", "--m", "4", "--d", "10", "--r", "9"]) == 2
+    assert capsys.readouterr().err == (f"error: data file /proc/version holds {length} bytes; "
+                                       "need exactly 10010 symbols x 1 bytes = 10010\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_dir_env_prefixes_relative_outputs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REGENCODES_OUT_DIR", str(tmp_path))
     data = tmp_path / "data.bin"
@@ -1070,6 +1084,19 @@ def test_compare_refuses_k_below_1_before_any_row(capsys):
         assert capsys.readouterr() == ("", f"error: compare needs k >= 1, got k={k}\n")
     assert main(["compare", "--n", "5", "--k", "5", "--d", "5"]) == 2
     assert capsys.readouterr() == ("", "error: compare needs k < n, got n=5 k=5\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["points", "--n", "5", "--k", "0", "--d", "2", "--e", "1"], "need 1 <= k <= n, got n=5 k=0"),
+    (["compare", "--n", "10", "--k", "7", "--d", "10"], "need k <= d <= n-1, got d=10"),
+    (["encode", "--n", "4", "--e", "1", "--d", "3", "--r", "3", "--data", "unread.bin",
+      "--out-dir", "nodes"], "layered encode needs --m"),
+])
+def test_refusals_name_their_bound(tmp_path, capsys, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analysis_size_gate_refuses_before_allocating(capsys):

@@ -113,6 +113,11 @@ def test_wrong_block_count_fails_stats():
     bad = BlockDesign(n=8, r=4, t=3, blocks=d.blocks[:13])
     with pytest.raises(ValidationError):
         design_stats(bad)
+    # 6 C(4,2) = C(9,2), but six blocks of four cannot share nine points evenly
+    blocks = ((1, 2, 3, 4), (1, 5, 6, 7), (1, 2, 8, 9), (2, 3, 5, 8), (3, 4, 6, 9), (4, 5, 7, 8))
+    with pytest.raises(ValidationError) as err:
+        design_stats(BlockDesign(n=9, r=4, t=2, blocks=blocks))
+    assert str(err.value) == "blocks per point = 24/9 is not an integer"
 
 
 def test_blocks_are_normalized_sorted():
@@ -121,6 +126,9 @@ def test_blocks_are_normalized_sorted():
 
 
 def test_block_validation():
+    with pytest.raises(ValidationError) as err:
+        BlockDesign(n=5, r=3, t=2, blocks=())
+    assert str(err.value) == "design has no blocks"
     with pytest.raises(ValidationError):
         BlockDesign(n=5, r=3, t=2, blocks=((1, 2),))  # wrong size
     with pytest.raises(ValidationError):
@@ -144,6 +152,9 @@ def test_parse_strictness():
         parse_design("")
     with pytest.raises(ValidationError):
         parse_design("4 2\n1 2\n")  # header too short
+    with pytest.raises(ValidationError) as err:
+        parse_design("a b c\n1 2 3\n")
+    assert str(err.value) == "design header must be three integers, got 'a b c'"
     with pytest.raises(ValidationError):
         parse_design("4 2 2\n1 2\n1 x\n")  # non-integer entry
     with pytest.raises(ValidationError):

@@ -271,6 +271,10 @@ def test_contains():
     assert not f.contains(None)
 
 
+def test_repr():
+    assert repr(extension_field(2, 3)) == "BinaryExtensionField(w=2, kappa=3)"
+
+
 def test_constructor_validation():
     with pytest.raises(ValidationError):
         extension_field(1, 1)  # total degree 1
@@ -278,6 +282,12 @@ def test_constructor_validation():
         BinaryExtensionField(binary_field(12), 2)  # subfield too wide
     with pytest.raises(ValidationError):
         extension_field(2, 0)
+    with pytest.raises(ValidationError) as err:
+        find_modulus(1)
+    assert str(err.value) == "modulus degree must be >= 2, got 1"
+    with pytest.raises(ValidationError) as err:
+        extension_field(2, 3).embed(4)
+    assert str(err.value) == "4 is not a GF(2^2) element"
 
 
 def test_extension_degree_is_bounded():

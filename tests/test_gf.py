@@ -111,3 +111,7 @@ def test_hex_width():
     assert binary_field(4).hex_width == 1
     assert binary_field(8).hex_width == 2
     assert binary_field(12).hex_width == 3
+
+
+def test_repr():
+    assert repr(binary_field(8)) == "BinaryField(w=8)"

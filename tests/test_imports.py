@@ -1,6 +1,7 @@
-"""Every import in the package's modules is used, every private helper is referenced, only
-nodedir.write_files writes files, only designs.read_regular opens files to read them, and only
-layered.py reaches into LayeredCode's block-major list; stdlib-ast checks, no linter."""
+"""Every import in the package's modules is used, every private helper is referenced, every
+cache is listed with the reason it pays, only nodedir.write_files writes files, only
+designs.read_regular opens files to read them, and only layered.py reaches into LayeredCode's
+block-major list; stdlib-ast checks, no linter."""
 
 import ast
 from pathlib import Path
@@ -82,6 +83,69 @@ def test_no_unreferenced_private_helpers_in_package():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = [entry for entry in unreferenced_private_defs(sources)
              if entry.rsplit(" ", 1)[1] not in KEPT_PRIVATE]
+    assert found == []
+
+
+# -- listed caches ------------------------------------------------------------------------
+
+CACHES = {"lru_cache", "cache", "cached_property"}
+# every cache in the package, each with the reason it pays: a cache that saves nothing only
+# adds a lookup per call (ROADMAP aim 2)
+KEPT_CACHES = {
+    "binary_field": "gf.py: one BinaryField per width, so its multiplication tables are built "
+                    "once and every code and codec of that width shares them",
+    "find_modulus": "extfield.py: the irreducibility search runs once per degree",
+    "extension_field": "extfield.py: one field per (w, kappa), so the subfield embedding, the "
+                       "Frobenius map and x's minimal polynomial are found once",
+    "MdsCodec._inv_diffs": "mds.py: the n^2 inverses a generator row is built from, computed "
+                           "on the first row a codec builds and shared by the rest",
+    "LayeredCode._member_chars": "layered.py: the block-major node ids as one str, built once "
+                                 "per code and read by every repair's bookkeeping",
+}
+
+
+def _simple_name(node: ast.AST):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def caches(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each cache in source: a function or method decorated with lru_cache,
+    cache or cached_property, by its qualified name (Class.method), and any other use of
+    those names, by its source text."""
+    tree = ast.parse(source)
+    found, decorators = [], set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if _simple_name(target) in CACHES:
+                        found.append((child.lineno, prefix + child.name))
+                        decorators.update(map(id, ast.walk(target)))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    found += [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in decorators
+              and _simple_name(node) in CACHES]
+    return sorted(found)
+
+
+def test_checker_finds_caches():
+    source = ("import functools\nfrom functools import cache, cached_property, lru_cache\n"
+              "@cache\ndef a(): pass\n@functools.lru_cache(maxsize=None)\ndef b(): pass\n"
+              "class C:\n    @cached_property\n    def c(self): pass\n    @property\n"
+              "    def d(self): pass\nbinom = cache(comb)\nf = functools.cache\n")
+    assert caches(source) == [(4, "a"), (6, "b"), (9, "C.c"), (12, "cache"),
+                              (13, "functools.cache")]
+
+
+def test_every_cache_is_listed():
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+             for line, name in caches(path.read_text()) if name not in KEPT_CACHES]
     assert found == []
 
 

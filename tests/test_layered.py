@@ -84,6 +84,14 @@ def test_reconstruct_rejects_duplicates(example_code, example_state):
         example_code.reconstruct(list(state) + [state[0]])
 
 
+def test_reconstruct_rejects_an_out_of_range_node():
+    code = build_code(SystemParams(n=4, k=3, d=3, e=1, m=1, r=3, t=3))
+    state = code.encode(list(range(code.data_len)))
+    with pytest.raises(ValidationError) as err:
+        code.reconstruct([NodeContents(node=9, symbols=state[0].symbols), *state[1:]])
+    assert str(err.value) == "node id 9 out of range 1..4"
+
+
 def test_reconstruct_rejects_wrong_alpha(example_code, example_state):
     _, state = example_state
     short = NodeContents(node=1, symbols=state[0].symbols[:5])
@@ -175,6 +183,9 @@ def test_system_params_validation():
         SystemParams(n=8, k=6, d=7, e=2, m=2, r=4, t=3)  # d > n-e
     with pytest.raises(ValidationError):
         SystemParams(n=8, k=6, d=6, e=2, m=2, r=4, t=5)  # t > r
+    with pytest.raises(ValidationError) as err:
+        SystemParams(n=8, k=6, d=6, e=2, m=2, r=4, t=0)
+    assert str(err.value) == "all system parameters must be >= 1"
 
 
 def test_build_code_checks_design_compatibility():

@@ -105,6 +105,9 @@ def test_constructor_validation():
         mds_codec(f, 300, 2)  # not enough field elements
     with pytest.raises(ValidationError):
         MdsCodec(field=f, length=3, dimension=2, points=(1, 1, 2))
+    with pytest.raises(ValidationError) as err:
+        MdsCodec(f, 3, 2, (0, 1))
+    assert str(err.value) == "need exactly one evaluation point per position"
 
 
 def test_identity_when_no_parity():

@@ -48,6 +48,12 @@ def test_rho_validation():
         rho(5, 5, 1, 3)  # m > n-k
     with pytest.raises(ValidationError):
         rho(5, 3, 2, 2)  # r <= m
+    with pytest.raises(ValidationError) as err:
+        rho(5, 0, 1, 2)
+    assert str(err.value) == "need 1 <= k <= n, got n=5 k=0"
+    with pytest.raises(ValidationError) as err:
+        rank_oracle(5, 3, 1, 2, [0, 1, 2])
+    assert str(err.value) == "nodes must lie in 1..n"
 
 
 def test_rho_row_is_rho_at_every_t():

@@ -108,6 +108,9 @@ def test_slope_matches_finite_differences():
             a, b = pts[r], pts[r + 1]
             fd = (b.beta_bar - a.beta_bar) / (b.alpha_bar - a.alpha_bar)
             assert slope_c1(k, e, r) == fd
+    with pytest.raises(ValidationError) as err:
+        slope_c1(5, 1, 6)
+    assert str(err.value) == "slope needs e+1 <= r <= k+e-1, got r=6"
 
 
 def test_p_max_values():
@@ -129,6 +132,9 @@ def test_k_threshold_values():
         assert k_threshold(e, e - 1) == 5 * e - 1
     with pytest.raises(ValidationError):
         k_threshold(3, 3)  # p above p_max
+    with pytest.raises(ValidationError) as err:
+        k_threshold(1, 0)
+    assert str(err.value) == "k_threshold needs e >= 2, got e=1"
 
 
 def test_p_star_spot_values():
@@ -191,6 +197,7 @@ def test_hull_oracle_drops_dominated_and_duplicate_points():
     dup = TradeoffPoint(Fraction(1), Fraction(1), "dup")
     hull = hull_oracle([dom, mid, b, dup, a])
     assert [p.coords() for p in hull] == [b.coords(), a.coords()]
+    assert hull_oracle([]) == []
 
 
 def test_region_rejects_broken_chains():
