@@ -27,17 +27,15 @@ as Fractions, block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .designs import BlockDesign
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class BandwidthReport:
+class BandwidthReport(NamedTuple):
     failed: tuple[int, ...]
     helpers: tuple[int, ...]
     msmr: Mapping[int, Fraction]

@@ -20,11 +20,12 @@ from __future__ import annotations
 import itertools
 import os
 import stat
-from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
+from typing import NamedTuple
 
 from .errors import ValidationError
+from .record import Record
 
 # complete designs are materialized block by block, verify_steiner expands
 # C(n, t) t-subsets, and a precoded code's extension degree grows with the
@@ -41,38 +42,34 @@ MAX_DESIGN_BYTES = 100 * MAX_BLOCKS
 MAX_MEMBERS = 20 * MAX_BLOCKS
 
 
-@dataclass(frozen=True)
-class BlockDesign:
+class BlockDesign(Record):
     n: int
     r: int
     t: int
     blocks: tuple[tuple[int, ...], ...]
-    _steiner: bool | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 1 <= self.t <= self.r <= self.n:
-            raise ValidationError(
-                f"need 1 <= t <= r <= n, got n={self.n} r={self.r} t={self.t}"
-            )
-        if not self.blocks:
+    def __init__(self, n: int, r: int, t: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        if n < 1 or not 1 <= t <= r <= n:
+            raise ValidationError(f"need 1 <= t <= r <= n, got n={n} r={r} t={t}")
+        if not blocks:
             raise ValidationError("design has no blocks")
         norm = []
-        for b in self.blocks:
+        for b in blocks:
             bb = tuple(sorted(b))
-            if len(bb) != self.r or len(set(bb)) != self.r:
-                raise ValidationError(f"block {b!r} must hold {self.r} distinct points")
-            if bb[0] < 1 or bb[-1] > self.n:
-                raise ValidationError(f"block {b!r} has points outside 1..{self.n}")
+            if len(bb) != r or len(set(bb)) != r:
+                raise ValidationError(f"block {b!r} must hold {r} distinct points")
+            if bb[0] < 1 or bb[-1] > n:
+                raise ValidationError(f"block {b!r} has points outside 1..{n}")
             norm.append(bb)
-        object.__setattr__(self, "blocks", tuple(norm))
+        # _steiner is verify_steiner's kept verdict, None until it runs
+        vars(self).update(n=n, r=r, t=t, blocks=tuple(norm), _steiner=None)
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class DesignStats:
+class DesignStats(NamedTuple):
     N: int        # blocks
     alpha: int    # blocks through a point, N r / n
     lambda2: int  # blocks through a pair (0 when t < 2)
@@ -107,7 +104,7 @@ def complete_design(n: int, r: int) -> BlockDesign:
     if not 1 <= r <= n:
         raise ValidationError(f"need 1 <= r <= n, got n={n} r={r}")
     check_block_count(n, r)
-    design = object.__new__(BlockDesign)  # no __post_init__: the blocks are sorted and distinct
+    design = object.__new__(BlockDesign)  # no __init__: the blocks are sorted and distinct
     blocks = tuple(itertools.combinations(range(1, n + 1), r))
     vars(design).update(n=n, r=r, t=r, blocks=blocks, _steiner=True)
     return design

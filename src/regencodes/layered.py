@@ -44,13 +44,12 @@ import sys
 import zlib
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
@@ -58,13 +57,13 @@ from .errors import IntegrityError, ValidationError
 from .extfield import BinaryExtensionField
 from .gf import binary_field, check_symbols
 from .mds import MdsCodec, mds_codec
+from .record import Record
 
 GIVEN, LOST = 1, 2  # a position's role in _groups; 0 is neither
 _UTF32 = f"utf-32-{sys.byteorder[0]}e"  # array("I") items are native-order 32-bit words
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record):
     n: int  # storage nodes
     k: int  # any k nodes reconstruct the data
     d: int  # helpers contacted per repair
@@ -73,25 +72,21 @@ class SystemParams:
     r: int  # group size
     t: int  # covering order of the block design
 
-    def __post_init__(self) -> None:
-        if min(self.n, self.k, self.d, self.e, self.m, self.r, self.t) < 1:
+    def __init__(self, n: int, k: int, d: int, e: int, m: int, r: int, t: int) -> None:
+        if min(n, k, d, e, m, r, t) < 1:
             raise ValidationError("all system parameters must be >= 1")
-        if not self.e <= self.m < self.r <= self.n:
-            raise ValidationError(
-                f"need e <= m < r <= n, got e={self.e} m={self.m} r={self.r} n={self.n}"
-            )
-        if self.t > self.r:
-            raise ValidationError(f"need t <= r, got t={self.t} r={self.r}")
-        if self.k != self.n - self.m:
-            raise ValidationError(f"need k = n - m, got k={self.k} n-m={self.n - self.m}")
-        if not self.k <= self.d <= self.n - self.e:
-            raise ValidationError(
-                f"need k <= d <= n - e, got k={self.k} d={self.d} n-e={self.n - self.e}"
-            )
+        if not e <= m < r <= n:
+            raise ValidationError(f"need e <= m < r <= n, got e={e} m={m} r={r} n={n}")
+        if t > r:
+            raise ValidationError(f"need t <= r, got t={t} r={r}")
+        if k != n - m:
+            raise ValidationError(f"need k = n - m, got k={k} n-m={n - m}")
+        if not k <= d <= n - e:
+            raise ValidationError(f"need k <= d <= n - e, got k={k} d={d} n-e={n - e}")
+        vars(self).update(n=n, k=k, d=d, e=e, m=m, r=r, t=t)
 
 
-@dataclass(frozen=True)
-class NodeContents:
+class NodeContents(NamedTuple):
     node: int
     symbols: Sequence[int]  # the node's column: one symbol per slot, blocks ascending
 
@@ -367,7 +362,15 @@ def build_code(
 
 # -- node files -------------------------------------------------------------------
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
+
+def _lower_hex(text: str) -> Optional[bytes]:
+    """text encoded, when it holds only the digits 0-9a-f; else None. isascii is O(1) on a
+    str and translate deletes the digits in C, so a payload is checked without a set."""
+    if text.isascii():
+        raw = text.encode()
+        if not raw.translate(None, b"0123456789abcdef"):
+            return raw
+    return None
 
 
 def _header_kappa(code) -> Optional[int]:
@@ -412,7 +415,7 @@ def node_contents_from_text(text: str, code, path=None) -> NodeContents:
     except ValueError:
         raise ValidationError(f"{at}bad node header {head!r}") from None
     crc = tokens[3][len("crc=") :]
-    if len(crc) != 8 or not set(crc) <= _HEX_DIGITS:
+    if len(crc) != 8 or _lower_hex(crc) is None:
         raise ValidationError(f"node {node}: bad checksum token {tokens[3]!r}")
     if not 1 <= node <= code.n:
         raise ValidationError(f"node id {node} out of range 1..{code.n}")
@@ -424,9 +427,10 @@ def node_contents_from_text(text: str, code, path=None) -> NodeContents:
             f"node {node}: payload holds {len(payload)} hex digits, "
             f"expected alpha x {width} = {alpha * width}"
         )
-    if not set(payload) <= _HEX_DIGITS:
+    raw = _lower_hex(payload)
+    if raw is None:
         raise ValidationError(f"node {node}: payload holds a character other than 0-9a-f")
-    if zlib.crc32(payload.encode()) != int(crc, 16):
+    if zlib.crc32(raw) != int(crc, 16):
         raise IntegrityError(f"node {node}: payload fails its checksum crc={crc}")
     expected = _header_kappa(code)
     if kappa != expected:

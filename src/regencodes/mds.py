@@ -20,33 +20,33 @@ positions asked for; the per-symbol encode and decode are its batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SymbolMismatch, ValidationError
 from .gf import check_symbols
+from .record import Record
 
 
-@dataclass(frozen=True)
-class MdsCodec:
+class MdsCodec(Record):
     field: object
     length: int
     dimension: int
     points: tuple[int, ...]
 
-    # sorted positions -> generator rows, None where not built yet; filled by _rows()
-    _generators: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.dimension <= self.length:
+    def __init__(self, field, length: int, dimension: int, points: tuple[int, ...]) -> None:
+        if not 1 <= dimension <= length:
             raise ValidationError(
-                f"codec needs 1 <= dimension <= length, got ({self.length}, {self.dimension})"
+                f"codec needs 1 <= dimension <= length, got ({length}, {dimension})"
             )
-        if len(self.points) != self.length:
+        if len(points) != length:
             raise ValidationError("need exactly one evaluation point per position")
-        if len(set(self.points)) != self.length:
+        if len(set(points)) != length:
             raise ValidationError("evaluation points must be distinct")
+        # _generators maps sorted positions to their generator rows, None where not built
+        # yet; _rows() fills it
+        vars(self).update(field=field, length=length, dimension=dimension, points=points,
+                          _generators={})
 
     @cached_property
     def _inv_diffs(self) -> list[list[int]]:

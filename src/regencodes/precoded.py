@@ -34,9 +34,8 @@ shares no code with rho.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .designs import check_block_count, complete_design
 from .errors import IntegrityError, ValidationError
@@ -309,8 +308,7 @@ def vandermonde_interpolate(
     return [field._lanes_out(mul(horner(w, conj[i]), inv_slopes[i])) for i in range(size)]
 
 
-@dataclass(frozen=True)
-class PrecodedCode:
+class PrecodedCode(NamedTuple):
     n: int
     k: int
     d: int

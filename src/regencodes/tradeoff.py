@@ -22,14 +22,14 @@ appear only in the CSV's float columns, each one numerator / denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bandwidth import beta_at, beta_table
 from .errors import IntegrityError, ValidationError
 from .precoded import rho_row
+from .record import Record
 
 # the analysis curves (region, points, compare) are refused before any point is built when
 # they would hold more than MAX_CSV_ROWS points, or, for points and compare, when n exceeds
@@ -40,8 +40,7 @@ MAX_CSV_ROWS = 20_000
 MAX_BINOMIAL_BITS = 512
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     alpha_bar: Fraction
     beta_bar: Fraction
     label: str
@@ -56,17 +55,15 @@ class TradeoffPoint:
         return (*self.alpha_bar.as_integer_ratio(), *self.beta_bar.as_integer_ratio())
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Record):
     k: int
     d: int
     e: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.e <= self.k <= self.d:
-            raise ValidationError(
-                f"need 1 <= e <= k <= d, got e={self.e} k={self.k} d={self.d}"
-            )
+    def __init__(self, k: int, d: int, e: int) -> None:
+        if not 1 <= e <= k <= d:
+            raise ValidationError(f"need 1 <= e <= k <= d, got e={e} k={k} d={d}")
+        vars(self).update(k=k, d=d, e=e)
 
 
 def _require_ek(k: int, e: int) -> None:
@@ -198,22 +195,16 @@ def _n2(k: int, e: int, p: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     k: int
     e: int
     corners: tuple[TradeoffPoint, ...]
     p_star: int
 
-    @property
-    def n_corners(self) -> int:
-        return len(self.corners)
-
-    def __post_init__(self) -> None:
-        pts = self.corners
-        if len(pts) < 2:
+    def __init__(self, k: int, e: int, corners: tuple[TradeoffPoint, ...], p_star: int) -> None:
+        if len(corners) < 2:
             raise IntegrityError("a region needs at least its two extreme corners")
-        ints = [pt.ints() for pt in pts]
+        ints = [pt.ints() for pt in corners]
         steps = []  # per segment: d_alpha and d_beta, each as (numerator, positive denominator)
         for (an, ad, bn, bd), (an2, ad2, bn2, bd2) in zip(ints, ints[1:]):
             da, db = an2 * ad - an * ad2, bn2 * bd - bn * bd2
@@ -227,6 +218,11 @@ class Region:
         for (da1, pa1, db1, pb1), (da2, pa2, db2, pb2) in zip(steps, steps[1:]):
             if not db1 * da2 * pb2 * pa1 > db2 * da1 * pb1 * pa2:
                 raise IntegrityError("corner chain is not strictly convex")
+        vars(self).update(k=k, e=e, corners=corners, p_star=p_star)
+
+    @property
+    def n_corners(self) -> int:
+        return len(self.corners)
 
 
 def corner_points(k: int, e: int) -> Region:

@@ -81,11 +81,13 @@ def test_complete_design_equals_the_checked_constructor(n, r, monkeypatch):
 
 def test_a_caller_built_design_never_starts_trusted(monkeypatch):
     d = complete_design(5, 3)
-    for other in (BlockDesign(n=5, r=3, t=3, blocks=d.blocks), dataclasses.replace(d),
+    for other in (BlockDesign(n=5, r=3, t=3, blocks=d.blocks),
                   parse_design(serialize_design(d))):
         assert other == d and other._steiner is None
     with pytest.raises(TypeError):
         BlockDesign(n=5, r=3, t=3, blocks=d.blocks, _steiner=True)
+    with pytest.raises(TypeError):  # a design is no dataclass, so this way in is closed
+        dataclasses.replace(d)
     # a complete design's shape with one block in place of another is found out
     bad = BlockDesign(n=5, r=3, t=3, blocks=d.blocks[:1] + d.blocks[:1] + d.blocks[2:])
     assert verify_steiner(bad) is False and bad._steiner is False

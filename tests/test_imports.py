@@ -1,9 +1,13 @@
 """Every import in the package's modules is used, every private helper is referenced, every
 cache is listed with the reason it pays, only nodedir.write_files writes files, only
 designs.read_regular opens files to read them, and only layered.py reaches into LayeredCode's
-block-major list; stdlib-ast checks, no linter."""
+block-major list; stdlib-ast checks, no linter. A fresh `import regencodes.cli` loads
+neither dataclasses nor inspect."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regencodes"
@@ -36,6 +40,17 @@ def test_no_unused_imports_in_package():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process that imports regencodes.cli first: `import dataclasses`
+    # (which imports inspect) and dataclass() code generation took a quarter of that import
+    # without a bytecode cache and half of it with one, and produced nothing. -S keeps
+    # site's .pth imports out of the count
+    code = "import sys, regencodes.cli; print(sorted({'dataclasses', 'inspect'} & {*sys.modules}))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # private helpers that only tests call, each with the reason it stays (ROADMAP aim 2)

@@ -379,6 +379,8 @@ def test_v2_node_text_refuses_structural_faults(example_code, example_state):
         (v2(payload[:-1]), "payload holds 13 hex digits"),  # odd width
         (v2("zz" + payload[2:]), "other than 0-9a-f"),
         (v2(payload.upper()), "other than 0-9a-f"),
+        (v2(payload[:5] + " " + payload[6:]), "other than 0-9a-f"),
+        (v2(payload[:5] + "\u00e9" + payload[6:]), "other than 0-9a-f"),  # 14 characters
         (v2(payload, crc_token="crc=12345"), "bad checksum token"),
         (v2(payload, crc_token="crc=1234567g"), "bad checksum token"),
         (v2("not even hex", alpha=6), "header says alpha=6"),  # before the payload
