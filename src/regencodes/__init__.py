@@ -11,6 +11,7 @@ from .bandwidth import (
     beta_layered_naive_e1,
     beta_oracle,
     beta_steiner_e2,
+    rho,
 )
 from .designs import (
     BlockDesign,
@@ -42,7 +43,6 @@ from .precoded import (
     linearized_eval,
     linearized_precode,
     rank_oracle,
-    rho,
 )
 from .tradeoff import (
     BoundParams,

@@ -1,4 +1,4 @@
-"""Repair bandwidth: closed forms and a direct per-block accounting oracle.
+"""Repair bandwidth and data size: closed forms and a direct per-block accounting oracle.
 
 Bandwidth counts symbols sent by helpers to the repair center, exactly, as
 Fractions. Three accountings of the same repair:
@@ -22,7 +22,8 @@ msmr sum is held as a table per (n, e, r, d), one integer numerator per
 denominator m - j (beta_table), which does not depend on m: beta_formula
 evaluates it at one m over one common denominator (beta_at), and a curve
 builds it once per r and evaluates it at every m. The oracle adds its shares
-as Fractions, block by block.
+as Fractions, block by block. rho, a precoded code's data size F, which a
+curve divides by, is held likewise at every m of one (n, k, r) (rho_row).
 """
 
 from __future__ import annotations
@@ -132,6 +133,41 @@ def _check_formula_args(n: int, e: int, m: int, r: int, d: int) -> None:
         )
     if d > n - e:
         raise ValidationError(f"d={d} exceeds the surviving nodes n-e = {n - e}")
+
+
+def rho(n: int, k: int, m: int, r: int) -> int:
+    """Data symbols retained by an (n, k) precoded code with group size r.
+
+    Sums min(p, r-m) over the blocks meeting a fixed k-set in p points:
+    rho = sum_p C(k,p) C(n-k,r-p) min(p, r-m). Equals (r-m) C(n,r) when
+    m = n-k (the plain layered case).
+    """
+    _check_shape(n, k, m, r)
+    return rho_row(n, k, r)[r - m]
+
+
+def rho_row(n: int, k: int, r: int) -> list[int]:
+    """rho of one (n, k, r) at every t = r - m from 0 to r-1: entry t is
+    sum_p C(k,p) C(n-k,r-p) min(p, t). Raising t by one adds the counts of every
+    p >= t, so the row is one pass over the block counts, none of which depends on m.
+    The caller checks (n, k, r).
+    """
+    counts = {p: comb(k, p) * comb(n - k, r - p) for p in range(max(1, r - (n - k)), min(k, r) + 1)}
+    row, value, above = [0], 0, sum(counts.values())  # above: the counts of p >= t
+    for t in range(1, r):
+        value += above
+        above -= counts.get(t, 0)
+        row.append(value)
+    return row
+
+
+def _check_shape(n: int, k: int, m: int, r: int) -> None:
+    if not 1 <= k <= n:
+        raise ValidationError(f"need 1 <= k <= n, got n={n} k={k}")
+    if not 1 <= m <= n - k:
+        raise ValidationError(f"need 1 <= m <= n-k, got m={m} n-k={n - k}")
+    if not m < r <= n:
+        raise ValidationError(f"need m < r <= n, got m={m} r={r} n={n}")
 
 
 def beta_closed_form_d_eq_k(k: int, e: int, r: int) -> int:

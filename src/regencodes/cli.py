@@ -14,15 +14,9 @@
     regencodes verify [--seed N]
 
 Node directories are read and written by nodedir.py, whose docstring gives
-their format. Every input file (data, design, code.json, node files) is read
-through designs.read_regular, so one that is not a regular file (a FIFO, a
-device, a pipe) exits 2 before a read can wait on it. A command that writes
-files writes them in one all-or-nothing nodedir.write_files batch (temp
-files, then renames) with its JSON run manifest; a refused or unwritable
-target exits 2 with "cannot write PATH" before any target is replaced, and
-the command prints only after the write.
-repair without --report writes no manifest: the directory's stays the
-encode's.
+their format, and every file through files.py. A command writes its files and
+its JSON run manifest in one files.write_files batch, then prints; repair
+without --report writes no manifest, so the directory's stays the encode's.
 Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
 when it is set (commands both write and read node directories); other
 input paths are used as given.
@@ -42,9 +36,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, nodedir
-from .designs import (complete_design, design_stats, load_design, read_regular,
-                      serialize_design, verify_steiner)
+from .designs import complete_design, design_stats, load_design, serialize_design, verify_steiner
 from .errors import IntegrityError, ValidationError
+from .files import read_regular, write_files
 from .gf import binary_field
 from .layered import LayeredCode, SystemParams, build_code
 from .precoded import build_precoded
@@ -88,7 +82,7 @@ def _write(files: list[tuple[Path, object]], command: str, parameters: dict,
     }
     out = files[-1][0]
     path = directory / "manifest.json" if directory else out.with_name(out.name + ".manifest.json")
-    nodedir.write_files([*files, (path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")])
+    write_files([*files, (path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")])
     return path
 
 
@@ -258,7 +252,7 @@ def _cmd_repair(args) -> int:
         _write([*files, report_file], "repair", {"failed": failed, "helpers": helpers},
                inputs=[str(dirpath)])
     else:  # the directory's manifest stays the encode's
-        nodedir.write_files(files)
+        write_files(files)
     _print_json(payload)
     return 0
 

@@ -8,23 +8,17 @@ with more than MAX_BLOCKS t-subsets before it expands any block, so a short
 file cannot make it allocate without bound, and load_design reads no further
 than MAX_DESIGN_BYTES, so a long one cannot either. The verdict is kept on
 the design: complete_design's, Steiner by construction, is True and skips
-every check.
-
-read_regular is the package's only reader of input files (data, design,
-code.json, node files): it refuses all but a regular file before any read can
-wait, and reads no more than its caller's cap + 1 bytes.
+every check. Design files are read through files.read_regular_text.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import stat
-from importlib import resources
 from math import comb
 from typing import NamedTuple
 
 from .errors import ValidationError
+from .files import read_regular_text
 from .record import Record
 
 # complete designs are materialized block by block, verify_steiner expands
@@ -186,43 +180,20 @@ def parse_design(text: str) -> BlockDesign:
     return BlockDesign(n=n, r=r, t=t, blocks=tuple(blocks))
 
 
-def read_regular(path, what: str, cap: int) -> tuple[bytes, int]:
-    """A regular file's first cap + 1 bytes and its size from stat. It is opened without
-    blocking, so a FIFO or a device is refused before any read can wait on it; any failure
-    raises ValidationError "cannot read WHAT PATH: ..." (what is "node file ", say, or "")."""
-    try:
-        with open(path, "rb",
-                  opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-            st = os.fstat(fh.fileno())
-            if not stat.S_ISREG(st.st_mode):
-                raise OSError("it is not a regular file")
-            return fh.read(cap + 1), st.st_size
-    except OSError as ex:
-        raise ValidationError(f"cannot read {what}{path}: {ex}") from None
-
-
-def read_regular_text(path, what: str, cap: int) -> str:
-    """read_regular's file as UTF-8 text, refused past cap bytes: "WHAT PATH is longer than the
-    CAP bytes it may hold", or "cannot read WHAT PATH: ..." when it is not UTF-8."""
-    blob = read_regular(path, what, cap)[0]
-    if len(blob) > cap:
-        raise ValidationError(f"{what}{path} is longer than the {cap} bytes it may hold")
-    try:
-        return blob.decode()
-    except UnicodeDecodeError as ex:
-        raise ValidationError(f"cannot read {what}{path}: {ex}") from None
-
-
 def load_design(path) -> BlockDesign:
     return parse_design(read_regular_text(path, "design file ", MAX_DESIGN_BYTES))
 
 
 def bundled_design_names() -> list[str]:
+    from importlib import resources  # not at the top: of the commands, only verify needs it
+
     root = resources.files(__package__) / "data"
     return sorted(p.name[: -len(".design")] for p in root.iterdir() if p.name.endswith(".design"))
 
 
 def bundled_design(name: str) -> BlockDesign:
+    from importlib import resources
+
     res = resources.files(__package__) / "data" / f"{name}.design"
     try:
         text = res.read_text()

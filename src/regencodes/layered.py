@@ -54,7 +54,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
 from .errors import IntegrityError, ValidationError
-from .extfield import BinaryExtensionField
 from .gf import binary_field, check_symbols
 from .mds import MdsCodec, mds_codec
 from .record import Record
@@ -375,7 +374,7 @@ def _lower_hex(text: str) -> Optional[bytes]:
 
 def _header_kappa(code) -> Optional[int]:
     """The kappa token a node file of the code carries: its extension field's, else none."""
-    return code.field.kappa if isinstance(code.field, BinaryExtensionField) else None
+    return getattr(code.field, "kappa", None)
 
 
 def node_contents_to_text(nc: NodeContents, code) -> str:

@@ -5,54 +5,35 @@ construction, parameters, field and design: a complete design as
 {"n", "r", "t", "complete": true}, rebuilt on load, any other as its block
 list, one "p1 p2 ..." block line per JSON line. One node_XXX.txt per node
 holds the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and one line of the
-node's symbols as fixed-width hex in slot order (layered.py formats and
-parses it); crc is zlib.crc32 of that payload line, so a node file changed
-on disk fails with exit 3 naming the node before any decode. Header, alpha,
-payload length and hex digits are checked first (exit 2), and the kappa
-token only a precoded code's node files carry after the checksum (exit 2).
-code.json and node files are read through designs.read_regular, which
-refuses anything but a regular file (a FIFO, a device) unread with exit 2;
-code.json is read no further than CODE_JSON_CAP bytes, and each of its
-numbers must be an int, not a bool, a float or a string (exit 2).
-
-write_files is the package's only writer: every command hands it one list of
-(path, text or bytes), its manifest included. It checks every target in list
-order, and makes its missing parents, before it writes a temp file beside each
-target, and only once all are written does it rename the temps over the
-targets, in list order. A target that is not a regular file, lies under a file
-or repeats an earlier one (a name in the same os.path.realpath directory), or
-an OSError before the first rename, removes the temps and the directories
-made, leaves every target as it was and exits 2 with "cannot write PATH: ...";
-an OSError in a rename keeps the renames before it. Until the renames the new
-contents sit beside the old, so a re-encode briefly needs twice the directory's
-space.
+node's symbols as fixed-width hex in slot order (layered.py formats and parses
+it); crc is zlib.crc32 of that payload line, so a node file changed on disk
+fails with exit 3 naming the node before any decode. Header, alpha, payload
+length and hex digits are checked first (exit 2), and the kappa token only a
+precoded code's node files carry after the checksum (exit 2). Both go through
+files.py; code.json is read no further than CODE_JSON_CAP bytes, and each of
+its numbers must be an int, not a bool, a float or a string (exit 2).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import operator
-import os
-import stat
-import tempfile
-from itertools import takewhile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import __version__
-from .designs import (MAX_BLOCKS, MAX_DESIGN_BYTES, BlockDesign, complete_design,
-                      read_regular_text)
+from .designs import MAX_BLOCKS, MAX_DESIGN_BYTES, BlockDesign, complete_design
 from .errors import ValidationError
+from .files import read_regular_text, write_files
 from .gf import binary_field
 from .layered import (LayeredCode, NodeContents, SystemParams, build_code,
                       node_contents_from_text, node_contents_to_text)
-from .precoded import build_precoded
+from .precoded import PrecodedCode, build_precoded
 
 CODE_JSON_FORMAT = "regencodes-node-dir"
 CODE_JSON_VERSION = 2  # the only code.json layout read or written
-_PRECODED_PARAMS = ("n", "k", "d", "e", "m", "r")
-_LAYERED_PARAMS = _PRECODED_PARAMS + ("t",)  # SystemParams' fields
+_LAYERED_PARAMS = SystemParams._fields  # n, k, d, e, m, r, t
+_PRECODED_PARAMS = PrecodedCode._fields[:6]  # n, k, d, e, m, r: the rest are built from them
 # a code.json is its design's block lines (designs.MAX_DESIGN_BYTES at most), each quoted,
 # indented and ended in code.json by under 16 more bytes, and under 4 KiB of the rest
 CODE_JSON_CAP = MAX_DESIGN_BYTES + 16 * MAX_BLOCKS + 4096
@@ -60,46 +41,6 @@ CODE_JSON_CAP = MAX_DESIGN_BYTES + 16 * MAX_BLOCKS + 4096
 
 def node_path(dirpath: Path, node: int) -> Path:
     return dirpath / f"node_{node:03d}.txt"
-
-
-def write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
-    """Write every (path, text or bytes), or none of them, in the order and with the refusals
-    the module docstring gives (ValidationError "cannot write PATH: ..."); returns the paths."""
-    made, temps, real, seen = [], [], {}, set()
-    try:
-        for path, _ in files:
-            with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # nothing there yet
-                if not stat.S_ISREG(os.stat(path).st_mode):  # the rename would replace it
-                    raise ValidationError(f"cannot write {path}: it is not a regular file")
-            if path.parent not in real:
-                # deepest first, ahead of earlier targets' ones: each is empty when removed
-                made[:0] = takewhile(lambda d: not d.is_dir(), path.parents)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                real[path.parent] = os.path.realpath(path.parent)  # once per directory
-            entry = (real[path.parent], path.name)  # the directory entry the rename replaces
-            if entry in seen:  # the later rename would replace the earlier output
-                raise ValidationError(f"cannot write {path}: it is named twice among the outputs")
-            seen.add(entry)
-        for path, data in files:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-            temps.append(tmp)
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data if isinstance(data, bytes) else data.encode())
-        for (path, _), tmp in zip(files, temps):
-            os.replace(tmp, path)
-    except BaseException as ex:
-        for tmp in temps:  # a renamed one is gone already
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        for directory in made:  # one that a rename filled stays
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        if isinstance(ex, (FileExistsError, NotADirectoryError)):  # mkdir met a file
-            raise ValidationError(f"cannot write {path}: a parent is not a directory") from None
-        if isinstance(ex, OSError):
-            raise ValidationError(f"cannot write {path}: {ex.strerror or ex}") from None
-        raise
-    return [str(path) for path, _ in files]
 
 
 def node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path, str]]:

@@ -26,9 +26,9 @@ lane form (extfield.py), the form every multiply runs in, across their
 loops; linearized_eval, one point at a time through mul and frobenius, stays
 as their closed-form reference.
 
-F = rho(n, k, m, r) is the worst-case rank over k-subsets; rank_oracle
-recomputes subset ranks by eliminating an explicit generator matrix and
-shares no code with rho.
+F = rho(n, k, m, r) (bandwidth.py) is the worst-case rank over k-subsets;
+rank_oracle recomputes subset ranks by eliminating an explicit generator
+matrix and shares no code with rho.
 """
 
 from __future__ import annotations
@@ -37,47 +37,13 @@ from collections import defaultdict
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .bandwidth import _check_shape, rho
 from .designs import check_block_count, complete_design
 from .errors import IntegrityError, ValidationError
 from .extfield import BinaryExtensionField, extension_field
 from .gf import binary_field, check_symbols
 from .layered import GIVEN, LayeredCode, NodeContents, SystemParams, build_code
 from .mds import MdsCodec, mds_codec
-
-
-def rho(n: int, k: int, m: int, r: int) -> int:
-    """Data symbols retained by an (n, k) precoded code with group size r.
-
-    Sums min(p, r-m) over the blocks meeting a fixed k-set in p points:
-    rho = sum_p C(k,p) C(n-k,r-p) min(p, r-m). Equals (r-m) C(n,r) when
-    m = n-k (the plain layered case).
-    """
-    _check_shape(n, k, m, r)
-    return rho_row(n, k, r)[r - m]
-
-
-def rho_row(n: int, k: int, r: int) -> list[int]:
-    """rho of one (n, k, r) at every t = r - m from 0 to r-1: entry t is
-    sum_p C(k,p) C(n-k,r-p) min(p, t). Raising t by one adds the counts of every
-    p >= t, so the row is one pass over the block counts, none of which depends on m.
-    The caller checks (n, k, r).
-    """
-    counts = {p: comb(k, p) * comb(n - k, r - p) for p in range(max(1, r - (n - k)), min(k, r) + 1)}
-    row, value, above = [0], 0, sum(counts.values())  # above: the counts of p >= t
-    for t in range(1, r):
-        value += above
-        above -= counts.get(t, 0)
-        row.append(value)
-    return row
-
-
-def _check_shape(n: int, k: int, m: int, r: int) -> None:
-    if not 1 <= k <= n:
-        raise ValidationError(f"need 1 <= k <= n, got n={n} k={k}")
-    if not 1 <= m <= n - k:
-        raise ValidationError(f"need 1 <= m <= n-k, got m={m} n-k={n - k}")
-    if not m < r <= n:
-        raise ValidationError(f"need m < r <= n, got m={m} r={r} n={n}")
 
 
 def rank_oracle(

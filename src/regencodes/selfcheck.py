@@ -12,14 +12,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from .bandwidth import beta_formula, beta_oracle
+from .bandwidth import beta_formula, beta_oracle, rho
 from .designs import bundled_design, complete_design
 from .errors import IntegrityError
 from .extfield import extension_field
 from .gf import binary_field
 from .layered import SystemParams, build_code
 from .mds import mds_codec
-from .precoded import build_precoded, rank_oracle, rho
+from .precoded import build_precoded, rank_oracle
 from .tradeoff import achievable_points_c1, corner_points, hull_oracle, mbcr_point, p_star
 
 

@@ -14,7 +14,7 @@ The module computes:
 
 Every value is an exact rational. A curve builds its sums once per group size
 r, as integer tables that do not depend on m (bandwidth.beta_table for
-beta_formula, precoded.rho_row for rho), and evaluates them at each m in
+beta_formula, bandwidth.rho_row for rho), and evaluates them at each m in
 integers, so each coordinate is one Fraction. The corner checks and the CSV
 work on the integer numerators and denominators of those Fractions; floats
 appear only in the CSV's float columns, each one numerator / denominator.
@@ -26,9 +26,8 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .bandwidth import beta_at, beta_table
+from .bandwidth import beta_at, beta_table, rho_row
 from .errors import IntegrityError, ValidationError
-from .precoded import rho_row
 from .record import Record
 
 # the analysis curves (region, points, compare) are refused before any point is built when

@@ -47,7 +47,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
 
 # imported before any case changes the working directory
-from conftest import OLD_FORMAT_DIR  # noqa: E402
+from old_format import OLD_FORMAT_DIR  # noqa: E402
 from regencodes.cli import main as cli_main  # noqa: E402
 from regencodes.designs import bundled_design, serialize_design  # noqa: E402
 

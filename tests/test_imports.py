@@ -1,8 +1,9 @@
 """Every import in the package's modules is used, every private helper is referenced, every
-cache is listed with the reason it pays, only nodedir.write_files writes files, only
-designs.read_regular opens files to read them, and only layered.py reaches into LayeredCode's
-block-major list; stdlib-ast checks, no linter. A fresh `import regencodes.cli` loads
-neither dataclasses nor inspect."""
+cache is listed with the reason it pays, only files.write_files writes files, only
+files.read_regular opens files to read them, only layered.py reaches into LayeredCode's
+block-major list, and the modules import each other only along the package's layers;
+stdlib-ast checks, no linter. A fresh `import regencodes.cli` loads neither dataclasses,
+inspect nor importlib.resources."""
 
 import ast
 import os
@@ -45,9 +46,11 @@ def test_no_unused_imports_in_package():
 def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process that imports regencodes.cli first: `import dataclasses`
     # (which imports inspect) and dataclass() code generation took a quarter of that import
-    # without a bytecode cache and half of it with one, and produced nothing. -S keeps
-    # site's .pth imports out of the count
-    code = "import sys, regencodes.cli; print(sorted({'dataclasses', 'inspect'} & {*sys.modules}))"
+    # without a bytecode cache and half of it with one, and produced nothing. Only verify
+    # reads the bundled designs through importlib.resources. -S keeps site's .pth imports
+    # out of the count
+    code = ("import sys, regencodes.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'importlib.resources'} & {*sys.modules}))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert proc.stdout == "[]\n"
@@ -222,18 +225,19 @@ def test_checker_finds_file_writes():
     assert file_writes(source)[-1] == (16, "os.replace")
 
 
-def test_only_nodedir_write_files_writes_files():
+def test_only_write_files_writes_files():
     # a second write path could not keep write_files' all-or-nothing batch
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in file_writes(path.read_text(),
-                                           "write_files" if path.name == "nodedir.py" else "")]
+                                           "write_files" if path.name == "files.py" else "")]
     assert found == []
 
 
 # -- one reader ---------------------------------------------------------------------------
 
 READ_METHODS = {"open", "read_text", "read_bytes"}  # os.open included
-# designs.py functions besides read_regular that may read, each with the reason it stays
+# functions besides files.read_regular that may read, each in designs.py with the reason it
+# stays
 KEPT_READERS = {
     "bundled_design": "package data read through importlib.resources: not an input a command "
                       "is given, so no FIFO or over-long file can stand in its place",
@@ -266,12 +270,11 @@ def test_checker_finds_file_reads():
     assert file_reads(source)[-1] == (13, "open")
 
 
-def test_only_designs_read_regular_opens_files_to_read():
+def test_only_read_regular_opens_files_to_read():
     # a second reader could block on a FIFO, or read an input past its cap
-    allowed = {"read_regular", *KEPT_READERS}
+    allowed = {"files.py": {"read_regular"}, "designs.py": set(KEPT_READERS)}
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
-             for line, name in file_reads(path.read_text(),
-                                          allowed if path.name == "designs.py" else ())]
+             for line, name in file_reads(path.read_text(), allowed.get(path.name, ()))]
     assert found == []
 
 
@@ -305,3 +308,68 @@ def test_only_layered_reaches_into_the_block_major_list():
     found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              if path.name != "layered.py" for line, name in block_major_uses(path.read_text())]
     assert found == []
+
+
+# -- layers -------------------------------------------------------------------------------
+
+# the package modules each module may not reach through its imports, direct or not: the
+# tradeoff region and the closed forms under it run without the codec stack, and the layered
+# code without the extension field and the precode built over it; files.py reaches nothing
+# but errors
+CODEC_STACK = {"gf", "extfield", "mds", "layered", "precoded", "nodedir", "cli"}
+UNREACHED = {
+    "tradeoff": CODEC_STACK,
+    "bandwidth": CODEC_STACK,
+    "layered": {"extfield", "precoded"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package's modules that source imports anywhere in it, a function body included;
+    `from . import __version__`, a name of the __init__ re-export hub, is not one."""
+    package, found = SRC.name, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: one of the package's own
+                module = f"{package}.{module}".rstrip(".")
+            names = [module] if module != package else [f"{package}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith(package + "."))
+    return found - {"__version__"}
+
+
+def reached(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The modules start imports, and those they import, and so on."""
+    seen, todo = set(), [start]
+    while todo:
+        for dep in graph.get(todo.pop(), ()):
+            if dep not in seen:
+                seen.add(dep)
+                todo.append(dep)
+    return seen
+
+
+def test_checker_finds_package_imports():
+    source = ("import os.path\nimport regencodes.cli\nfrom . import __version__, nodedir\n"
+              "from .files import write_files\nfrom regencodes import gf\n"
+              "from regencodes.mds import mds_codec\nfrom os import path\n"
+              "def f():\n    from .selfcheck import run_suites\n")
+    assert package_imports(source) == {"cli", "nodedir", "files", "gf", "mds", "selfcheck"}
+    graph = {"a": {"b"}, "b": {"c", "a"}, "c": set(), "d": {"a"}}
+    assert reached(graph, "a") == {"a", "b", "c"}
+    assert reached(graph, "c") == set()
+
+
+def test_modules_import_along_the_layers():
+    # an import between layers is where a fact starts to be held twice (ROADMAP aim 2), and
+    # with the analysis layer free of the codec stack, region, points and compare can leave
+    # the field and codec modules unloaded (item 11)
+    graph = {path.stem: package_imports(path.read_text()) for path in SRC.glob("*.py")
+             if path.name != "__init__.py"}  # the re-export hub
+    banned = {**UNREACHED, "files": set(graph) - {"errors"}}
+    found = {name: sorted(reached(graph, name) & modules) for name, modules in banned.items()}
+    assert found == {name: [] for name in banned}

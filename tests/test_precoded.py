@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from regencodes import IntegrityError, NodeContents, ValidationError
-from regencodes.bandwidth import beta_formula
+from regencodes.bandwidth import beta_formula, rho, rho_row
 from regencodes import precoded
 from regencodes.extfield import extension_field
 from regencodes.precoded import (
@@ -23,8 +23,6 @@ from regencodes.precoded import (
     linearized_interpolate,
     linearized_precode,
     rank_oracle,
-    rho,
-    rho_row,
 )
 
 

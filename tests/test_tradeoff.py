@@ -9,8 +9,7 @@ from math import comb
 import pytest
 
 from regencodes import IntegrityError, ValidationError
-from regencodes.bandwidth import beta_layered_naive_e1
-from regencodes.precoded import rho
+from regencodes.bandwidth import beta_layered_naive_e1, rho
 from regencodes.tradeoff import (
     CSV_HEADER,
     BoundParams,
