@@ -19,7 +19,8 @@ its JSON run manifest in one files.write_files batch, then prints; repair
 without --report writes no manifest, so the directory's stays the encode's.
 Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
 when it is set (commands both write and read node directories); other
-input paths are used as given.
+input paths are used as given. A command imports precoded, tradeoff or
+selfcheck only when it runs them, so a layered codec command loads none.
 
 Exit codes: 0 success, 2 invalid input, 3 integrity failure.
 """
@@ -41,17 +42,6 @@ from .errors import IntegrityError, ValidationError
 from .files import read_regular, write_files
 from .gf import binary_field
 from .layered import LayeredCode, SystemParams, build_code
-from .precoded import build_precoded
-from .tradeoff import (
-    CSV_HEADER,
-    achievable_points_general,
-    compare_points,
-    csv_rows,
-    curve_m_values,
-    mbcr_point,
-    msmr_point,
-    region_points,
-)
 
 DEFAULT_SEED = 12345
 OUT_DIR_ENV = "REGENCODES_OUT_DIR"
@@ -133,6 +123,8 @@ def _data_to_bytes(symbols: Sequence[int], field) -> bytes:
 
 
 def _csv_text(rows: list[list[str]]) -> str:
+    from .tradeoff import CSV_HEADER
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -209,6 +201,8 @@ def _cmd_encode(args) -> int:
         field = binary_field(8 if args.field_width is None else args.field_width)
         code = build_code(params, design, field)
     else:
+        from .precoded import build_precoded
+
         if args.design:
             raise ValidationError("precoded encode takes no --design; it uses the complete design")
         for name in ("n", "k", "e", "d", "r"):
@@ -299,6 +293,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    from .tradeoff import csv_rows, region_points
+
     points, region = region_points(args.k, args.e)
     rows = csv_rows(points, corners=region.corners)
     _emit_csv(rows, args.out, "region", {"k": args.k, "e": args.e},
@@ -307,6 +303,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_points(args) -> int:
+    from .tradeoff import (achievable_points_general, csv_rows, curve_m_values, mbcr_point,
+                           msmr_point)
+
     m_values = None if args.m_values is None else _int_list(args.m_values, "--m-values")
     curves = curve_m_values(args.n, args.k, args.d, args.e, m_values)
     extremes = [msmr_point(args.k, args.d, args.e), mbcr_point(args.k, args.d, args.e)]
@@ -319,6 +318,8 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .tradeoff import compare_points, csv_rows
+
     n, k, d = args.n, args.k, args.d
     rows = csv_rows(compare_points(n, k, d))
     _emit_csv(rows, args.out, "compare", {"n": n, "k": k, "d": d, "m": n - k})

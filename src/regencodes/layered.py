@@ -44,14 +44,12 @@ import sys
 import zlib
 from array import array
 from collections import defaultdict
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .bandwidth import BandwidthReport
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
 from .errors import IntegrityError, ValidationError
 from .gf import binary_field, check_symbols
@@ -195,6 +193,10 @@ class LayeredCode:
             rest[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[km:])
 
         full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), affected)
+
+        from fractions import Fraction
+
+        from .bandwidth import BandwidthReport
 
         # (symbols read, further symbols held) per helper, in helpers_t order, per role class
         tally = {}

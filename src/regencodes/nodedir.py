@@ -28,12 +28,10 @@ from .files import read_regular_text, write_files
 from .gf import binary_field
 from .layered import (LayeredCode, NodeContents, SystemParams, build_code,
                       node_contents_from_text, node_contents_to_text)
-from .precoded import PrecodedCode, build_precoded
 
 CODE_JSON_FORMAT = "regencodes-node-dir"
 CODE_JSON_VERSION = 2  # the only code.json layout read or written
 _LAYERED_PARAMS = SystemParams._fields  # n, k, d, e, m, r, t
-_PRECODED_PARAMS = PrecodedCode._fields[:6]  # n, k, d, e, m, r: the rest are built from them
 # a code.json is its design's block lines (designs.MAX_DESIGN_BYTES at most), each quoted,
 # indented and ended in code.json by under 16 more bytes, and under 4 KiB of the rest
 CODE_JSON_CAP = MAX_DESIGN_BYTES + 16 * MAX_BLOCKS + 4096
@@ -49,11 +47,18 @@ def node_files(dirpath, code, state: Iterable[NodeContents]) -> list[tuple[Path,
     return [(node_path(dirpath, nc.node), node_contents_to_text(nc, code)) for nc in state]
 
 
+def _precoded_params() -> tuple[str, ...]:
+    """n, k, d, e, m, r: the rest of a PrecodedCode's fields are built from them."""
+    from .precoded import PrecodedCode  # loaded by a precoded command only
+
+    return PrecodedCode._fields[:6]
+
+
 def code_params(code) -> dict:
     """The parameters code.json stores: n, k, d, e, m, r and, for a layered code, t."""
     if isinstance(code, LayeredCode):
         return {key: getattr(code.params, key) for key in _LAYERED_PARAMS}
-    return {key: getattr(code, key) for key in _PRECODED_PARAMS}
+    return {key: getattr(code, key) for key in _precoded_params()}
 
 
 def _code_json(code) -> dict:
@@ -133,8 +138,10 @@ def load_code(dirpath):
             design = _design(meta["design"])
             return build_code(sp, design, binary_field(_integer(fieldspec, "w", "field")))
         if construction == "precoded":
+            from .precoded import build_precoded
+
             code = build_precoded(**{key: _integer(params, key, "params")
-                                     for key in _PRECODED_PARAMS},
+                                     for key in _precoded_params()},
                                   w=_integer(fieldspec, "w", "field"))
             stored = fieldspec.get("modulus")
             if stored != hex(code.field.modulus):

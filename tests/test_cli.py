@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from regencodes import NodeContents, SystemParams, ValidationError, build_code, cli, tradeoff
+from regencodes import NodeContents, SystemParams, ValidationError, build_code, tradeoff
 from regencodes.cli import _build_parser, main
 from regencodes.designs import bundled_design, serialize_design
 from regencodes.layered import LayeredCode, node_contents_from_text, node_contents_to_text
@@ -1140,7 +1140,7 @@ def test_points_refuses_bad_extremes_before_any_curve(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("curves built for a refused command")
 
-    monkeypatch.setattr(cli, "achievable_points_general", unreachable)
+    monkeypatch.setattr(tradeoff, "achievable_points_general", unreachable)
     # valid curves (e <= n-k, k <= d <= n-e), but e > k leaves no msmr or mbcr point
     assert main(["points", "--n", "512", "--k", "15", "--d", "60", "--e", "141"]) == 2
     assert capsys.readouterr() == ("", "error: need 1 <= e <= k <= d, got e=141 k=15 d=60\n")

@@ -3,13 +3,19 @@ cache is listed with the reason it pays, only files.write_files writes files, on
 files.read_regular opens files to read them, only layered.py reaches into LayeredCode's
 block-major list, and the modules import each other only along the package's layers;
 stdlib-ast checks, no linter. A fresh `import regencodes.cli` loads neither dataclasses,
-inspect nor importlib.resources."""
+inspect nor importlib.resources, nor a module only some commands run; each command loads a
+pinned set of the package's modules; and the package's lazy public names stay as listed."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import regencodes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regencodes"
 
@@ -43,17 +49,62 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh `python -S` (site's .pth imports kept out of sys.modules) that
+    imports the package from this tree."""
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          check=True)
+
+
 def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process that imports regencodes.cli first: `import dataclasses`
     # (which imports inspect) and dataclass() code generation took a quarter of that import
     # without a bytecode cache and half of it with one, and produced nothing. Only verify
-    # reads the bundled designs through importlib.resources. -S keeps site's .pth imports
-    # out of the count
-    code = ("import sys, regencodes.cli; print(sorted("
-            "{'dataclasses', 'inspect', 'importlib.resources'} & {*sys.modules}))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
-    assert proc.stdout == "[]\n"
+    # reads the bundled designs through importlib.resources. The modules only some commands
+    # run (and fractions, with the decimal it imports) are loaded by those commands
+    unused = {"dataclasses", "inspect", "importlib.resources", "fractions", "decimal",
+              *(f"regencodes.{name}"
+                for name in ("extfield", "precoded", "tradeoff", "bandwidth", "selfcheck"))}
+    code = f"import sys, regencodes.cli; print(sorted({unused!r} & {{*sys.modules}}))"
+    assert fresh_python(code).stdout == "[]\n"
+
+
+# what `import regencodes.cli` loads: the layered codec commands run nothing else
+CLI = {"cli", "designs", "errors", "files", "gf", "layered", "mds", "nodedir", "record"}
+PRECODED = CLI | {"extfield", "precoded", "bandwidth"}  # precoded builds on bandwidth.rho
+ANALYSIS = CLI | {"tradeoff", "bandwidth"}  # the region and the closed forms it builds on
+LOADED = [  # each command, run in order, with the package's modules it loads
+    (["design", "--n", "5", "--r", "3"], CLI),
+    (["encode", "--n", "4", "--m", "1", "--e", "1", "--d", "3", "--r", "3",
+      "--data", "data.bin", "--out-dir", "nodes"], CLI),
+    (["reconstruct", "--node-dir", "nodes", "--nodes", "1,2,3", "--out", "back.bin"], CLI),
+    (["repair", "--node-dir", "nodes", "--failed", "1", "--helpers", "2,3,4"],
+     CLI | {"bandwidth"}),  # its report only
+    (["extend", "--node-dir", "nodes", "--new-data", "new.bin", "--out-dir", "grown"], CLI),
+    (["encode", "--construction", "precoded", "--n", "5", "--k", "3", "--d", "4", "--e", "1",
+      "--m", "1", "--r", "2", "--data", "pdata.bin", "--out-dir", "pnodes"], PRECODED),
+    (["reconstruct", "--node-dir", "pnodes", "--nodes", "2,4,5", "--out", "pback.bin"],
+     PRECODED),
+    (["repair", "--node-dir", "pnodes", "--failed", "1", "--helpers", "2,3,4,5"], PRECODED),
+    (["region", "--k", "4", "--e", "2"], ANALYSIS),
+    (["points", "--n", "7", "--k", "4", "--d", "5", "--e", "2"], ANALYSIS),
+    (["compare", "--n", "6", "--k", "4", "--d", "4"], ANALYSIS),
+]
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "data.bin").write_bytes(bytes(range(1, 9)))
+    (tmp_path / "new.bin").write_bytes(bytes([9, 10]))
+    (tmp_path / "pdata.bin").write_bytes(bytes(27))
+    code = ("import json, os, sys\nfrom regencodes.cli import main\nos.chdir(sys.argv[1])\n"
+            "status = main(sys.argv[2:])\nprint(json.dumps([status, sorted(\n"
+            "    m.split('.', 1)[1] for m in sys.modules if m.startswith('regencodes.'))]))")
+    loaded = {}
+    for argv, _ in LOADED:
+        lines = fresh_python(code, str(tmp_path), *argv).stdout.splitlines()
+        loaded[" ".join(argv)] = json.loads(lines[-1])
+    assert loaded == {" ".join(argv): [0, sorted(modules)] for argv, modules in LOADED}
 
 
 # private helpers that only tests call, each with the reason it stays (ROADMAP aim 2)
@@ -373,3 +424,33 @@ def test_modules_import_along_the_layers():
     banned = {**UNREACHED, "files": set(graph) - {"errors"}}
     found = {name: sorted(reached(graph, name) & modules) for name, modules in banned.items()}
     assert found == {name: [] for name in banned}
+
+
+# -- the public names ---------------------------------------------------------------------
+
+PUBLIC = [  # regencodes.__all__, in its order
+    "BandwidthReport", "beta_closed_form_d_eq_k", "beta_formula", "beta_layered_naive_e1",
+    "beta_oracle", "beta_steiner_e2", "rho", "BlockDesign", "DesignStats", "bundled_design",
+    "bundled_design_names", "complete_design", "design_stats", "load_design", "parse_design",
+    "serialize_design", "verify_steiner", "IntegrityError", "ValidationError",
+    "BinaryExtensionField", "extension_field", "BinaryField", "binary_field", "LayeredCode",
+    "NodeContents", "SystemParams", "build_code", "node_contents_from_text",
+    "node_contents_to_text", "MdsCodec", "mds_codec", "PrecodedCode", "build_precoded",
+    "linearized_eval", "linearized_precode", "rank_oracle", "BoundParams", "Region",
+    "TradeoffPoint", "achievable_point_c1", "achievable_points_c1",
+    "achievable_points_general", "compare_points", "corner_points", "functional_bound_check",
+    "hull_oracle", "k_threshold", "mbcr_point", "msmr_point", "p_max", "p_star", "slope_c1",
+    "__version__",
+]
+
+
+def test_the_package_names_resolve_from_their_modules():
+    assert regencodes.__all__ == PUBLIC
+    for name in PUBLIC[:-1]:  # each from the module the table names, so it cannot drift
+        assert getattr(regencodes, name).__module__ == f"regencodes.{regencodes._MODULE_OF[name]}"
+    star = {}
+    exec("from regencodes import *", star)
+    assert set(PUBLIC) <= set(star) and set(PUBLIC) <= set(dir(regencodes))
+    assert star["__version__"] == regencodes.__version__
+    with pytest.raises(AttributeError, match="^module 'regencodes' has no attribute 'nope'$"):
+        regencodes.nope  # noqa: B018
