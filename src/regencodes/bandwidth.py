@@ -125,8 +125,7 @@ def beta_at(table: list[tuple[int, int]], m: int) -> tuple[int, int]:
 def _check_formula_args(n: int, e: int, m: int, r: int, d: int) -> None:
     if not 1 <= e <= m:
         raise ValidationError(f"need 1 <= e <= m, got e={e} m={m}")
-    if not m < r <= n:
-        raise ValidationError(f"need m < r <= n, got m={m} r={r} n={n}")
+    _check_group(m, r, n)
     if d < n - m - e + 1:
         raise ValidationError(
             f"d={d} below the formula domain d >= n-m-e+1 = {n - m - e + 1}"
@@ -161,13 +160,18 @@ def rho_row(n: int, k: int, r: int) -> list[int]:
     return row
 
 
+def _check_group(m: int, r: int, n: int) -> None:
+    # the one check of the group size that rho and beta_formula share
+    if not m < r <= n:
+        raise ValidationError(f"need m < r <= n, got m={m} r={r} n={n}")
+
+
 def _check_shape(n: int, k: int, m: int, r: int) -> None:
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= n, got n={n} k={k}")
     if not 1 <= m <= n - k:
         raise ValidationError(f"need 1 <= m <= n-k, got m={m} n-k={n - k}")
-    if not m < r <= n:
-        raise ValidationError(f"need m < r <= n, got m={m} r={r} n={n}")
+    _check_group(m, r, n)
 
 
 def beta_closed_form_d_eq_k(k: int, e: int, r: int) -> int:

@@ -2,9 +2,12 @@
 
 Elements are ints: bit i is the coefficient of x^i in GF(2)[x]/(modulus).
 The modulus is the first irreducible polynomial of the right degree in a
-fixed enumeration and the subfield copy is located as the fixed space of the
-w-fold Frobenius, so equal parameters always rebuild the exact same field:
-moduli and embedding table are reproducible.
+fixed enumeration, read from the table _MODULUS_LOWS, which holds it for
+every degree up to MAX_EXTENSION_DEGREE, so a build searches for nothing.
+find_modulus, the search, is the table's oracle and regenerates it
+(tests/moduli.py); no build calls it. The subfield copy is located as the
+fixed space of the w-fold Frobenius, so equal parameters always rebuild the
+exact same field: moduli and embedding table are reproducible.
 
 The basis theta of the big field over the subfield is the power basis
 1, x, ..., x^(kappa-1). The modulus is irreducible of degree D = w*kappa,
@@ -24,7 +27,7 @@ coefficient products at C speed. A lane must not sum more than 255 of
 them, so the second operand is taken 255 lanes at a time: one multiply
 below D = 256, two at D = 280, five at D = 1024. A parity mask keeps each
 sum mod 2, and the lanes from D up are folded down by the modulus' low
-terms until none is left (twice for the searched moduli). mul(a, b)
+terms until none is left (twice for the table's moduli). mul(a, b)
 converts both operands in, multiplies and converts the product out; the
 precode and the interpolation in precoded.py multiply long chains of
 elements and hold them in the lane form throughout, converting once on
@@ -50,8 +53,8 @@ every i < kappa, in the lane form; the precode reads its points' z_i from
 there. On a 2-core x86-64 VM (Python 3.11), at w = 2, the solve takes about
 0.1 ms at D = 80 and 14 ms at D = 1024, the constants about 0.2 and 35 ms.
 
-The tables take about 4 D^2 bytes and the modulus search grows faster
-still, so a degree above MAX_EXTENSION_DEGREE is refused up front.
+The tables take about 4 D^2 bytes, and the modulus table ends at
+MAX_EXTENSION_DEGREE, so a degree above it is refused up front.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ from typing import Iterable, Sequence
 from .errors import IntegrityError, ValidationError
 from .gf import BinaryField, binary_field, lincomb_loop
 
-# at D = 1024 the modulus search takes about 1 s and the Frobenius tables
-# about 5 MB; D = 2048 searches for about 12 s (2-core x86-64 VM, Python 3.11)
+# the last degree _MODULUS_LOWS holds; at D = 1024 the Frobenius tables take about 5 MB.
+# Raising it means extending the table with tests/moduli.py --write, whose search takes
+# about 1 s at D = 1024 and about 12 s at D = 2048 (2-core x86-64 VM, Python 3.11)
 MAX_EXTENSION_DEGREE = 1024
 
 # the lane form's multiply takes its second operand 255 byte lanes at a time
@@ -131,19 +135,23 @@ def _is_irreducible(h: int, degree: int) -> bool:
     return cur == 2
 
 
-@lru_cache(maxsize=None)
-def find_modulus(degree: int) -> int:
-    """First irreducible binary polynomial of the given degree.
-
-    Enumerates ascending low bits; the constant term must be 1 and the
-    number of terms odd, or x or x+1 would divide.
-    """
+def _check_degree(degree: int) -> None:
     if degree < 2:
         raise ValidationError(f"modulus degree must be >= 2, got {degree}")
     if degree > MAX_EXTENSION_DEGREE:
         raise ValidationError(
             f"extension degree {degree} exceeds the limit of {MAX_EXTENSION_DEGREE}"
         )
+
+
+def find_modulus(degree: int) -> int:
+    """First irreducible binary polynomial of the given degree.
+
+    Enumerates ascending low bits; the constant term must be 1 and the
+    number of terms odd, or x or x+1 would divide. The oracle of _MODULUS_LOWS
+    and its generator (tests/moduli.py); no field build calls it.
+    """
+    _check_degree(degree)
     top = 1 << degree
     for low in range(3, top, 2):
         h = top | low
@@ -152,6 +160,66 @@ def find_modulus(degree: int) -> int:
         if _is_irreducible(h, degree):
             return h
     raise IntegrityError(f"no irreducible polynomial of degree {degree} found")
+
+
+def table_modulus(degree: int) -> int:
+    """find_modulus(degree), read from _MODULUS_LOWS: x^degree plus the entry's low terms."""
+    _check_degree(degree)
+    i = 2 * (degree - 2)
+    return 1 << degree | int.from_bytes(_MODULUS_LOWS[i : i + 2], "big")
+
+
+# find_modulus(D) ^ (1 << D) for each degree D from 2 to MAX_EXTENSION_DEGREE, two big-endian
+# bytes per degree: the largest, 0x16c1 at D = 768, needs 13 bits. Written by
+# `python tests/moduli.py --write` from the search and checked against it by --check and by
+# tier-1; not edited by hand
+_MODULUS_LOWS = bytes.fromhex(
+    "000300030003000500030003001b0003000900050009001b00210003002b0009000900270009000500030021001b"
+    "0009001b00270003000500030009008d004b001b00050035003f0063001100390009002700590021001b00030021"
+    "002d0071001d004b00090047007d0047009500110063007b0003002700690003001b001b0009002700a30065002b"
+    "002b005f001d0047004b00350065005f001d00af001100d7009500210107006500a3003f0069002d00ed00650005"
+    "00630077006f00410099004b006500c3006900bd001b0011006300af00530035005300950039002d002d00af0017"
+    "002700650101001b012300470005007d00af0095000300870021000900f30077006f00a30059002d013d016d00af"
+    "005301ab00f3002d00950063002d003f00a902fb00350009004d000300e100b1006900650137007b002d004d00e7"
+    "00c901ef025b00630041005f0161004d003f00030125007d004100bd002d01850017000900c300f30191015d010b"
+    "019d00e10065006501c100bb008701f7001d00b7000901ef006900ed002d004d00d101830035022500af024301cd"
+    "002d0081026b00990065002b0069008b007100f500f5008101370035003501b5016d00f5007b0107026700bd0095"
+    "00f500bd01cb01cd002100930027003f01290179017301230167005301a70215013d0093006f0095007d003f0087"
+    "002d042500bd025101fb006900d10311027f0245002d004d0149038700c30035011f01e3008700ed013b004b00b7"
+    "0021002102250213004d0167016100af01fb006501d500f5002d007b008b025b00f90035008d0021013b00af0021"
+    "0167003f0003003f00c5008b011503870173012300a90291008b0167007b016b00950161012f001b00a502f7007b"
+    "00170157040b00ed010b013d006f00f50047000500270333009300e7001b00af02cb011f015d03db0087011500e7"
+    "00f5019100650065014900bd0291032b006300e701f1016b0167002d0093019b012902010261016100bb008d05eb"
+    "002d010d016d01850161001701a1010b0251032b056300270223022301df004103950183009900cf013b0047019b"
+    "0081018501f7007d01e300c50257002d00bb003f0321007b0355010d01a7002d00a90419016d00a500d7013b0215"
+    "0225013b0077027f0081003500bb021f01ad007b02730167015b023d013d002b00eb036f00e7046b00710047019d"
+    "010d001b008100a5018f02bf00d106a3019d00bd027f01d50335007107f1014302f100cf026d021f00db022300c3"
+    "026105950257010d03c90843055f007d013d0003003f014902b90311009f0179005301fd00dd0297026100db05d7"
+    "01ad00f90215001b026102a1007b0053024f053f00b1019706a3007702cd0167003501310009005f031d031700f5"
+    "009f018900530401012501e300a9034d00a5062d01ab016b076d026b01fd02370223005302230283017300930489"
+    "04310003001d00a3014500a90407002704310201025d0143005f010b01c7007701f1031b01fb019d0213006f07d9"
+    "058103f9004b00cf04e5028500f502f101ad01ab004b043d00650653014f0a1700e70425032703bd03bb00690a5f"
+    "010d016706f3005305c50027014501ad010d00a50843016d0419015b0251018f0137055f02070071003f00c30077"
+    "00f5009f004d005902cb017302e502cb01a701e3024f00d7031b045b008700c3027f03ff0761003f00e10659035f"
+    "046702f7025d049d007d054700650095042f0207008700a901f7060f01ab006301cd061b015b01fd036f03690497"
+    "00f3002102ef082300090237006f01f10137013b00b101830a11028f0521016701ad04e9057706eb016d0d6702b5"
+    "003500630245006f035901b9004b0491011901b901e303c9016d008b0317034d001b05710267012f01490275019d"
+    "0635013b015d0213015d02cb067b017f00650395008b0363010d0161043b03d10035001b01c705e100390a69086b"
+    "009304610ae70027053f025101790077038d0c9f01ab0021032b001d026d0d510137009901850843018509270021"
+    "02f103a500170309077f06f3023701a100af045104b500c303f900f3041f02e504890dbf0ab100c30257020d066f"
+    "0009013701e3006902910b7f019116c102c10e15035300810541014f00d10cc9073101d5044f01df046d00d703bb"
+    "043b00bd056900c90473002700bd00530273021300e7009301e3055500c901790283028303c901ab068100ed031b"
+    "008103db010b006f00e70e3d01a7041303db08f1050f01e5011f00ed04b301c70201003f07610275007b0077001b"
+    "01c702a701cd00f904df056503dd016104c703c903eb0071013b067703eb0005006904e5013702670d2f02f10131"
+    "048300a9049708d50069044f026b005301ab00c3004d045d000304c702250a1d06dd0095047300f5008b047f0fb1"
+    "03650071056302290a8d092101d9034701b90183029b00d103cf03bb0419016b018f01370137013b00a902d5059f"
+    "0873000306af01c7018308f7026b061d02fb019101370b91014300a300bb0017014906350b91078f02a108d30275"
+    "00e103c30b2501bf0a4b0289040d0819001b0359020705b7013d028506c900e7017500b104830843034d05cf012f"
+    "01d904d501c70035010d01ab00c3025b035f011f00af00710641023710b301b90be904f705ed00530473025703eb"
+    "022501b9039300470081059f005f0e73034d004d020b014301c1015d007d041901b901150009016d010700eb071f"
+    "019d03530503013b0173026700b703dd03330039002b002d017301f103d70039010b10e308150017003f020700af"
+    "007d08ad025d007706f5050301ab00270a93008102cd"
+)
 
 
 def _span(basis: Sequence[int]) -> list[int]:
@@ -197,7 +265,7 @@ class BinaryExtensionField:
         self.degree = subfield.w * kappa
         if self.degree < 2:
             raise ValidationError("GF(2) needs no extension machinery; use BinaryField")
-        self.modulus = find_modulus(self.degree)
+        self.modulus = table_modulus(self.degree)
         self.order = 1 << self.degree
         # every multiply, construction included, goes through the lane form
         self._lane_constants()
@@ -235,7 +303,7 @@ class BinaryExtensionField:
         self._lane_low = (1 << self._lane_top) - 1
         self._lane_parity = int.from_bytes(b"\x01" * 2 * d, "big")
         # a folded lane sums one product per low term of the modulus: at most
-        # six for the pinned degrees, far below 256
+        # ten over the whole table, far below 256
         self._lane_tail = self._lanes_in(self.modulus ^ (1 << d))
 
     def _embed_subfield(self, images: list[int]) -> list[int]:

@@ -7,12 +7,13 @@ data, are read elsewhere (designs.bundled_design).
 
 Every command hands write_files one list of (path, text or bytes), its manifest included. It
 checks every target in list order, and makes its missing parents, before it writes a temp file
-beside each target, and only once all are written does it rename the temps over the targets,
-in list order. A target that is not a regular file, lies under a file or repeats an earlier one
-(a name in the same os.path.realpath directory), or an OSError before the first rename, removes
-the temps and the directories made, leaves every target as it was and exits 2 with "cannot
-write PATH: ..."; an OSError in a rename keeps the renames before it. Until the renames the new
-contents sit beside the old, so a re-encode briefly needs twice the directory's space.
+beside each target (TARGET.PID.N.tmp, mode 0600, N the first count whose name is free), and
+only once all are written does it rename the temps over the targets, in list order. A target
+that is not a regular file, lies under a file or repeats an earlier one (a name in the same
+os.path.realpath directory), or an OSError before the first rename, removes the temps and the
+directories made, leaves every target as it was and exits 2 with "cannot write PATH: ..."; an
+OSError in a rename keeps the renames before it. Until the renames the new contents sit beside
+the old, so a re-encode briefly needs twice the directory's space.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 import contextlib
 import os
 import stat
-import tempfile
-from itertools import takewhile
+from itertools import count, takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -72,8 +72,13 @@ def write_files(files: Sequence[tuple[Path, object]]) -> list[str]:
             if entry in seen:  # the later rename would replace the earlier output
                 raise ValidationError(f"cannot write {path}: it is named twice among the outputs")
             seen.add(entry)
+        pid = os.getpid()
         for path, data in files:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            for n in count():  # the first free name: an earlier process's stale temp stays
+                tmp = f"{path}.{pid}.{n}.tmp"
+                with contextlib.suppress(FileExistsError):
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                    break
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data if isinstance(data, bytes) else data.encode())

@@ -19,6 +19,7 @@ from regencodes.bandwidth import (
     beta_layered_naive_e1,
     beta_oracle,
     beta_steiner_e2,
+    rho,
 )
 from regencodes.designs import complete_design
 
@@ -167,6 +168,19 @@ def test_formula_domain_errors():
         beta_formula(8, 3, 2, 4, 6)  # e > m
     with pytest.raises(ValidationError):
         beta_formula(8, 2, 4, 4, 4)  # r <= m
+
+
+@pytest.mark.parametrize("call, first", [
+    # each input fails two checks; the refusal pins which comes first
+    (lambda: rho(5, 6, 1, 9), "need 1 <= k <= n, got n=5 k=6"),  # also r > n
+    (lambda: rho(5, 3, 3, 2), "need 1 <= m <= n-k, got m=3 n-k=2"),  # also r <= m
+    (lambda: beta_formula(8, 0, 4, 4, 6), "need 1 <= e <= m, got e=0 m=4"),  # also r <= m
+    (lambda: beta_formula(8, 2, 4, 4, 2), "need m < r <= n, got m=4 r=4 n=8"),  # also d low
+])
+def test_the_first_failed_check_names_the_refusal(call, first):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == first
 
 
 def test_closed_form_at_d_equals_k():

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 from regencodes import NodeContents, SystemParams, ValidationError, build_code, tradeoff
 from regencodes.cli import _build_parser, main
 from regencodes.designs import bundled_design, serialize_design
+from regencodes.files import write_files
 from regencodes.layered import LayeredCode, node_contents_from_text, node_contents_to_text
 from regencodes.tradeoff import CSV_HEADER, MAX_BINOMIAL_BITS, MAX_CSV_ROWS
 
@@ -468,6 +470,19 @@ def test_unwritable_names_and_a_failed_write_exit_2_writing_nothing(tmp_path, ca
     assert capsys.readouterr() == ("", err)
     assert tree_digest(tmp_path) == before
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_stale_temp_file_is_skipped_and_kept(tmp_path):
+    # a temp left by an earlier process of the same pid holds the first name write_files tries
+    target, other = tmp_path / "out.bin", tmp_path / "sub" / "other.txt"
+    stale = tmp_path / f"out.bin.{os.getpid()}.0.tmp"
+    stale.write_bytes(b"stale")
+    assert write_files([(target, b"new"), (other, "text")]) == [str(target), str(other)]
+    assert target.read_bytes() == b"new" and other.read_text() == "text"
+    assert stale.read_bytes() == b"stale"
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == [stale.name]
+    for path in (target, other):  # owner read and write only
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize("report", ["nodes/node_001.txt", "nodes/../nodes/node_001.txt",

@@ -1,10 +1,14 @@
 """Structure checks for GF((2^w)^kappa): modulus, embedding, basis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from regencodes import ValidationError, binary_field
+from regencodes import ValidationError, binary_field, extfield
 from regencodes.extfield import (
     MAX_EXTENSION_DEGREE,
     BinaryExtensionField,
@@ -12,6 +16,7 @@ from regencodes.extfield import (
     _sqrmod,
     extension_field,
     find_modulus,
+    table_modulus,
 )
 
 
@@ -78,10 +83,71 @@ def test_moduli_are_pinned():
         assert find_modulus(degree) == modulus, degree
 
 
+# -- the table of moduli, against the search (tests/moduli.py checks every degree) ---------
+
+def test_the_table_covers_every_degree_a_field_can_have():
+    assert len(extfield._MODULUS_LOWS) == 2 * (MAX_EXTENSION_DEGREE - 1)  # degrees 2..1024
+    for degree, why in ((1, "modulus degree must be >= 2, got 1"),
+                        (1025, "extension degree 1025 exceeds the limit of 1024")):
+        with pytest.raises(ValidationError) as err:
+            table_modulus(degree)
+        assert str(err.value) == why
+
+
+def test_every_table_modulus_is_irreducible():
+    for degree in range(2, MAX_EXTENSION_DEGREE + 1):
+        h = table_modulus(degree)
+        assert h.bit_length() - 1 == degree and _is_irreducible(h, degree), degree
+
+
+def test_the_table_holds_the_pinned_moduli():
+    assert {degree: table_modulus(degree) for degree in PINNED_MODULI} == PINNED_MODULI
+
+
+def test_the_table_agrees_with_the_search(rng):
+    # every degree up to 64, and a seeded sample above it (1024 is searched once, above)
+    degrees = [*range(2, 65), *sorted(rng.sample(range(65, MAX_EXTENSION_DEGREE), 10))]
+    assert [table_modulus(d) for d in degrees] == [find_modulus(d) for d in degrees]
+
+
+def _refuse_the_search(h, degree):
+    raise AssertionError(f"a field build searched for its modulus (degree {degree})")
+
+
+def test_no_field_build_searches_for_its_modulus(monkeypatch):
+    # built directly, past extension_field's cache of built fields
+    monkeypatch.setattr(extfield, "_is_irreducible", _refuse_the_search)
+    for w, kappa in ((2, 40), (2, 112), (1, 97), (4, 20), (8, 3)):
+        f = BinaryExtensionField(binary_field(w), kappa)
+        assert f.modulus == table_modulus(w * kappa)
+
+
+def test_no_precoded_command_searches_for_its_modulus(tmp_path):
+    # a fresh process: nothing is cached from earlier tests
+    data = bytes((7 * i + 1) % 16 for i in range(27))  # nine 20-bit symbols
+    (tmp_path / "data.bin").write_bytes(data)
+    code = ("import os, sys\nfrom regencodes import extfield\nfrom regencodes.cli import main\n"
+            "def refuse(h, degree):\n    raise AssertionError(f'searched at degree {degree}')\n"
+            "extfield._is_irreducible = refuse\nos.chdir(sys.argv[1])\n"
+            "print([main(argv.split()) for argv in sys.argv[2:]])")
+    commands = [
+        "encode --construction precoded --n 5 --k 3 --d 4 --e 1 --m 1 --r 2 --data data.bin "
+        "--out-dir nodes",
+        "reconstruct --node-dir nodes --nodes 2,4,5 --out back.bin",
+        "repair --node-dir nodes --failed 1 --helpers 2,3,4,5",
+    ]
+    src = Path(extfield.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *commands],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.splitlines()[-1:] == ["[0, 0, 0]"], done.stderr
+    assert (tmp_path / "back.bin").read_bytes() == data
+
+
 def test_squaring_matches_the_bit_serial_reference_at_wide_degrees(rng):
     # _sqrmod folds the bits past the degree back through the modulus's taps
     for degree in (80, 140, 1024):
-        modulus = SimpleNamespace(degree=degree, modulus=find_modulus(degree))
+        modulus = SimpleNamespace(degree=degree, modulus=table_modulus(degree))
         for a in [1 << (degree - 1), (1 << degree) - 1] + [rng.randrange(1 << degree) for _ in range(20)]:
             assert _sqrmod(a, modulus.modulus) == reference_mul(modulus, a, a)
 

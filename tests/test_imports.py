@@ -62,9 +62,10 @@ def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
     # (which imports inspect) and dataclass() code generation took a quarter of that import
     # without a bytecode cache and half of it with one, and produced nothing. Only verify
     # reads the bundled designs through importlib.resources. The modules only some commands
-    # run (and fractions, with the decimal it imports) are loaded by those commands
+    # run (and fractions, with the decimal it imports) are loaded by those commands. write_files
+    # names its temp files itself: tempfile (with random and shutil) cost 4 ms of the import
     unused = {"dataclasses", "inspect", "importlib.resources", "fractions", "decimal",
-              *(f"regencodes.{name}"
+              "tempfile", *(f"regencodes.{name}"
                 for name in ("extfield", "precoded", "tradeoff", "bandwidth", "selfcheck"))}
     code = f"import sys, regencodes.cli; print(sorted({unused!r} & {{*sys.modules}}))"
     assert fresh_python(code).stdout == "[]\n"
@@ -163,7 +164,6 @@ CACHES = {"lru_cache", "cache", "cached_property"}
 KEPT_CACHES = {
     "binary_field": "gf.py: one BinaryField per width, so its multiplication tables are built "
                     "once and every code and codec of that width shares them",
-    "find_modulus": "extfield.py: the irreducibility search runs once per degree",
     "extension_field": "extfield.py: one field per (w, kappa), so the subfield embedding, the "
                        "Frobenius map and x's minimal polynomial are found once",
     "MdsCodec._inv_diffs": "mds.py: the n^2 inverses a generator row is built from, computed "
@@ -231,7 +231,11 @@ def inside(tree: ast.AST, names) -> set[int]:
 
 
 def write_mode(call: ast.Call) -> bool:
-    """An open() or .open() call given a constant write mode."""
+    """An open() or .open() call given a constant write mode, or an os.open() whose flags
+    name O_CREAT."""
+    if ast.unparse(call.func) == "os.open":
+        flags = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "flags")]
+        return any(_simple_name(node) == "O_CREAT" for flag in flags for node in ast.walk(flag))
     modes = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
     return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
                and set(m.value) <= set("rwxabt+") and set(m.value) & set("wxa+") for m in modes)
@@ -239,8 +243,8 @@ def write_mode(call: ast.Call) -> bool:
 
 def file_writes(source: str, allowed: str = "") -> list[tuple[int, str]]:
     """(line, call) of each call that writes a file, outside any function named allowed:
-    os.replace, os.rename, os.fdopen, anything from tempfile, write_text, write_bytes, and an
-    open() or .open() given a constant write mode."""
+    os.replace, os.rename, os.fdopen, anything from tempfile, write_text, write_bytes, an
+    open() or .open() given a constant write mode, and an os.open() given O_CREAT."""
     tree = ast.parse(source)
     skipped = inside(tree, {allowed})
     found = []
@@ -268,12 +272,13 @@ def test_checker_finds_file_writes():
               "open(p)\nopen(p, 'rb')\nopen(p, mode='a')\np.open('w')\np.read_text()\n"
               "os.replace(a, b)\nos.rename(a, b)\nos.fdopen(fd, 'wb')\ntempfile.mkstemp()\n"
               "p.write_text(s)\np.write_bytes(b)\nos.open(p, os.O_RDONLY | os.O_NONBLOCK)\n"
-              "def keep():\n    os.replace(a, b)\n")
+              "os.open(p, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)\n"
+              "os.open(p, flags=O_CREAT)\ndef keep():\n    os.replace(a, b)\n")
     assert file_writes(source, allowed="keep") == [
         (2, "from tempfile import"), (5, "open"), (6, "p.open"), (8, "os.replace"),
         (9, "os.rename"), (10, "os.fdopen"), (11, "tempfile.mkstemp"), (12, "p.write_text"),
-        (13, "p.write_bytes")]
-    assert file_writes(source)[-1] == (16, "os.replace")
+        (13, "p.write_bytes"), (15, "os.open"), (16, "os.open")]
+    assert file_writes(source)[-1] == (18, "os.replace")
 
 
 def test_only_write_files_writes_files():
@@ -286,7 +291,7 @@ def test_only_write_files_writes_files():
 
 # -- one reader ---------------------------------------------------------------------------
 
-READ_METHODS = {"open", "read_text", "read_bytes"}  # os.open included
+READ_METHODS = {"open", "read_text", "read_bytes"}  # os.open included, unless it creates
 # functions besides files.read_regular that may read, each in designs.py with the reason it
 # stays
 KEPT_READERS = {
@@ -297,7 +302,8 @@ KEPT_READERS = {
 
 def file_reads(source: str, allowed=()) -> list[tuple[int, str]]:
     """(line, call) of each call that opens a file to read it, outside the functions named in
-    allowed: os.open, read_text, read_bytes, and an open() or .open() not given a write mode."""
+    allowed: os.open without O_CREAT, read_text, read_bytes, and an open() or .open() not given
+    a write mode."""
     tree = ast.parse(source)
     skipped = inside(tree, allowed)
     found = []
@@ -314,11 +320,12 @@ def file_reads(source: str, allowed=()) -> list[tuple[int, str]]:
 def test_checker_finds_file_reads():
     source = ("import os\nopen(p)\nopen(p, 'rb', opener=o)\np.open()\nos.open(p, os.O_RDONLY)\n"
               "p.read_text()\nres.read_bytes()\nopen(p, 'w')\nos.fdopen(fd, 'wb')\nfh.read(4)\n"
-              "os.stat(p)\ndef keep():\n    open(p)\n")
+              "os.stat(p)\nos.open(p, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)\n"
+              "def keep():\n    open(p)\n")
     assert file_reads(source, allowed={"keep"}) == [
         (2, "open"), (3, "open"), (4, "p.open"), (5, "os.open"), (6, "p.read_text"),
         (7, "res.read_bytes")]
-    assert file_reads(source)[-1] == (13, "open")
+    assert file_reads(source)[-1] == (14, "open")
 
 
 def test_only_read_regular_opens_files_to_read():
