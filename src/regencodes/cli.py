@@ -303,13 +303,13 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    from .tradeoff import (achievable_points_general, csv_rows, curve_m_values, mbcr_point,
-                           msmr_point)
+    from .tradeoff import csv_rows, curve_m_values, curve_points, mbcr_point, msmr_point
 
     m_values = None if args.m_values is None else _int_list(args.m_values, "--m-values")
+    # achievable_points_general in two steps, to refuse bad extremes before any curve
     curves = curve_m_values(args.n, args.k, args.d, args.e, m_values)
     extremes = [msmr_point(args.k, args.d, args.e), mbcr_point(args.k, args.d, args.e)]
-    points = achievable_points_general(args.n, args.k, args.d, args.e, curves) + extremes
+    points = curve_points(args.n, args.k, args.d, args.e, curves) + extremes
     rows = csv_rows(points)
     _emit_csv(rows, args.out, "points",
               {"n": args.n, "k": args.k, "d": args.d, "e": args.e,

@@ -19,6 +19,8 @@ independent over the subfield.
 The embedding is a field homomorphism from the table-driven GF(2^w) in
 gf.py: it maps the table field's generator to a root (the smallest, for
 determinism) of the same primitive polynomial inside the big field.
+table_element inverts it through an echelon basis of the copy, at most w
+XORs and no table of the copy: mds.py takes its points' logs there.
 
 Every multiply runs in a lane form of the field: a is held as one int in
 which coefficient i sits alone in byte lane i (a's binary digits as ASCII
@@ -60,7 +62,7 @@ MAX_EXTENSION_DEGREE, so a degree above it is refused up front.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import IntegrityError, ValidationError
 from .gf import BinaryField, binary_field, lincomb_loop
@@ -230,20 +232,29 @@ def _span(basis: Sequence[int]) -> list[int]:
     return tab
 
 
-def _kernel(images: list[int]) -> list[int]:
-    # kernel basis of the GF(2)-linear map taking unit vector i to images[i]
-    pivots: dict[int, tuple[int, int]] = {}
+def _reduce(pivots: dict[int, tuple[int, int]], img: int, pre: int) -> tuple[int, int]:
+    """img less the pivots (lead bit -> (image, preimage)) that its lead bits meet, and pre
+    less their preimages, until img is 0 or its lead bit has no pivot."""
+    while img:
+        lead = img.bit_length() - 1
+        if lead not in pivots:
+            break
+        pimg, ppre = pivots[lead]
+        img ^= pimg
+        pre ^= ppre
+    return img, pre
+
+
+def _kernel(images: list[int], pivots: Optional[dict[int, tuple[int, int]]] = None) -> list[int]:
+    """Kernel basis of the GF(2)-linear map taking unit vector i to images[i]. The given
+    pivots dict is filled with an echelon basis of the image, each with a preimage, for
+    _reduce."""
+    pivots = {} if pivots is None else pivots
     kernel = []
     for i, img in enumerate(images):
-        pre = 1 << i
-        while img:
-            lead = img.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (img, pre)
-                break
-            pimg, ppre = pivots[lead]
-            img ^= pimg
-            pre ^= ppre
+        img, pre = _reduce(pivots, img, 1 << i)
+        if img:
+            pivots[img.bit_length() - 1] = (img, pre)
         else:
             kernel.append(pre)
     return kernel
@@ -275,6 +286,9 @@ class BinaryExtensionField:
                            for shift in range(0, self.degree, 8))
         beta_pows = self._embed_subfield(images)
         self._emb = _span(beta_pows)
+        # an echelon basis of the subfield's copy, each vector with its subfield element
+        self._emb_pivots: dict[int, tuple[int, int]] = {}
+        _kernel(beta_pows, self._emb_pivots)
         # x has degree kappa over the subfield (module docstring)
         self.theta = tuple(1 << i for i in range(kappa))
         self._lane_beta_pows = [self._lanes_in(b) for b in beta_pows]
@@ -475,6 +489,20 @@ class BinaryExtensionField:
         if not self.subfield.contains(a):
             raise ValidationError(f"{a!r} is not a GF(2^{self.subfield.w}) element")
         return self._emb[a]
+
+    @property
+    def table_field(self) -> BinaryField:
+        """The field whose exps and logs hold the subfield's arithmetic: the subfield."""
+        return self.subfield
+
+    def table_element(self, a: int) -> int:
+        """The subfield element that embed maps to a, by w reduction steps at most; refused
+        when a lies outside the subfield's copy."""
+        if self.contains(a):
+            rest, sub = _reduce(self._emb_pivots, a, 0)
+            if not rest:
+                return sub
+        raise ValidationError(f"{a!r} is not in the field's copy of GF(2^{self.subfield.w})")
 
     def element(self, i: int) -> int:
         """Canonical evaluation points: the embedded subfield elements."""

@@ -2,7 +2,10 @@
 
 Elements are plain ints in [0, 2^w). Addition (and so subtraction) is XOR;
 multiplication and inversion go through discrete logarithms of a fixed
-primitive element.
+primitive element, whose tables exps and logs are public: mds.py builds
+generator rows from sums of logs. A BinaryField is its own table field;
+embed and table_element, the identity here, map between a field and its
+table field the way an extension field's (extfield.py) map its subfield.
 
 Codecs work on columns: one position's symbols across a batch of codewords
 (column), combined by lincomb. For w <= 8 a column is `bytes`, and lincomb
@@ -68,8 +71,9 @@ class BinaryField:
         # duplicate the cycle so mul() can skip one modular reduction
         for i in range(self.order - 1, 2 * self.order):
             exp[i] = exp[i - (self.order - 1)]
-        self._exp = exp
-        self._log = log
+        # exps[e] = g^e for 0 <= e < 2 * order, logs[a] = log_g a for a != 0 (logs[0] = 0)
+        self.exps = exp
+        self.logs = log
         if w <= 8:
             self._mul_tables = self._column_tables()
 
@@ -78,11 +82,11 @@ class BinaryField:
         # exp[log c :] gives c*v for every nonzero v at once; entries at and
         # past the field's order are padding that field symbols never index
         order = self.order
-        logs = bytes(self._log[1:order])
-        exps = bytes(self._exp)
+        logs = bytes(self.logs[1:order])
+        exps = bytes(self.exps)
         return (bytes(256),) + tuple(
             (b"\0" + logs.translate(exps[lc : lc + order - 1].ljust(256, b"\0"))).ljust(256, b"\0")
-            for lc in self._log[1:order]
+            for lc in self.logs[1:order]
         )
 
     @staticmethod
@@ -92,15 +96,31 @@ class BinaryField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.exps[self.logs[a] + self.logs[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValidationError("zero has no inverse")
-        return self._exp[self.order - 1 - self._log[a]]
+        return self.exps[self.order - 1 - self.logs[a]]
 
     def contains(self, a: object) -> bool:
         return isinstance(a, int) and 0 <= a < self.order
+
+    @property
+    def table_field(self) -> "BinaryField":
+        """The field whose exps and logs hold this one's arithmetic: itself."""
+        return self
+
+    @staticmethod
+    def embed(a: int) -> int:
+        """A table-field element as an element of this field: itself."""
+        return a
+
+    def table_element(self, a: int) -> int:
+        """The table-field element that embed maps to a: a itself, refused outside the field."""
+        if not self.contains(a):
+            raise ValidationError(f"{a!r} is not a GF(2^{self.w}) element")
+        return a
 
     def column(self, symbols: Iterable[int]):
         """The column holding these symbols: bytes for w <= 8, else a tuple."""
@@ -147,8 +167,10 @@ def lincomb_loop(mul, weights: Sequence[int], columns: Sequence) -> tuple:
 
 
 def check_symbols(field, symbols: Sequence, message: str) -> None:
-    """ValidationError(message.format(s)) for the first s not in field; one max() clears bytes."""
-    if not (isinstance(symbols, bytes) and max(symbols, default=0) < field.order):
+    """ValidationError(message.format(s)) for the first s not in field. Bytes need no scan in
+    a field of at least 256 elements, and one max() clears them in a smaller one."""
+    if not (isinstance(symbols, bytes)
+            and (field.order >= 256 or max(symbols, default=0) < field.order)):
         for s in filterfalse(field.contains, symbols):
             raise ValidationError(message.format(s))
 

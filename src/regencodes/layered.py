@@ -19,10 +19,12 @@ per entry whose code point is its node id (ids pass 255, and on a t = 1
 design the surrogates 0xD800-0xDFFF, so not bytes). A command gives each
 node one role (given, lost, or neither when absent), and one str.translate
 of that string gives every entry's role; the blocks whose members have the
-same roles are a group, one MdsCodec.decode_many call through its lowest
-r-m given positions that returns only the further given ones, each
-compared with its given symbols, and the ones the command needs. On a
-mismatch the lowest such block raises "block B: mismatch seen at position P
+same roles are a group. The groups with the same lowest r-m given
+positions, the chosen set, are a batch: one MdsCodec.decode_many call
+through the chosen set returns the positions any of its groups checks or
+needs, and each group compares its further given symbols with its own
+share and takes the positions the command needs from it. On a mismatch
+the lowest such block raises "block B: mismatch seen at position P
 (node X)" for its first mismatching position, as a block-by-block decode
 would. Repair joins the member characters of each role class's read
 positions and counts each helper in them with str.count, and picks each
@@ -304,25 +306,36 @@ class LayeredCode:
         """Decode the groups' LOST and keep positions into the block-major list full,
         checking every GIVEN symbol of those groups (module docstring)."""
         r, km, column = self.params.r, self.codec.dimension, self.field.column
-        # the groups' blocks group by group, one tuple per position
-        to_order = _gather(list(chain.from_iterable(groups.values())))
+        # the groups by their chosen positions, the lowest r-m GIVEN ones, in order of first
+        # appearance: (known, out, blocks) per group, known its GIVEN positions and out the
+        # positions it decodes
+        batches: defaultdict[tuple, list] = defaultdict(list)
+        for key, blocks in groups.items():
+            known = [pos for pos, role in enumerate(key) if role == GIVEN]
+            out = [pos for pos, role in enumerate(key) if role == LOST or not role and pos in keep]
+            batches[tuple(known[:km])].append((known, out, blocks))
+        # the blocks batch by batch, group by group, one tuple per position
+        to_order = _gather([b for batch in batches.values() for *_, blocks in batch for b in blocks])
         by_pos = [to_order(full[pos::r]) for pos in range(r)]
         mismatches = []
         start = 0
-        for key, blocks in groups.items():
-            end = start + len(blocks)
-            known = [pos for pos, role in enumerate(key) if role == GIVEN]
-            out = [pos for pos, role in enumerate(key) if role == LOST or not role and pos in keep]
-            chosen = [column(by_pos[pos][start:end]) for pos in known[:km]]
-            cols = self.codec.decode_many(known[:km], chosen, known[km:] + out)
-            for pos in known[km:]:
-                have = column(by_pos[pos][start:end])
-                if have != cols[pos]:
-                    i = next(i for i, (u, v) in enumerate(zip(have, cols[pos])) if u != v)
-                    mismatches.append((blocks[i], pos))
-            for pos in out:
-                for b, v in zip(blocks, cols[pos]):
-                    full[b * r + pos] = v
+        for chosen, batch in batches.items():
+            end = start + sum(len(blocks) for *_, blocks in batch)
+            wanted = {pos for known, out, _ in batch for pos in chain(known[km:], out)}
+            cols = self.codec.decode_many(
+                chosen, [column(by_pos[pos][start:end]) for pos in chosen], wanted)
+            lo = 0  # each group's offset in the batch
+            for known, out, blocks in batch:
+                hi = lo + len(blocks)
+                for pos in known[km:]:
+                    have, got = column(by_pos[pos][start + lo : start + hi]), cols[pos][lo:hi]
+                    if have != got:
+                        i = next(i for i, (u, v) in enumerate(zip(have, got)) if u != v)
+                        mismatches.append((blocks[i], pos))
+                for pos in out:
+                    for b, v in zip(blocks, cols[pos][lo:hi]):
+                        full[b * r + pos] = v
+                lo = hi
             start = end
         if mismatches:
             b, pos = min(mismatches)

@@ -8,9 +8,15 @@ positions determine the rest.
 
 The generator rows through K positions hold Lagrange weights in barycentric
 form: one weight w_i = 1 / prod_{j != i} (x_i - x_j) per chosen point, and
-row(x)_i = l(x) w_i / (x - x_i) with l(x) = prod_j (x - x_j). The codec
-inverts each difference x_a - x_b once, and then a row costs only
-multiplications; rows are built as they are asked for and kept per
+row(x)_i = l(x) w_i / (x - x_i) with l(x) = prod_j (x - x_j). Every factor
+is a difference of points, so each entry is one exp of a sum of logs:
+log row(x_p)_i = sum_j L[p][j] - L[p][i] + lw_i mod (q - 1), with
+L[a][b] = log(x_a - x_b) and lw_i = -sum_{j != i} L[i][j]. The logs are
+those of the field's table field (gf.py), GF(q): the field itself, or an
+extension field's subfield (extfield.py), whose copy must hold the points;
+a codec with a point outside it is refused. The codec builds the L table
+once; an entry then costs a few additions, one lookup and its embedding
+into the field. Rows are built as they are asked for and kept per
 position set (generator).
 
 All coding runs on columns (gf.py): decode_many applies one set of rows to
@@ -43,16 +49,17 @@ class MdsCodec(Record):
             raise ValidationError("need exactly one evaluation point per position")
         if len(set(points)) != length:
             raise ValidationError("evaluation points must be distinct")
-        # _generators maps sorted positions to their generator rows, None where not built
-        # yet; _rows() fills it
+        # the points as table-field elements, whose logs build the rows; _generators maps
+        # sorted positions to their generator rows, None where not built yet; _rows() fills it
         vars(self).update(field=field, length=length, dimension=dimension, points=points,
-                          _generators={})
+                          _table_points=tuple(map(field.table_element, points)), _generators={})
 
     @cached_property
-    def _inv_diffs(self) -> list[list[int]]:
-        """[a][b] = 1 / (x_a - x_b) for a != b; zero on the diagonal."""
-        f = self.field
-        return [[f.inv(f.add(a, b)) if a != b else f.zero for b in self.points] for a in self.points]
+    def _log_diffs(self) -> list[list[int]]:
+        """[a][b] = log(x_a - x_b) in the table field for a != b; zero on the diagonal."""
+        log, points = self.field.table_field.logs, self._table_points
+        # in characteristic 2, subtraction is XOR
+        return [[log[a ^ b] if a != b else 0 for b in points] for a in points]
 
     def generator(self, positions: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Generator rows through `dimension` ascending positions, one per position.
@@ -77,25 +84,19 @@ class MdsCodec(Record):
         missing = [pos for pos in wanted if rows[pos] is None]
         if not missing:
             return rows
-        # in characteristic 2, subtraction is add()
-        f, inv, points = self.field, self._inv_diffs, self.points
-        mul, one = f.mul, f.one
-        weights = []
-        for i in key:
-            w = one
-            for j in key:
-                if j != i:
-                    w = mul(w, inv[i][j])
-            weights.append(w)
+        f, logs = self.field, self._log_diffs
+        table = f.table_field
+        exps, embed, cycle = table.exps, f.embed, table.order - 1
+        # lw_i = log w_i; entry i of the row at pos is exp(log l(x_pos) - L[pos][i] + lw_i)
+        lws = [-sum([logs[i][j] for j in key]) for i in key]
         rows = list(rows)
         for pos in missing:
             if pos in key:
-                rows[pos] = tuple(one if p == pos else f.zero for p in key)
+                rows[pos] = tuple(f.one if p == pos else f.zero for p in key)
                 continue
-            x, ell = points[pos], one
-            for j in key:
-                ell = mul(ell, f.add(x, points[j]))
-            rows[pos] = tuple([mul(mul(ell, w), inv[pos][i]) for i, w in zip(key, weights)])
+            at = logs[pos]
+            ell = sum([at[j] for j in key])  # the log of l(x_pos)
+            rows[pos] = tuple([embed(exps[(ell - at[i] + lw) % cycle]) for i, lw in zip(key, lws)])
         self._generators[key] = rows = tuple(rows)
         return rows
 

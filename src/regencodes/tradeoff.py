@@ -344,7 +344,12 @@ def achievable_points_general(
     curve_m_values(n, k, d, e, m_values). The sums are built once per r and
     evaluated at every m; the points come out curve by curve, in m order.
     """
-    m_values = curve_m_values(n, k, d, e, m_values)
+    return curve_points(n, k, d, e, curve_m_values(n, k, d, e, m_values))
+
+
+def curve_points(n: int, k: int, d: int, e: int, m_values: Sequence[int]) -> list[TradeoffPoint]:
+    """achievable_points_general's points for m values that curve_m_values returned for the
+    same (n, k, d, e); checks nothing, so a caller can check more in between (cli points)."""
     curves: dict[int, list[TradeoffPoint]] = {m: [] for m in m_values}
     for r in range(min(m_values) + 1, n + 1):
         alpha = comb(n - 1, r - 1)

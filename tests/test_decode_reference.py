@@ -26,7 +26,8 @@ from regencodes import (
 from regencodes.bandwidth import beta_oracle
 from regencodes.designs import BlockDesign
 from regencodes.errors import SymbolMismatch
-from regencodes.layered import LayeredCode
+from regencodes.layered import GIVEN, LOST, LayeredCode
+from regencodes.mds import MdsCodec
 
 
 def slot_blocks(code, x):
@@ -208,3 +209,76 @@ def test_the_members_walk_moves_node_columns_both_ways(name, make):
             assert code._contents(full, nodes) == want, nodes
             assert [code._column(full, x) for x in nodes] == want, nodes
 
+
+# Shapes on which one chosen set, the lowest r-m given positions, spans groups with different
+# check positions, so a batched decode shares rows and columns between them
+SWEEP_SHAPES = [
+    SystemParams(n=6, k=4, d=4, e=2, m=2, r=3, t=3),
+    SystemParams(n=6, k=4, d=4, e=2, m=2, r=5, t=5),
+]
+
+
+def chosen_sets(code, roles, blocks):
+    """The distinct lowest r-m GIVEN positions of the blocks, read from the design."""
+    km = code.codec.dimension
+    return {tuple([pos for pos, x in enumerate(code.design.blocks[b]) if roles.get(x) == GIVEN]
+                  [:km]) for b in blocks}
+
+
+def sweep_operations(code):
+    """(name, operation, state -> args, roles, blocks it decodes) for reconstructs from all
+    nodes and from every k of them, and repairs of one or two nodes from all the others and
+    from every k of them."""
+    n, k = code.params.n, code.params.k
+    everyone = range(1, n + 1)
+    ops = []
+    for nodes in [tuple(everyone)] + list(itertools.combinations(everyone, k)):
+        ops.append((("reconstruct", nodes), ref_reconstruct, code.reconstruct,
+                    lambda state, nodes=nodes: ([nc for nc in state if nc.node in nodes],),
+                    dict.fromkeys(nodes, GIVEN), range(code.block_count)))
+    for failed in itertools.chain.from_iterable(
+            itertools.combinations(everyone, e) for e in range(1, code.params.m + 1)):
+        others = [x for x in everyone if x not in failed]
+        for helpers in {tuple(others), *itertools.combinations(others, k)}:
+            ops.append((("repair", failed, helpers), ref_repair, code.repair,
+                        lambda state, failed=failed, helpers=helpers: (state, failed, helpers),
+                        {**dict.fromkeys(helpers, GIVEN), **dict.fromkeys(failed, LOST)},
+                        [b for b, block in enumerate(code.design.blocks) if set(block) & set(failed)]))
+    return ops
+
+
+@pytest.mark.parametrize("params", SWEEP_SHAPES, ids=lambda p: f"r={p.r}")
+def test_batched_decode_raises_the_reference_error_for_every_single_flip(params, monkeypatch):
+    code = build_code(params)
+    rng = random.Random(f"sweep r={params.r}")
+    clean = code.encode(field_symbols(code, rng))
+    ops = sweep_operations(code)
+    # the shape is one the sweep needs: some chosen set spans groups of different roles
+    assert any(sum(bool(set(g) & set(blocks)) for g in code._groups(roles).values())
+               > len(chosen_sets(code, roles, blocks)) for *_, roles, blocks in ops)
+    calls = []
+    decode_many = MdsCodec.decode_many
+
+    def counted(codec, chosen, columns, wanted=None):
+        calls.append(tuple(chosen))
+        return decode_many(codec, chosen, columns, wanted)
+
+    monkeypatch.setattr(MdsCodec, "decode_many", counted)
+    flips = [(i, j) for i in range(params.n) for j in range(code.alpha)]
+    raised = 0
+    for i, j in [(None, None)] + flips:
+        state = list(clean)
+        if i is not None:
+            symbols = list(state[i].symbols)
+            symbols[j] ^= 1 + (i * 31 + j) % 255
+            state[i] = NodeContents(state[i].node, code.field.column(symbols))
+        for name, ref, op, args, roles, blocks in ops:
+            want = outcome(ref, code, *args(state))
+            del calls[:]
+            got = outcome(op, *args(state))
+            assert got == want, (name, i, j)
+            raised += isinstance(want, str)
+            # one decode_many per distinct chosen set, each set once
+            assert len(calls) == len(set(calls)), (name, calls)
+            assert set(calls) == chosen_sets(code, roles, blocks), name
+    assert raised > len(flips)  # most flips reach a checked position in several operations

@@ -180,6 +180,20 @@ def test_embedding_is_a_field_homomorphism():
     assert len({f.embed(a) for a in range(16)}) == 16
 
 
+@pytest.mark.parametrize("w, kappa", [(1, 5), (2, 40), (4, 3), (8, 2)])
+def test_table_element_inverts_embed_and_refuses_the_rest(w, kappa, rng):
+    f = extension_field(w, kappa)
+    assert f.table_field is f.subfield
+    assert [f.table_element(f.embed(a)) for a in range(f.subfield.order)] == list(
+        range(f.subfield.order))
+    copy = {f.embed(a) for a in range(f.subfield.order)}
+    outside = [z for z in (rng.randrange(f.order) for _ in range(200)) if z not in copy]
+    for z in outside + [f.order, -1, "1"]:
+        with pytest.raises(ValidationError) as err:
+            f.table_element(z)
+        assert str(err.value) == f"{z!r} is not in the field's copy of GF(2^{w})"
+
+
 def test_frobenius_fixes_exactly_the_subfield(rng):
     f = extension_field(4, 3)
     embedded = {f.embed(a) for a in range(16)}

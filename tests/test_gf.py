@@ -5,7 +5,8 @@ import random
 import pytest
 
 from regencodes import ValidationError, binary_field
-from regencodes.gf import _PRIMITIVE
+from regencodes.extfield import extension_field
+from regencodes.gf import _PRIMITIVE, check_symbols
 
 
 def clmul_reduce(a, b, poly, w):
@@ -95,6 +96,45 @@ def test_contains_screens_out_non_elements():
     assert not f.contains(16)
     assert not f.contains(-1)
     assert not f.contains("3")
+
+
+class Unscanned(bytes):
+    """Bytes that fail when iterated, so a test sees whether a check scanned them."""
+
+    def __iter__(self):
+        raise AssertionError("the bytes were scanned")
+
+
+def test_check_symbols_scans_bytes_only_in_fields_below_256_elements():
+    message = "symbol {!r} is not a field element"
+    f3 = binary_field(3)
+    check_symbols(f3, bytes([0, 7, 3, 5]), message)
+    for symbols in (bytes([1, 8, 200]), [1, 8, 200]):
+        with pytest.raises(ValidationError) as err:
+            check_symbols(f3, symbols, message)
+        assert str(err.value) == "symbol 8 is not a field element"
+    with pytest.raises(AssertionError, match="scanned"):
+        check_symbols(f3, Unscanned(b"\x07"), message)
+    # every byte is an element of GF(2^8) and of anything larger
+    for field in (binary_field(8), binary_field(12), extension_field(2, 40)):
+        check_symbols(field, Unscanned(bytes(range(256))), message)
+    with pytest.raises(ValidationError) as err:
+        check_symbols(binary_field(8), (3, 256), message)
+    assert str(err.value) == "symbol 256 is not a field element"
+
+
+def test_a_binary_field_is_its_own_table_field():
+    f = binary_field(4)
+    assert f.table_field is f
+    assert [f.table_element(a) for a in range(16)] == [f.embed(a) for a in range(16)] == list(
+        range(16))
+    for a in (16, -1, "3"):
+        with pytest.raises(ValidationError) as err:
+            f.table_element(a)
+        assert str(err.value) == f"{a!r} is not a GF(2^4) element"
+    # the public tables are the field's arithmetic
+    assert all(f.exps[(f.logs[a] + f.logs[b]) % 15] == f.mul(a, b)
+               for a in range(1, 16) for b in range(1, 16))
 
 
 def test_factory_is_cached_and_validates():

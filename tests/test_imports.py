@@ -166,8 +166,9 @@ KEPT_CACHES = {
                     "once and every code and codec of that width shares them",
     "extension_field": "extfield.py: one field per (w, kappa), so the subfield embedding, the "
                        "Frobenius map and x's minimal polynomial are found once",
-    "MdsCodec._inv_diffs": "mds.py: the n^2 inverses a generator row is built from, computed "
-                           "on the first row a codec builds and shared by the rest",
+    "MdsCodec._log_diffs": "mds.py: the n^2 table-field logs of point differences that a "
+                           "generator row's entries are summed from, taken on the first row a "
+                           "codec builds and shared by the rest",
     "LayeredCode._member_chars": "layered.py: the block-major node ids as one str, built once "
                                  "per code and read by every repair's bookkeeping",
 }

@@ -189,6 +189,58 @@ def test_barycentric_rows_equal_product_lagrange(field, length, dimension):
         assert codec.generator(positions) == _lagrange_rows(field, codec.points, positions)
 
 
+def _barycentric_mul_rows(field, points, positions):
+    """The generator rows by multiplications: 1 / (x_a - x_b) for every pair of points, the
+    weights w_i = prod_{j != i} 1 / (x_i - x_j), then row(x)_i = l(x) w_i / (x - x_i) with
+    l(x) = prod_j (x - x_j), each factor one mul; a chosen position's row is its unit vector."""
+    f = field
+    inv = [[f.inv(f.add(a, b)) if a != b else f.zero for b in points] for a in points]
+    weights = []
+    for i in positions:
+        w = f.one
+        for j in positions:
+            if j != i:
+                w = f.mul(w, inv[i][j])
+        weights.append(w)
+    rows = []
+    for pos, x in enumerate(points):
+        if pos in positions:
+            rows.append(tuple(f.one if p == pos else f.zero for p in positions))
+            continue
+        ell = f.one
+        for j in positions:
+            ell = f.mul(ell, f.add(x, points[j]))
+        rows.append(tuple(f.mul(f.mul(ell, w), inv[pos][i]) for i, w in zip(positions, weights)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("field, length, dimension", [
+    (binary_field(3), 8, 3),
+    (binary_field(8), 9, 5),
+    (binary_field(12), 7, 3),
+    (extension_field(2, 40), 4, 2),
+], ids=["gf8", "gf256", "gf4096", "gf4^40"])
+def test_log_sum_rows_equal_the_barycentric_mul_oracle(field, length, dimension):
+    codec = mds_codec(field, length, dimension)
+    table = mds_codec(field.table_field, length, dimension)
+    for positions in itertools.combinations(range(length), dimension):
+        rows = codec.generator(positions)
+        assert rows == _barycentric_mul_rows(field, codec.points, positions)
+        # an extension codec's rows are its subfield codec's, embedded (precoded.py relies on it)
+        assert rows == tuple(tuple(map(field.embed, row)) for row in table.generator(positions))
+
+
+def test_points_outside_the_table_field_are_refused():
+    with pytest.raises(ValidationError) as err:
+        MdsCodec(binary_field(8), 3, 2, (0, 1, 256))
+    assert str(err.value) == "256 is not a GF(2^8) element"
+    # x itself generates GF(4^40) over GF(4), so it lies outside the subfield's copy
+    ext = extension_field(2, 40)
+    with pytest.raises(ValidationError) as err:
+        MdsCodec(ext, 3, 2, (ext.embed(0), ext.embed(1), 2))
+    assert str(err.value) == "2 is not in the field's copy of GF(2^2)"
+
+
 @pytest.mark.parametrize("field, bits, length, dimension", [
     (binary_field(4), 4, 6, 3),
     (binary_field(8), 8, 6, 3),

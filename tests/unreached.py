@@ -42,10 +42,6 @@ KEPT = {
                     'subfield")'):
         "field theory: x generates GF(2^(w kappa)) over GF(2^w), so its minimal polynomial "
         "has degree kappa",
-    ("precoded.py", 'raise IntegrityError("extension codec is not the embedded subfield '
-                    'codec")'):
-        "field theory: the extension codec evaluates at the embedded subfield points, and "
-        "embedding is a field homomorphism",
     ("tradeoff.py", 'raise IntegrityError(f"p_star={ps} leaves no construction corners for '
                     'k={k} e={e}")'):
         "the paper's corner theorem: 2e + p_star <= k + e, so some construction r is a corner",
