@@ -19,17 +19,24 @@ per entry whose code point is its node id (ids pass 255, and on a t = 1
 design the surrogates 0xD800-0xDFFF, so not bytes). A command gives each
 node one role (given, lost, or neither when absent), and one str.translate
 of that string gives every entry's role; the blocks whose members have the
-same roles are a group. The groups with the same lowest r-m given
-positions, the chosen set, are a batch: one MdsCodec.decode_many call
-through the chosen set returns the positions any of its groups checks or
-needs, and each group compares its further given symbols with its own
-share and takes the positions the command needs from it. On a mismatch
-the lowest such block raises "block B: mismatch seen at position P
-(node X)" for its first mismatching position, as a block-by-block decode
-would. Repair joins the member characters of each role class's read
-positions and counts each helper in them with str.count, and picks each
-failed node's column out of the block-major list through a translate of
-the members that marks that node's entries.
+same roles are a group. A decode ranks the r positions once, by how many
+of its blocks hold them given (most first, ties to the lower position),
+and each group's first r-m given positions in that rank are its chosen
+set. The groups with the same chosen set are a batch: one
+MdsCodec.decode_many call through the chosen set returns the positions any
+of its groups checks or needs, and each group compares its further given
+symbols with its own share and takes the positions the command needs from
+it. Since most blocks hold the top-ranked positions, groups whose lowest
+given positions differ still share a batch. Whether a block's given
+symbols agree does not depend on the chosen set; which position a
+mismatch names does. So on a mismatch the lowest inconsistent block alone
+is decoded again through its lowest r-m given positions, and raises
+"block B: mismatch seen at position P (node X)" for the first position
+that disagrees, as a block-by-block decode would. Repair joins the member
+characters of each role class's read positions and counts each helper in
+them with str.count, and picks each failed node's column out of the
+block-major list through a translate of the members that marks that
+node's entries.
 
 A node file is the header `v2 NODE ALPHA crc=XXXXXXXX [kappa=K]` and the
 column as one line of fixed-width lowercase hex; crc is zlib.crc32 of that
@@ -49,13 +56,12 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .designs import BlockDesign, complete_design, design_stats, verify_steiner
-from .errors import IntegrityError, ValidationError
+from .errors import IntegrityError, SymbolMismatch, ValidationError
 from .gf import binary_field, check_symbols
-from .mds import MdsCodec, mds_codec
+from .mds import MdsCodec, gather, mds_codec
 from .record import Record
 
 GIVEN, LOST = 1, 2  # a position's role in _groups; 0 is neither
@@ -92,12 +98,6 @@ class NodeContents(NamedTuple):
     @property
     def alpha(self) -> int:
         return len(self.symbols)
-
-
-def _gather(indices: Sequence[int]):
-    """seq -> the tuple of seq's items at the indices."""
-    get = itemgetter(*indices)
-    return get if len(indices) != 1 else lambda seq: (get(seq),)
 
 
 class LayeredCode:
@@ -186,13 +186,17 @@ class LayeredCode:
         # h held): the r-m lowest, which naive reads, and the rest, counted per class and priced
         read: defaultdict[tuple[int, int], list] = defaultdict(list)
         rest: defaultdict[tuple[int, int], list] = defaultdict(list)
-        at_pos = [self._member_chars[pos::r] for pos in range(r)]  # each position's members
+        # each position's members over the affected blocks, group by group
+        members = gather([b for blocks in affected.values() for b in blocks])
+        at_pos = ["".join(members(self._member_chars[pos::r])) for pos in range(r)]
+        lo = 0  # each group's offset in at_pos
         for key, blocks in affected.items():  # in order of their lowest blocks
+            hi = lo + len(blocks)
             held = [pos for pos, role in enumerate(key) if role == GIVEN]
             sh = key.count(LOST), len(held)
-            members = _gather(blocks)  # a position's members -> those of this group's blocks
-            read[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[:km])
-            rest[sh] += chain.from_iterable(members(at_pos[pos]) for pos in held[km:])
+            read[sh] += [at_pos[pos][lo:hi] for pos in held[:km]]
+            rest[sh] += [at_pos[pos][lo:hi] for pos in held[km:]]
+            lo = hi
 
         full = self._decode(self._block_major({h: by_node[h] for h in helpers_t}), affected)
 
@@ -304,43 +308,56 @@ class LayeredCode:
 
     def _decode(self, full: list, groups: dict[bytes, list[int]], keep: Iterable[int] = ()) -> list:
         """Decode the groups' LOST and keep positions into the block-major list full,
-        checking every GIVEN symbol of those groups (module docstring)."""
+        checking every GIVEN symbol of those groups: one decode_many per chosen set, the
+        first r-m GIVEN positions in one rank of the positions (module docstring)."""
         r, km, column = self.params.r, self.codec.dimension, self.field.column
-        # the groups by their chosen positions, the lowest r-m GIVEN ones, in order of first
-        # appearance: (known, out, blocks) per group, known its GIVEN positions and out the
-        # positions it decodes
+        # the positions ranked once: most held GIVEN over the decoded blocks first, ties to
+        # the lower position
+        held = [0] * r
+        for key, blocks in groups.items():
+            for pos in range(r):
+                if key[pos] == GIVEN:
+                    held[pos] += len(blocks)
+        rank = sorted(range(r), key=held.__getitem__, reverse=True)  # stable: ties keep order
+        # the groups by their chosen positions, their first r-m GIVEN ones in rank, in order
+        # of first appearance: (known, out, blocks) per group, known its GIVEN positions in
+        # rank and out the positions it decodes
         batches: defaultdict[tuple, list] = defaultdict(list)
         for key, blocks in groups.items():
-            known = [pos for pos, role in enumerate(key) if role == GIVEN]
+            known = [pos for pos in rank if key[pos] == GIVEN]
             out = [pos for pos, role in enumerate(key) if role == LOST or not role and pos in keep]
-            batches[tuple(known[:km])].append((known, out, blocks))
-        # the blocks batch by batch, group by group, one tuple per position
-        to_order = _gather([b for batch in batches.values() for *_, blocks in batch for b in blocks])
-        by_pos = [to_order(full[pos::r]) for pos in range(r)]
-        mismatches = []
+            batches[tuple(sorted(known[:km]))].append((known, out, blocks))
+        # the blocks batch by batch, group by group, one column per position
+        to_order = gather([b for batch in batches.values() for *_, blocks in batch for b in blocks])
+        by_pos = [column(to_order(full[pos::r])) for pos in range(r)]
+        mismatches = []  # (first inconsistent block, its GIVEN positions) per failing check
         start = 0
         for chosen, batch in batches.items():
             end = start + sum(len(blocks) for *_, blocks in batch)
             wanted = {pos for known, out, _ in batch for pos in chain(known[km:], out)}
-            cols = self.codec.decode_many(
-                chosen, [column(by_pos[pos][start:end]) for pos in chosen], wanted)
+            cols = self.codec.decode_many(chosen, [by_pos[pos][start:end] for pos in chosen], wanted)
             lo = 0  # each group's offset in the batch
             for known, out, blocks in batch:
                 hi = lo + len(blocks)
                 for pos in known[km:]:
-                    have, got = column(by_pos[pos][start + lo : start + hi]), cols[pos][lo:hi]
+                    have, got = by_pos[pos][start + lo : start + hi], cols[pos][lo:hi]
                     if have != got:
                         i = next(i for i, (u, v) in enumerate(zip(have, got)) if u != v)
-                        mismatches.append((blocks[i], pos))
+                        mismatches.append((blocks[i], known))
                 for pos in out:
                     for b, v in zip(blocks, cols[pos][lo:hi]):
                         full[b * r + pos] = v
                 lo = hi
             start = end
         if mismatches:
-            b, pos = min(mismatches)
-            x = self.design.blocks[b][pos]
-            raise IntegrityError(f"block {b + 1}: mismatch seen at position {pos} (node {x})")
+            # the lowest inconsistent block alone, through its lowest r-m GIVEN positions
+            b, known = min(mismatches)
+            try:
+                self.codec.decode({pos: full[b * r + pos] for pos in sorted(known)})
+            except SymbolMismatch as e:
+                x = self.design.blocks[b][e.position]
+                raise IntegrityError(
+                    f"block {b + 1}: mismatch seen at position {e.position} (node {x})") from None
         return full
 
     def _contents(self, full: Sequence[int], nodes: Iterable[int]) -> list[NodeContents]:

@@ -15,9 +15,10 @@ L[a][b] = log(x_a - x_b) and lw_i = -sum_{j != i} L[i][j]. The logs are
 those of the field's table field (gf.py), GF(q): the field itself, or an
 extension field's subfield (extfield.py), whose copy must hold the points;
 a codec with a point outside it is refused. The codec builds the L table
-once; an entry then costs a few additions, one lookup and its embedding
-into the field. Rows are built as they are asked for and kept per
-position set (generator).
+once. A row then gathers its K logs from L in one C call and sums them,
+and each entry costs a few additions and one lookup, plus its embedding
+into the field when the table field is a subfield. Rows are built as they
+are asked for and kept per position set (generator).
 
 All coding runs on columns (gf.py): decode_many applies one set of rows to
 a whole batch of codewords, one column per position, and returns only the
@@ -27,11 +28,18 @@ positions asked for; the per-symbol encode and decode are its batch of one.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import SymbolMismatch, ValidationError
 from .gf import check_symbols
 from .record import Record
+
+
+def gather(indices: Sequence[int]):
+    """seq -> the tuple of seq's items at the indices, in one C call."""
+    get = itemgetter(*indices)
+    return get if len(indices) != 1 else lambda seq: (get(seq),)
 
 
 class MdsCodec(Record):
@@ -84,19 +92,20 @@ class MdsCodec(Record):
         missing = [pos for pos in wanted if rows[pos] is None]
         if not missing:
             return rows
-        f, logs = self.field, self._log_diffs
+        f, logs, pick = self.field, self._log_diffs, gather(key)
         table = f.table_field
-        exps, embed, cycle = table.exps, f.embed, table.order - 1
+        exps, cycle = table.exps, table.order - 1
         # lw_i = log w_i; entry i of the row at pos is exp(log l(x_pos) - L[pos][i] + lw_i)
-        lws = [-sum([logs[i][j] for j in key]) for i in key]
+        lws = [-sum(pick(logs[i])) for i in key]
         rows = list(rows)
         for pos in missing:
             if pos in key:
                 rows[pos] = tuple(f.one if p == pos else f.zero for p in key)
                 continue
-            at = logs[pos]
-            ell = sum([at[j] for j in key])  # the log of l(x_pos)
-            rows[pos] = tuple([embed(exps[(ell - at[i] + lw) % cycle]) for i, lw in zip(key, lws)])
+            at = pick(logs[pos])
+            ell = sum(at)  # the log of l(x_pos)
+            row = [exps[(ell - a + lw) % cycle] for a, lw in zip(at, lws)]
+            rows[pos] = tuple(row if table is f else map(f.embed, row))
         self._generators[key] = rows = tuple(rows)
         return rows
 

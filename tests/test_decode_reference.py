@@ -11,6 +11,7 @@ block-major list is checked against the same reading of the design.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -210,19 +211,55 @@ def test_the_members_walk_moves_node_columns_both_ways(name, make):
             assert [code._column(full, x) for x in nodes] == want, nodes
 
 
-# Shapes on which one chosen set, the lowest r-m given positions, spans groups with different
-# check positions, so a batched decode shares rows and columns between them
+# Shapes on which one chosen set spans groups with different check positions, so a batched
+# decode shares rows and columns between them
 SWEEP_SHAPES = [
     SystemParams(n=6, k=4, d=4, e=2, m=2, r=3, t=3),
     SystemParams(n=6, k=4, d=4, e=2, m=2, r=5, t=5),
 ]
 
 
-def chosen_sets(code, roles, blocks):
-    """The distinct lowest r-m GIVEN positions of the blocks, read from the design."""
+def given_positions(code, roles, b):
+    """Block b's GIVEN positions, ascending, read from the design."""
+    return [pos for pos, x in enumerate(code.design.blocks[b]) if roles.get(x) == GIVEN]
+
+
+def chosen_by_block(code, roles, blocks):
+    """Each block's chosen set: its first r-m GIVEN positions in one rank of the positions,
+    most held GIVEN over the decoded blocks first, ties to the lower position."""
+    given = {b: given_positions(code, roles, b) for b in blocks}
+    held = [0] * code.params.r
+    for positions in given.values():
+        for pos in positions:
+            held[pos] += 1
     km = code.codec.dimension
-    return {tuple([pos for pos, x in enumerate(code.design.blocks[b]) if roles.get(x) == GIVEN]
-                  [:km]) for b in blocks}
+    return {b: tuple(sorted(sorted(positions, key=lambda pos: (-held[pos], pos))[:km]))
+            for b, positions in given.items()}
+
+
+def chosen_sets(code, roles, blocks):
+    """The distinct chosen sets of the blocks."""
+    return set(chosen_by_block(code, roles, blocks).values())
+
+
+def lowest_sets(code, roles, blocks):
+    """The distinct lowest r-m GIVEN positions of the blocks."""
+    km = code.codec.dimension
+    return {tuple(given_positions(code, roles, b)[:km]) for b in blocks}
+
+
+def repair_blocks(code, failed):
+    """The blocks a repair of the failed nodes decodes."""
+    return [b for b, block in enumerate(code.design.blocks) if set(block) & set(failed)]
+
+
+def repair_roles(failed, helpers):
+    return {**dict.fromkeys(helpers, GIVEN), **dict.fromkeys(failed, LOST)}
+
+
+def named_block(error):
+    """The block index an "IntegrityError: block B: mismatch ..." outcome names."""
+    return int(re.match(r"IntegrityError: block (\d+):", error).group(1)) - 1
 
 
 def sweep_operations(code):
@@ -242,9 +279,21 @@ def sweep_operations(code):
         for helpers in {tuple(others), *itertools.combinations(others, k)}:
             ops.append((("repair", failed, helpers), ref_repair, code.repair,
                         lambda state, failed=failed, helpers=helpers: (state, failed, helpers),
-                        {**dict.fromkeys(helpers, GIVEN), **dict.fromkeys(failed, LOST)},
-                        [b for b, block in enumerate(code.design.blocks) if set(block) & set(failed)]))
+                        repair_roles(failed, helpers), repair_blocks(code, failed)))
     return ops
+
+
+def count_decodes(monkeypatch):
+    """A list that records (chosen positions, codewords) for every MdsCodec.decode_many call."""
+    calls = []
+    decode_many = MdsCodec.decode_many
+
+    def counted(codec, chosen, columns, wanted=None):
+        calls.append((tuple(chosen), len(columns[0])))
+        return decode_many(codec, chosen, columns, wanted)
+
+    monkeypatch.setattr(MdsCodec, "decode_many", counted)
+    return calls
 
 
 @pytest.mark.parametrize("params", SWEEP_SHAPES, ids=lambda p: f"r={p.r}")
@@ -256,14 +305,8 @@ def test_batched_decode_raises_the_reference_error_for_every_single_flip(params,
     # the shape is one the sweep needs: some chosen set spans groups of different roles
     assert any(sum(bool(set(g) & set(blocks)) for g in code._groups(roles).values())
                > len(chosen_sets(code, roles, blocks)) for *_, roles, blocks in ops)
-    calls = []
-    decode_many = MdsCodec.decode_many
-
-    def counted(codec, chosen, columns, wanted=None):
-        calls.append(tuple(chosen))
-        return decode_many(codec, chosen, columns, wanted)
-
-    monkeypatch.setattr(MdsCodec, "decode_many", counted)
+    sets = {name: chosen_sets(code, roles, blocks) for name, *_, roles, blocks in ops}
+    calls = count_decodes(monkeypatch)
     flips = [(i, j) for i in range(params.n) for j in range(code.alpha)]
     raised = 0
     for i, j in [(None, None)] + flips:
@@ -277,8 +320,78 @@ def test_batched_decode_raises_the_reference_error_for_every_single_flip(params,
             del calls[:]
             got = outcome(op, *args(state))
             assert got == want, (name, i, j)
-            raised += isinstance(want, str)
-            # one decode_many per distinct chosen set, each set once
-            assert len(calls) == len(set(calls)), (name, calls)
-            assert set(calls) == chosen_sets(code, roles, blocks), name
+            failing = isinstance(want, str)
+            raised += failing
+            # one decode_many per distinct chosen set, each set once; a failing operation
+            # adds one: the named block alone, through its lowest r-m GIVEN positions
+            batched = [chosen for chosen, _ in calls[: len(sets[name])]]
+            assert len(calls) == len(sets[name]) + failing, (name, calls)
+            assert len(set(batched)) == len(batched) and set(batched) == sets[name], name
+            if failing:
+                b = named_block(want)
+                assert calls[-1] == (tuple(given_positions(code, roles, b)[: code.codec.dimension]),
+                                     1), (name, calls)
     assert raised > len(flips)  # most flips reach a checked position in several operations
+
+
+def test_the_benchmark_repair_ring_shares_chosen_sets(monkeypatch):
+    """layered-n14's seven repair patterns, failed {i, i+1, i+5} mod 14 with node i+8 idle,
+    decode through 164 chosen sets in all, and none through more than the lowest r-m GIVEN
+    positions would take."""
+    code = build_code(SystemParams(n=14, k=10, d=10, e=3, m=4, r=9, t=9))
+    clean = code.encode(field_symbols(code, random.Random("ring")))
+    calls = count_decodes(monkeypatch)
+    shared, lowest = [], []
+    for i in range(0, 14, 2):
+        failed = tuple(sorted(1 + (i + j) % 14 for j in (0, 1, 5)))
+        idle = 1 + (i + 8) % 14
+        helpers = tuple(x for x in range(1, 15) if x not in failed and x != idle)
+        roles, blocks = repair_roles(failed, helpers), repair_blocks(code, failed)
+        del calls[:]
+        code.repair(clean, failed, helpers)
+        assert {chosen for chosen, _ in calls} == chosen_sets(code, roles, blocks), failed
+        shared.append(len(calls))
+        lowest.append(len(lowest_sets(code, roles, blocks)))
+    assert lowest == [40, 65, 35, 30, 22, 33, 17]
+    assert sum(shared) == 164
+    assert all(s <= low for s, low in zip(shared, lowest)), (shared, lowest)
+
+
+def test_the_failure_path_names_the_reference_position_where_the_rank_differs():
+    """On (9,6,6,3,3,7) the rank takes chosen sets other than the lowest GIVEN positions;
+    a seeded sample of single flips still raises the block-by-block reference's text."""
+    name, make, repairs, _ = next(c for c in CASES if c[0].startswith("complete r = m + 4"))
+    code = make()
+    rng = random.Random("rank differs")
+    clean = code.encode(field_symbols(code, rng))
+    n, k = code.params.n, code.params.k
+    ops = [(ref_reconstruct, code.reconstruct,
+            lambda state, nodes=nodes: ([nc for nc in state if nc.node in nodes],),
+            dict.fromkeys(nodes, GIVEN), range(code.block_count))
+           for nodes in itertools.combinations(range(1, n + 1), k)]
+    ops += [(ref_repair, code.repair,
+             lambda state, failed=failed, helpers=helpers: (state, failed, helpers),
+             repair_roles(failed, helpers), repair_blocks(code, failed))
+            for failed, helpers in repairs]
+    km = code.codec.dimension
+    # per operation, the blocks whose chosen set is not their lowest r-m GIVEN positions
+    ranked = [{b for b, chosen in chosen_by_block(code, roles, blocks).items()
+               if chosen != tuple(given_positions(code, roles, b)[:km])}
+              for *_, roles, blocks in ops]
+    assert all(ranked[-len(repairs):])
+    # four reconstructs on which the rank moves some chosen set, and every repair
+    picks = rng.sample([i for i, moved in enumerate(ranked[: -len(repairs)]) if moved], 4)
+    picks += range(len(ops) - len(repairs), len(ops))
+    ops, ranked = [ops[i] for i in picks], [ranked[i] for i in picks]
+    flips = rng.sample([(i, j) for i in range(n) for j in range(code.alpha)], 120)
+    differ = 0  # failing operations whose named block decodes through a ranked chosen set
+    for i, j in flips:
+        state = list(clean)
+        symbols = list(state[i].symbols)
+        symbols[j] ^= rng.randrange(1, 256)
+        state[i] = NodeContents(state[i].node, code.field.column(symbols))
+        for (ref, op, args, *_), moved in zip(ops, ranked):
+            want = outcome(ref, code, *args(state))
+            assert outcome(op, *args(state)) == want, (i, j)
+            differ += isinstance(want, str) and named_block(want) in moved
+    assert differ > 0
