@@ -21,6 +21,8 @@ Relative output and --node-dir paths are placed under $REGENCODES_OUT_DIR
 when it is set (commands both write and read node directories); other
 input paths are used as given. A command imports precoded, tradeoff or
 selfcheck only when it runs them, so a layered codec command loads none.
+region, points and compare write their CSV from tradeoff's integer rows,
+one line per row (tradeoff.csv_rows), and build no Fraction on the way.
 
 Exit codes: 0 success, 2 invalid input, 3 integrity failure.
 """
@@ -28,8 +30,6 @@ Exit codes: 0 success, 2 invalid input, 3 integrity failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -122,19 +122,12 @@ def _data_to_bytes(symbols: Sequence[int], field) -> bytes:
     return b"".join(int(v).to_bytes(nbytes, "big") for v in symbols)
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    from .tradeoff import CSV_HEADER
+def _emit_csv(rows: list, out: Optional[str], command: str, parameters: dict,
+              summary: Optional[dict] = None, corners: Sequence = ()) -> None:
+    """Write tradeoff rows (label, r, m, an, ad, bn, bd) as CSV, to stdout or to out."""
+    from .tradeoff import CSV_HEADER, csv_rows
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit_csv(rows: list[list[str]], out: Optional[str], command: str,
-              parameters: dict, summary: Optional[dict] = None) -> None:
-    text = _csv_text(rows)
+    text = "\n".join([",".join(CSV_HEADER), *csv_rows(rows, corners), ""])
     if out is None:
         sys.stdout.write(text)
         return
@@ -293,24 +286,22 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    from .tradeoff import csv_rows, region_points
+    from .tradeoff import region_rows
 
-    points, region = region_points(args.k, args.e)
-    rows = csv_rows(points, corners=region.corners)
+    rows, corners, p_star = region_rows(args.k, args.e)
     _emit_csv(rows, args.out, "region", {"k": args.k, "e": args.e},
-              summary={"p_star": region.p_star, "n_corners": region.n_corners})
+              summary={"p_star": p_star, "n_corners": len(corners)}, corners=corners)
     return 0
 
 
 def _cmd_points(args) -> int:
-    from .tradeoff import csv_rows, curve_m_values, curve_points, mbcr_point, msmr_point
+    from .tradeoff import curve_m_values, curve_rows, mbcr_row, msmr_row
 
     m_values = None if args.m_values is None else _int_list(args.m_values, "--m-values")
     # achievable_points_general in two steps, to refuse bad extremes before any curve
     curves = curve_m_values(args.n, args.k, args.d, args.e, m_values)
-    extremes = [msmr_point(args.k, args.d, args.e), mbcr_point(args.k, args.d, args.e)]
-    points = curve_points(args.n, args.k, args.d, args.e, curves) + extremes
-    rows = csv_rows(points)
+    extremes = [msmr_row(args.k, args.d, args.e), mbcr_row(args.k, args.d, args.e)]
+    rows = curve_rows(args.n, args.k, args.d, args.e, curves) + extremes
     _emit_csv(rows, args.out, "points",
               {"n": args.n, "k": args.k, "d": args.d, "e": args.e,
                "m_values": m_values})
@@ -318,11 +309,10 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .tradeoff import compare_points, csv_rows
+    from .tradeoff import compare_rows
 
     n, k, d = args.n, args.k, args.d
-    rows = csv_rows(compare_points(n, k, d))
-    _emit_csv(rows, args.out, "compare", {"n": n, "k": k, "d": d, "m": n - k})
+    _emit_csv(compare_rows(n, k, d), args.out, "compare", {"n": n, "k": k, "d": d, "m": n - k})
     return 0
 
 

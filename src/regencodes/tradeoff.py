@@ -12,18 +12,23 @@ The module computes:
   a precode, one curve per erasure budget m, and the msmr/layered_naive
   comparison of one failure at m = n-k.
 
-Every value is an exact rational. A curve builds its sums once per group size
-r, as integer tables that do not depend on m (bandwidth.beta_table for
-beta_formula, bandwidth.rho_row for rho), and evaluates them at each m in
-integers, so each coordinate is one Fraction. The corner checks and the CSV
-work on the integer numerators and denominators of those Fractions; floats
-appear only in the CSV's float columns, each one numerator / denominator.
+Every value is an exact rational. Each closed form is written once, in an
+integer core that yields rows (label, r, m, an, ad, bn, bd): alpha_bar = an/ad
+and beta_bar = bn/bd, each reduced with math.gcd, denominators positive
+(region_rows, msmr_row and mbcr_row, curve_rows, compare_rows). A curve builds
+its sums once per group size r, as integer tables that do not depend on m
+(bandwidth.beta_table for beta_formula, bandwidth.rho_row for rho), and
+evaluates them at each m in integers. The corner-chain checks run on the
+corners' integers. Fractions appear only at the library boundary: the
+functions that return TradeoffPoints build them from those same rows. The
+region, points and compare commands write their CSV straight from the rows;
+floats appear only in its float columns, each one numerator / denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .bandwidth import beta_at, beta_table, rho_row
@@ -52,6 +57,16 @@ class TradeoffPoint(NamedTuple):
     def ints(self) -> tuple[int, int, int, int]:
         """alpha_bar's numerator and denominator, then beta_bar's; denominators are positive."""
         return (*self.alpha_bar.as_integer_ratio(), *self.beta_bar.as_integer_ratio())
+
+
+# one point as (label, r, m, an, ad, bn, bd): alpha_bar = an/ad and beta_bar = bn/bd, reduced,
+# with positive denominators; r and m are None for the extremes
+Row = tuple[str, Optional[int], Optional[int], int, int, int, int]
+
+
+def _point(row: Row) -> TradeoffPoint:
+    label, r, m, an, ad, bn, bd = row
+    return TradeoffPoint(Fraction(an, ad), Fraction(bn, bd), label, r, m)
 
 
 class BoundParams(Record):
@@ -84,17 +99,31 @@ def _check_size(rows: int, n: Optional[int] = None) -> None:
 # -- extreme points ---------------------------------------------------------------
 
 
-def msmr_point(k: int, d: int, e: int) -> TradeoffPoint:
+def msmr_row(k: int, d: int, e: int) -> Row:
     """Minimum-storage extreme: alpha_bar = 1/k, beta_bar = e/(k(d-k+e))."""
     BoundParams(k=k, d=d, e=e)
-    return TradeoffPoint(Fraction(1, k), Fraction(e, k * (d - k + e)), "msmr")
+    den = k * (d - k + e)
+    g = gcd(e, den)
+    return ("msmr", None, None, 1, k, e // g, den // g)
+
+
+def mbcr_row(k: int, d: int, e: int) -> Row:
+    """Minimum-bandwidth extreme on the functional-repair bound:
+    alpha_bar = (2d+e-1)/(k(2d-k+e)), beta_bar = 2e/(k(2d-k+e))."""
+    BoundParams(k=k, d=d, e=e)
+    den, an, bn = k * (2 * d - k + e), 2 * d + e - 1, 2 * e
+    ga, gb = gcd(an, den), gcd(bn, den)
+    return ("mbcr", None, None, an // ga, den // ga, bn // gb, den // gb)
+
+
+def msmr_point(k: int, d: int, e: int) -> TradeoffPoint:
+    """msmr_row as a TradeoffPoint."""
+    return _point(msmr_row(k, d, e))
 
 
 def mbcr_point(k: int, d: int, e: int) -> TradeoffPoint:
-    """Minimum-bandwidth extreme on the functional-repair bound."""
-    BoundParams(k=k, d=d, e=e)
-    den = k * (2 * d - k + e)
-    return TradeoffPoint(Fraction(2 * d + e - 1, den), Fraction(2 * e, den), "mbcr")
+    """mbcr_row as a TradeoffPoint."""
+    return _point(mbcr_row(k, d, e))
 
 
 # -- functional-repair outer bound ---------------------------------------------
@@ -126,18 +155,26 @@ def functional_bound_check(
 # -- achievable points at n = k+e, d = k ------------------------------------------
 
 
+def _c1_row(k: int, e: int, r: int) -> Row:
+    """Normalized (alpha, beta)/F of the complete-design code with group size r:
+    alpha_bar = r/((k+e)(r-e)), beta_bar = r(r-1)/((k+e)(k+e-1)(r-e)). Checks nothing."""
+    ad = (k + e) * (r - e)
+    bn, bd = r * (r - 1), ad * (k + e - 1)
+    ga, gb = gcd(r, ad), gcd(bn, bd)
+    return (f"construction1(r={r})", r, e, r // ga, ad // ga, bn // gb, bd // gb)
+
+
 def achievable_point_c1(k: int, e: int, r: int) -> TradeoffPoint:
     """Normalized (alpha, beta)/F of the complete-design code with group size r."""
     _require_ek(k, e)
     if not e + 1 <= r <= k + e:
         raise ValidationError(f"need e+1 <= r <= k+e, got r={r}")
-    a = Fraction(r, (k + e) * (r - e))
-    b = Fraction(r * (r - 1), (k + e) * (k + e - 1) * (r - e))
-    return TradeoffPoint(a, b, f"construction1(r={r})", r=r, m=e)
+    return _point(_c1_row(k, e, r))
+
 
 def achievable_points_c1(k: int, e: int) -> list[TradeoffPoint]:
     _require_ek(k, e)
-    return [achievable_point_c1(k, e, r) for r in range(e + 1, k + e + 1)]
+    return [_point(_c1_row(k, e, r)) for r in range(e + 1, k + e + 1)]
 
 
 def slope_c1(k: int, e: int, r: int) -> Fraction:
@@ -194,6 +231,26 @@ def _n2(k: int, e: int, p: int) -> int:
     )
 
 
+def _check_corner_chain(ints: Sequence[tuple[int, int, int, int]]) -> None:
+    """Refuse corners, each as (an, ad, bn, bd) with positive denominators, that do not
+    strictly trade storage for bandwidth along a strictly convex chain."""
+    if len(ints) < 2:
+        raise IntegrityError("a region needs at least its two extreme corners")
+    steps = []  # per segment: d_alpha and d_beta, each as (numerator, positive denominator)
+    for (an, ad, bn, bd), (an2, ad2, bn2, bd2) in zip(ints, ints[1:]):
+        da, db = an2 * ad - an * ad2, bn2 * bd - bn * bd2
+        if not da < 0 < db:
+            raise IntegrityError("corners must strictly trade storage for bandwidth")
+        steps.append((da, ad * ad2, db, bd * bd2))
+    # corners run right to left (alpha_bar decreasing), so segment slopes
+    # must strictly steepen along the list for lower convexity; with both
+    # d_alpha < 0, slope 1 > slope 2 exactly when d_beta1 d_alpha2 > d_beta2 d_alpha1,
+    # compared here with the four positive denominators multiplied out
+    for (da1, pa1, db1, pb1), (da2, pa2, db2, pb2) in zip(steps, steps[1:]):
+        if not db1 * da2 * pb2 * pa1 > db2 * da1 * pb1 * pa2:
+            raise IntegrityError("corner chain is not strictly convex")
+
+
 class Region(Record):
     k: int
     e: int
@@ -201,22 +258,7 @@ class Region(Record):
     p_star: int
 
     def __init__(self, k: int, e: int, corners: tuple[TradeoffPoint, ...], p_star: int) -> None:
-        if len(corners) < 2:
-            raise IntegrityError("a region needs at least its two extreme corners")
-        ints = [pt.ints() for pt in corners]
-        steps = []  # per segment: d_alpha and d_beta, each as (numerator, positive denominator)
-        for (an, ad, bn, bd), (an2, ad2, bn2, bd2) in zip(ints, ints[1:]):
-            da, db = an2 * ad - an * ad2, bn2 * bd - bn * bd2
-            if not da < 0 < db:
-                raise IntegrityError("corners must strictly trade storage for bandwidth")
-            steps.append((da, ad * ad2, db, bd * bd2))
-        # corners run right to left (alpha_bar decreasing), so segment slopes
-        # must strictly steepen along the list for lower convexity; with both
-        # d_alpha < 0, slope 1 > slope 2 exactly when d_beta1 d_alpha2 > d_beta2 d_alpha1,
-        # compared here with the four positive denominators multiplied out
-        for (da1, pa1, db1, pb1), (da2, pa2, db2, pb2) in zip(steps, steps[1:]):
-            if not db1 * da2 * pb2 * pa1 > db2 * da1 * pb1 * pa2:
-                raise IntegrityError("corner chain is not strictly convex")
+        _check_corner_chain([pt.ints() for pt in corners])
         vars(self).update(k=k, e=e, corners=corners, p_star=p_star)
 
     @property
@@ -237,23 +279,30 @@ def corner_points(k: int, e: int) -> Region:
 def region_points(k: int, e: int) -> tuple[list[TradeoffPoint], Region]:
     """Every achievable point at n=k+e, d=k (the construction points by r, then MBCR)
     and the Region whose corners are taken from that same list."""
+    rows, corners, ps = region_rows(k, e)
+    return [_point(row) for row in rows], Region(k, e, tuple(map(_point, corners)), ps)
+
+
+def region_rows(k: int, e: int) -> tuple[list[Row], list[Row], int]:
+    """region_points as rows: every achievable point at n=k+e, d=k, the corner rows (the
+    chain checked as Region checks it), and p_star."""
     _require_ek(k, e)
     _check_size(k + 1)
     ps = p_star(k, e)
     lo = 2 * e + ps
     if lo > k + e:
         raise IntegrityError(f"p_star={ps} leaves no construction corners for k={k} e={e}")
-    construction, mbcr = achievable_points_c1(k, e), mbcr_point(k, k, e)
+    construction = [_c1_row(k, e, r) for r in range(e + 1, k + e + 1)]
+    mbcr = mbcr_row(k, k, e)
     corners = [mbcr, *construction[lo - e - 1:]]
     if e == 1:
         # mbcr and the (excluded) r=2 point coincide exactly for e=1; carry
         # both names on the single opening corner, and only there
-        if mbcr.coords() != construction[0].coords():
+        if mbcr[3:] != construction[0][3:]:
             raise IntegrityError("e=1 expects mbcr to equal the r=2 construction point")
-        corners[0] = TradeoffPoint(
-            mbcr.alpha_bar, mbcr.beta_bar, "mbcr=construction1(r=2)", r=2, m=1
-        )
-    return construction + [mbcr], Region(k=k, e=e, corners=tuple(corners), p_star=ps)
+        corners[0] = ("mbcr=construction1(r=2)", 2, 1, *mbcr[3:])
+    _check_corner_chain([row[3:] for row in corners])
+    return construction + [mbcr], corners, ps
 
 
 # -- independent hull oracle -------------------------------------------------------
@@ -349,8 +398,14 @@ def achievable_points_general(
 
 def curve_points(n: int, k: int, d: int, e: int, m_values: Sequence[int]) -> list[TradeoffPoint]:
     """achievable_points_general's points for m values that curve_m_values returned for the
-    same (n, k, d, e); checks nothing, so a caller can check more in between (cli points)."""
-    curves: dict[int, list[TradeoffPoint]] = {m: [] for m in m_values}
+    same (n, k, d, e); checks nothing."""
+    return [_point(row) for row in curve_rows(n, k, d, e, m_values)]
+
+
+def curve_rows(n: int, k: int, d: int, e: int, m_values: Sequence[int]) -> list[Row]:
+    """curve_points as rows; checks nothing, so a caller can check more in between
+    (cli points)."""
+    curves: dict[int, list[Row]] = {m: [] for m in m_values}
     for r in range(min(m_values) + 1, n + 1):
         alpha = comb(n - 1, r - 1)
         betas, rhos = beta_table(n, e, r, d), rho_row(n, k, r)
@@ -358,12 +413,19 @@ def curve_points(n: int, k: int, d: int, e: int, m_values: Sequence[int]) -> lis
             if m < r:
                 denom = rhos[r - m]
                 num, den = beta_at(betas, m)
-                curve.append(TradeoffPoint(Fraction(alpha, denom), Fraction(num, den * denom),
-                                           f"precoded(m={m},r={r})", r=r, m=m))
-    return [pt for curve in curves.values() for pt in curve]
+                den *= denom
+                ga, gb = gcd(alpha, denom), gcd(num, den)
+                curve.append((f"precoded(m={m},r={r})", r, m,
+                              alpha // ga, denom // ga, num // gb, den // gb))
+    return [row for curve in curves.values() for row in curve]
 
 
 def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
+    """compare_rows as TradeoffPoints."""
+    return [_point(row) for row in compare_rows(n, k, d)]
+
+
+def compare_rows(n: int, k: int, d: int) -> list[Row]:
     """Per r, for one failure with m = n-k: the point of achievable_points_general's
     e = 1 curve at m, relabelled msmr(r=R), then the same code's layered_naive point.
     That one's beta_bar is beta_layered_naive_e1 = C(n-1, r-1)(r-m)/d over the same
@@ -376,13 +438,12 @@ def compare_points(n: int, k: int, d: int) -> list[TradeoffPoint]:
     if not k <= d <= n - 1:
         raise ValidationError(f"need k <= d <= n-1, got d={d}")
     _check_size(2 * k, n)
-    out: list[TradeoffPoint] = []
-    for pt in achievable_points_general(n, k, d, 1, [m]):
-        r = pt.r
-        an, ad, _, _ = pt.ints()
-        out.append(TradeoffPoint(pt.alpha_bar, pt.beta_bar, f"msmr(r={r})", r=r, m=m))
-        out.append(TradeoffPoint(pt.alpha_bar, Fraction(an * (r - m), ad * d),
-                                 f"layered-naive(r={r})", r=r, m=m))
+    out: list[Row] = []
+    for _, r, _, an, ad, bn, bd in curve_rows(n, k, d, 1, curve_m_values(n, k, d, 1, [m])):
+        num, den = an * (r - m), ad * d
+        g = gcd(num, den)
+        out.append((f"msmr(r={r})", r, m, an, ad, bn, bd))
+        out.append((f"layered-naive(r={r})", r, m, an, ad, num // g, den // g))
     return out
 
 
@@ -402,27 +463,18 @@ CSV_HEADER = [
 ]
 
 
-def csv_rows(
-    points: Sequence[TradeoffPoint], corners: Sequence[TradeoffPoint] = ()
-) -> list[list[str]]:
-    """One CSV row per point; a point is a corner when its four integers match a corner's.
+def csv_rows(rows: Sequence[Row], corners: Sequence[Row] = ()) -> list[str]:
+    """One CSV line per row, without its line end, as csv.writer writes it: the label is
+    quoted exactly when it holds a comma (no label holds a quote or a line break), and no
+    other field needs quoting. A row is a corner when its four integers match a corner's.
     Each float column is numerator / denominator, which is float(Fraction)."""
-    corner_keys = {pt.ints() for pt in corners}
-    rows = []
-    for pt in points:
-        key = an, ad, bn, bd = pt.ints()
-        rows.append(
-            [
-                pt.label,
-                "" if pt.r is None else str(pt.r),
-                "" if pt.m is None else str(pt.m),
-                str(an),
-                str(ad),
-                str(bn),
-                str(bd),
-                repr(an / ad),
-                repr(bn / bd),
-                "1" if key in corner_keys else "0",
-            ]
-        )
-    return rows
+    corner_keys = {row[3:] for row in corners}
+    lines = []
+    for row in rows:
+        label, r, m, an, ad, bn, bd = row
+        if "," in label:
+            label = f'"{label}"'
+        lines.append(f"{label},{'' if r is None else r},{'' if m is None else m},"
+                     f"{an},{ad},{bn},{bd},{an / ad!r},{bn / bd!r},"
+                     f"{'1' if row[3:] in corner_keys else '0'}")
+    return lines

@@ -1163,7 +1163,7 @@ def test_points_refuses_bad_extremes_before_any_curve(capsys, monkeypatch):
 
 def test_points_checks_its_m_values_once_and_the_extremes_before_the_curves(capsys, monkeypatch):
     calls = []
-    for name in ("curve_m_values", "msmr_point", "mbcr_point", "curve_points"):
+    for name in ("curve_m_values", "msmr_row", "mbcr_row", "curve_rows"):
         def traced(*args, _name=name, _fn=getattr(tradeoff, name)):
             calls.append(_name)
             return _fn(*args)
@@ -1172,9 +1172,9 @@ def test_points_checks_its_m_values_once_and_the_extremes_before_the_curves(caps
     code, out = run(capsys, "points", "--n", "19", "--k", "13", "--d", "14", "--e", "3",
                     "--m-values", "6,4")
     assert code == 0 and len(out.splitlines()) == 1 + 28 + 2
-    assert calls == ["curve_m_values", "msmr_point", "mbcr_point", "curve_points"]
+    assert calls == ["curve_m_values", "msmr_row", "mbcr_row", "curve_rows"]
     # the refused command of the test above builds no curve either
-    monkeypatch.setattr(tradeoff, "curve_points", None)
+    monkeypatch.setattr(tradeoff, "curve_rows", None)
     assert main(["points", "--n", "512", "--k", "15", "--d", "60", "--e", "141"]) == 2
     assert capsys.readouterr() == ("", "error: need 1 <= e <= k <= d, got e=141 k=15 d=60\n")
 

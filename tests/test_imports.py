@@ -63,9 +63,10 @@ def test_the_cli_import_loads_neither_dataclasses_nor_inspect():
     # without a bytecode cache and half of it with one, and produced nothing. Only verify
     # reads the bundled designs through importlib.resources. The modules only some commands
     # run (and fractions, with the decimal it imports) are loaded by those commands. write_files
-    # names its temp files itself: tempfile (with random and shutil) cost 4 ms of the import
+    # names its temp files itself: tempfile (with random and shutil) cost 4 ms of the import.
+    # region, points and compare format their CSV lines themselves, so csv is not loaded
     unused = {"dataclasses", "inspect", "importlib.resources", "fractions", "decimal",
-              "tempfile", *(f"regencodes.{name}"
+              "tempfile", "csv", "_csv", *(f"regencodes.{name}"
                 for name in ("extfield", "precoded", "tradeoff", "bandwidth", "selfcheck"))}
     code = f"import sys, regencodes.cli; print(sorted({unused!r} & {{*sys.modules}}))"
     assert fresh_python(code).stdout == "[]\n"

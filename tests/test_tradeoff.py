@@ -27,8 +27,10 @@ from regencodes.tradeoff import (
     k_threshold,
     mbcr_point,
     msmr_point,
+    msmr_row,
     p_max,
     p_star,
+    region_rows,
     slope_c1,
 )
 
@@ -328,18 +330,19 @@ def test_compare_points_pair_the_msmr_curve_with_layered_naive(n, k, d):
 
 
 def test_csv_rows_shape():
-    pt = achievable_point_c1(4, 1, 3)
-    rows = csv_rows([pt], corners=[pt])
-    assert rows == [
-        ["construction1(r=3)", "3", "1", "3", "10", "3", "20", "0.3", "0.15", "1"]
-    ]
-    text = io.StringIO()
-    w = csv.writer(text)
-    w.writerow(CSV_HEADER)
-    w.writerows(rows)
-    parsed = list(csv.reader(io.StringIO(text.getvalue())))
+    row = region_rows(4, 1)[0][1]
+    assert row == ("construction1(r=3)", 3, 1, 3, 10, 3, 20)
+    assert achievable_point_c1(4, 1, 3).ints() == row[3:]
+    assert csv_rows([row], corners=[row]) == ["construction1(r=3),3,1,3,10,3,20,0.3,0.15,1"]
+    curve = ("precoded(m=2,r=3)", 3, 2, 1, 4, 1, 8)
+    lines = csv_rows([curve, row, msmr_row(4, 5, 1)])
+    assert lines == ['"precoded(m=2,r=3)",3,2,1,4,1,8,0.25,0.125,0',
+                     "construction1(r=3),3,1,3,10,3,20,0.3,0.15,0",
+                     "msmr,,,1,4,1,8,0.25,0.125,0"]
+    parsed = list(csv.reader(io.StringIO("\n".join([",".join(CSV_HEADER), *lines]))))
     assert parsed[0] == CSV_HEADER
-    assert parsed[1][0] == "construction1(r=3)"
+    assert [fields[:3] for fields in parsed[1:]] == [
+        ["precoded(m=2,r=3)", "3", "2"], ["construction1(r=3)", "3", "1"], ["msmr", "", ""]]
 
 
 def test_bound_params_validation():
